@@ -12,11 +12,19 @@ co-location that gives the paper its name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 
-__all__ = ["Node", "Cluster", "PlacementError", "affinity_aware_placement"]
+__all__ = [
+    "Node",
+    "Cluster",
+    "PlacementError",
+    "affinity_aware_placement",
+    "balance_key",
+    "spread_key",
+    "plan_placement",
+]
 
 
 class PlacementError(RuntimeError):
@@ -216,6 +224,81 @@ class Cluster:
             node.vcpu_used = 0.0
             node.memory_used_mb = 0.0
             node.healthy = True
+
+
+def balance_key(node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
+    """Affinity-aware score: least CPU/memory imbalance, then least load, then name."""
+    return (
+        round(abs(projected_cpu - projected_mem), 9),
+        round(projected_cpu + projected_mem, 9),
+        node.name,
+    )
+
+
+def spread_key(node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
+    """Spreading score: least load, then least imbalance, then name."""
+    return (
+        round(projected_cpu + projected_mem, 9),
+        round(abs(projected_cpu - projected_mem), 9),
+        node.name,
+    )
+
+
+def plan_placement(
+    nodes: Sequence[Node],
+    configuration: WorkflowConfiguration,
+    key: Callable[[Node, float, float], Tuple],
+    cap: Optional[float] = None,
+) -> Optional[List[Tuple[str, ResourceConfig, Node]]]:
+    """Choose a node for every function of ``configuration``, placing nothing.
+
+    Functions are considered in configuration order.  Each goes to the healthy
+    node that fits it after the earlier functions of the same plan and has
+    the smallest ``key(node, projected_cpu, projected_mem)``; the projections
+    are the node's utilisation fractions after hosting the container.  Those
+    earlier choices live in a tentative per-node usage overlay computed with
+    exactly the additions :meth:`Node.place` would make, so committing the
+    plan in order reproduces the overlay bit for bit.  With ``cap`` set, a
+    node whose projected CPU or memory utilisation would exceed it is skipped
+    too.
+
+    Returns ``(function, config, node)`` triples, or ``None`` when some
+    function fits nowhere; the nodes are never touched either way.
+    """
+    tentative: Dict[str, Tuple[float, float]] = {}
+    plan: List[Tuple[str, ResourceConfig, Node]] = []
+    for function_name, config in configuration.items():
+        vcpu = config.vcpu
+        memory_mb = config.memory_mb
+        best: Optional[Node] = None
+        best_key: Optional[Tuple] = None
+        for node in nodes:
+            if not node.healthy:
+                continue
+            if node.name in tentative:
+                cpu, mem = tentative[node.name]
+            else:
+                cpu, mem = node.vcpu_used, node.memory_used_mb
+            # Node.can_fit's capacity checks, on the tentative usage.
+            if not (
+                cpu + vcpu <= node.vcpu_capacity + 1e-9
+                and mem + memory_mb <= node.memory_capacity_mb + 1e-9
+            ):
+                continue
+            projected_cpu = (cpu + vcpu) / node.vcpu_capacity
+            projected_mem = (mem + memory_mb) / node.memory_capacity_mb
+            if cap is not None and max(projected_cpu, projected_mem) > cap + 1e-9:
+                continue
+            score = key(node, projected_cpu, projected_mem)
+            if best_key is None or score < best_key:
+                best_key = score
+                best = node
+                best_used = (cpu + vcpu, mem + memory_mb)
+        if best is None:
+            return None
+        tentative[best.name] = best_used
+        plan.append((function_name, config, best))
+    return plan
 
 
 def affinity_aware_placement(

@@ -31,11 +31,12 @@ machinery as node failures.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
-from repro.execution.cluster import Cluster, Node
+from repro.execution.cluster import Cluster, Node, balance_key, plan_placement, spread_key
 from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.instances import spot_eviction_schedule
@@ -119,12 +120,25 @@ class FleetOptions:
                 f"unknown placement policy {self.placement!r}; "
                 f"choose from {', '.join(PLACEMENT_POLICIES)}"
             )
+        # Comparisons are written so that NaN fails them.
+        if self.queue_capacity is not None and not self.queue_capacity >= 0:
+            raise ValueError("queue_capacity must be non-negative (or None)")
+        if not self.keep_alive_seconds >= 0:
+            raise ValueError("keep_alive_seconds must be non-negative")
+        if not self.max_warm_per_function >= 1:
+            raise ValueError("max_warm_per_function must be at least 1")
         if not 0 <= self.interference_threshold <= 1:
             raise ValueError("interference_threshold must be in [0, 1]")
-        if self.interference_alpha < 0:
-            raise ValueError("interference_alpha cannot be negative")
+        if not 0 <= self.interference_alpha < math.inf:
+            raise ValueError("interference_alpha must be finite and non-negative")
         if not 0 <= self.priority_reserve_fraction < 1:
             raise ValueError("priority_reserve_fraction must be in [0, 1)")
+        for name in ("node_failures_per_hour", "spot_evictions_per_hour"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("node_recovery_seconds", "spot_recovery_seconds"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass
@@ -182,6 +196,13 @@ class _FleetLedger:
     ``reserve_fraction`` of every node from tenants below the fleet's top
     priority, and utilization always integrates against the *healthy*
     capacity actually available in each window.
+
+    ``version`` counts capacity changes (commits, releases, node failures and
+    restores).  A refusal depends only on the (immutable) configuration, the
+    cap and the node state, so the ledger remembers which configuration
+    objects were refused at which cap since the last change and refuses them
+    again without rescanning the cluster.  This holds as long as the nodes
+    change only through the ledger.
     """
 
     def __init__(
@@ -197,6 +218,8 @@ class _FleetLedger:
         self.max_priority = max_priority
         self.active = 0
         self.peak_active = 0
+        self.version = 0
+        self._key = balance_key if policy == "bin-packing" else spread_key
         self._last_time = 0.0
         self._cpu_area = 0.0
         self._mem_area = 0.0
@@ -204,6 +227,13 @@ class _FleetLedger:
         self._cap_mem_area = 0.0
         self._concurrency_area = 0.0
         self._placements: Dict[int, List[Tuple[Node, str]]] = {}
+        # (id(configuration), cap) -> configuration for refusals at the current
+        # version; holding the object keeps its id from being reused.
+        self._refused: Dict[Tuple[int, float], WorkflowConfiguration] = {}
+
+    def _changed(self) -> None:
+        self.version += 1
+        self._refused.clear()
 
     def advance(self, now: float) -> None:
         dt = now - self._last_time
@@ -222,13 +252,6 @@ class _FleetLedger:
         self._concurrency_area += self.active * dt
         self._last_time = now
 
-    def _score(self, node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
-        imbalance = round(abs(projected_cpu - projected_mem), 9)
-        load = round(projected_cpu + projected_mem, 9)
-        if self.policy == "bin-packing":
-            return (imbalance, load, node.name)
-        return (load, imbalance, node.name)
-
     def try_reserve(
         self,
         request_id: int,
@@ -236,7 +259,7 @@ class _FleetLedger:
         now: float,
         priority: int = 0,
     ) -> Optional[Dict[str, Node]]:
-        """Reserve one container per function; None (fully rolled back) if not placeable.
+        """Reserve one container per function; None (nothing placed) if not placeable.
 
         Returns the function → node assignment on success so the caller can
         price and interfere per node.
@@ -245,35 +268,24 @@ class _FleetLedger:
         cap = 1.0
         if self.policy == "priority" and priority < self.max_priority:
             cap = 1.0 - self.reserve_fraction
+        memo = (id(configuration), cap)
+        if self._refused.get(memo) is configuration:
+            return None
+        plan = plan_placement(self.cluster.nodes, configuration, self._key, cap)
+        if plan is None:
+            self._refused[memo] = configuration
+            return None
         placed: List[Tuple[Node, str]] = []
         node_of: Dict[str, Node] = {}
-        for function_name, config in configuration.items():
-            best: Optional[Node] = None
-            best_key: Optional[Tuple] = None
-            for node in self.cluster.nodes:
-                if not node.can_fit(config):
-                    continue
-                projected_cpu = (node.vcpu_used + config.vcpu) / node.vcpu_capacity
-                projected_mem = (
-                    node.memory_used_mb + config.memory_mb
-                ) / node.memory_capacity_mb
-                if max(projected_cpu, projected_mem) > cap + 1e-9:
-                    continue
-                key = self._score(node, projected_cpu, projected_mem)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = node
-            if best is None:
-                for node, name in placed:
-                    node.remove(name)
-                return None
+        for function_name, config, node in plan:
             name = f"{function_name}#{request_id}"
-            best.place(name, config)
-            placed.append((best, name))
-            node_of[function_name] = best
+            node.place(name, config)
+            placed.append((node, name))
+            node_of[function_name] = node
         self._placements[request_id] = placed
         self.active += 1
         self.peak_active = max(self.peak_active, self.active)
+        self._changed()
         return node_of
 
     def release(self, request_id: int, now: float) -> None:
@@ -283,6 +295,7 @@ class _FleetLedger:
         if placed is not None:
             for node, name in placed:
                 node.remove(name)
+        self._changed()
 
     def fail_node(self, node_name: str, now: float) -> List[int]:
         """Down one node; return the aborted request ids (see serving ledger)."""
@@ -301,11 +314,13 @@ class _FleetLedger:
                     placed_node.remove(name)
             self.active -= 1
         self.cluster.fail_node(node_name)
+        self._changed()
         return affected
 
     def restore_node(self, node_name: str, now: float) -> None:
         self.advance(now)
         self.cluster.restore_node(node_name)
+        self._changed()
 
     @property
     def has_down_nodes(self) -> bool:

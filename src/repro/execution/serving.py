@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tu
 import numpy as np
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
-from repro.execution.cluster import Cluster, Node
+from repro.execution.cluster import Cluster, Node, balance_key, plan_placement
 from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.executor import WorkflowExecutor
@@ -404,38 +404,20 @@ class _ClusterLedger:
     def try_reserve(
         self, request_id: int, configuration: WorkflowConfiguration, now: float
     ) -> bool:
-        """Reserve capacity for one request; rolls back fully on failure."""
+        """Reserve capacity for one request; places nothing on failure."""
         self.advance(now)
         if self.cluster is None:
             self.active += 1
             self.peak_active = max(self.peak_active, self.active)
             return True
+        plan = plan_placement(self.cluster.nodes, configuration, balance_key)
+        if plan is None:
+            return False
         placed: List[Tuple[Node, str]] = []
-        for function_name, config in configuration.items():
-            best: Optional[Node] = None
-            best_key: Optional[Tuple[float, float, str]] = None
-            for node in self.cluster.nodes:
-                if not node.can_fit(config):
-                    continue
-                projected_cpu = (node.vcpu_used + config.vcpu) / node.vcpu_capacity
-                projected_mem = (
-                    node.memory_used_mb + config.memory_mb
-                ) / node.memory_capacity_mb
-                key = (
-                    round(abs(projected_cpu - projected_mem), 9),
-                    round(projected_cpu + projected_mem, 9),
-                    node.name,
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = node
-            if best is None:
-                for node, name in placed:
-                    node.remove(name)
-                return False
+        for function_name, config, node in plan:
             name = f"{function_name}#{request_id}"
-            best.place(name, config)
-            placed.append((best, name))
+            node.place(name, config)
+            placed.append((node, name))
         self._placements[request_id] = placed
         self.active += 1
         self.peak_active = max(self.peak_active, self.active)

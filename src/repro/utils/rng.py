@@ -53,12 +53,16 @@ class RngStream:
     The wrapper exists so that call-sites carry a human-readable label (handy
     when debugging reproducibility issues) and so child streams can be spawned
     deterministically with :meth:`child`.
+
+    The generator is built on first use: a stream handed to a consumer that
+    never draws (e.g. a noise-free performance model) costs only its seed.
+    Draws are identical to ``np.random.default_rng(seed)`` either way.
     """
 
     def __init__(self, seed: int, label: str = "root") -> None:
         self._seed = int(seed)
         self._label = str(label)
-        self._generator = np.random.default_rng(self._seed)
+        self._generator: Optional[np.random.Generator] = None
 
     @property
     def seed(self) -> int:
@@ -72,8 +76,11 @@ class RngStream:
 
     @property
     def generator(self) -> np.random.Generator:
-        """Underlying numpy generator."""
-        return self._generator
+        """Underlying numpy generator (built on first access)."""
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = np.random.default_rng(self._seed)
+        return generator
 
     def child(self, *labels: object) -> "RngStream":
         """Spawn an independent child stream keyed by ``labels``."""
@@ -84,37 +91,37 @@ class RngStream:
     # -- convenience sampling wrappers ---------------------------------
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Draw one uniform sample in ``[low, high)``."""
-        return float(self._generator.uniform(low, high))
+        return float(self.generator.uniform(low, high))
 
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         """Draw one Gaussian sample."""
-        return float(self._generator.normal(mean, std))
+        return float(self.generator.normal(mean, std))
 
     def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
         """Draw one log-normal sample."""
-        return float(self._generator.lognormal(mean, sigma))
+        return float(self.generator.lognormal(mean, sigma))
 
     def exponential(self, scale: float = 1.0) -> float:
         """Draw one exponential sample with the given mean (``scale``)."""
         if scale <= 0:
             raise ValueError("scale must be positive")
-        return float(self._generator.exponential(scale))
+        return float(self.generator.exponential(scale))
 
     def integers(self, low: int, high: int) -> int:
         """Draw one integer uniformly from ``[low, high)``."""
-        return int(self._generator.integers(low, high))
+        return int(self.generator.integers(low, high))
 
     def choice(self, options: Sequence) -> object:
         """Pick one element of ``options`` uniformly at random."""
         if len(options) == 0:
             raise ValueError("cannot choose from an empty sequence")
-        index = int(self._generator.integers(0, len(options)))
+        index = int(self.generator.integers(0, len(options)))
         return options[index]
 
     def shuffle(self, items: List) -> List:
         """Return a new list with ``items`` shuffled."""
         order = list(range(len(items)))
-        self._generator.shuffle(order)
+        self.generator.shuffle(order)
         return [items[i] for i in order]
 
     def multiplicative_noise(self, coefficient_of_variation: float) -> float:
@@ -130,7 +137,7 @@ class RngStream:
             return 1.0
         sigma2 = float(np.log(1.0 + coefficient_of_variation**2))
         sigma = float(np.sqrt(sigma2))
-        return float(self._generator.lognormal(-sigma2 / 2.0, sigma))
+        return float(self.generator.lognormal(-sigma2 / 2.0, sigma))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self._seed}, label={self._label!r})"

@@ -83,6 +83,9 @@ class Workflow:
             self._functions[spec.name] = spec
         self._graph = nx.DiGraph()
         self._graph.add_nodes_from(self._functions.keys())
+        # Topology caches, filled on first query and dropped by add_edge.
+        self._order: Optional[List[str]] = None
+        self._preds: Optional[Dict[str, List[str]]] = None
         for upstream, downstream in edges:
             self.add_edge(upstream, downstream)
         self.validate()
@@ -97,6 +100,8 @@ class Workflow:
                 )
         if upstream == downstream:
             raise WorkflowValidationError(f"self-loop on {upstream!r} is not allowed")
+        self._order = None
+        self._preds = None
         self._graph.add_edge(upstream, downstream)
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_edge(upstream, downstream)
@@ -158,9 +163,9 @@ class Workflow:
 
     # -- graph queries -------------------------------------------------------
     def predecessors(self, name: str) -> List[str]:
-        """Direct upstream dependencies of a function."""
+        """Direct upstream dependencies of a function, sorted by name."""
         self.function(name)
-        return sorted(self._graph.predecessors(name))
+        return list(self._sorted_predecessors()[name])
 
     def successors(self, name: str) -> List[str]:
         """Direct downstream dependents of a function."""
@@ -181,10 +186,26 @@ class Workflow:
         Ties are broken by insertion order so repeated calls always return the
         same ordering, which keeps simulation traces stable.
         """
-        insertion_rank = {name: i for i, name in enumerate(self._functions)}
-        return list(
-            nx.lexicographical_topological_sort(self._graph, key=lambda n: insertion_rank[n])
-        )
+        return list(self._topological_order())
+
+    def _topological_order(self) -> List[str]:
+        """The cached topological order (callers must not mutate it)."""
+        if self._order is None:
+            insertion_rank = {name: i for i, name in enumerate(self._functions)}
+            self._order = list(
+                nx.lexicographical_topological_sort(
+                    self._graph, key=lambda n: insertion_rank[n]
+                )
+            )
+        return self._order
+
+    def _sorted_predecessors(self) -> Dict[str, List[str]]:
+        """The cached name-sorted predecessor lists (callers must not mutate them)."""
+        if self._preds is None:
+            self._preds = {
+                name: sorted(self._graph.predecessors(name)) for name in self._functions
+            }
+        return self._preds
 
     def ancestors(self, name: str) -> Set[str]:
         """All transitive predecessors of a function."""
@@ -239,9 +260,10 @@ class Workflow:
 
         best_total: Dict[str, float] = {}
         best_pred: Dict[str, Optional[str]] = {}
-        for node in self.topological_order():
+        sorted_preds = self._sorted_predecessors()
+        for node in self._topological_order():
             node_weight = float(weights[node])
-            preds = list(self._graph.predecessors(node))
+            preds = sorted_preds[node]
             if not preds:
                 best_total[node] = node_weight
                 best_pred[node] = None
@@ -249,7 +271,7 @@ class Workflow:
             # Deterministic tie-break: highest total first, then name order.
             best_upstream = None
             best_upstream_total = float("-inf")
-            for pred in sorted(preds):
+            for pred in preds:
                 total = best_total[pred]
                 if total > best_upstream_total + 1e-12:
                     best_upstream_total = total
@@ -286,7 +308,7 @@ class Workflow:
     def completion_times(self, runtimes: Mapping[str, float]) -> Dict[str, float]:
         """Finish time of every function under the dependency semantics."""
         finish: Dict[str, float] = {}
-        for node in self.topological_order():
+        for node in self._topological_order():
             preds = list(self._graph.predecessors(node))
             start = max((finish[p] for p in preds), default=0.0)
             finish[node] = start + float(runtimes[node])

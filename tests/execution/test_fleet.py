@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.execution.cluster import Cluster, Node
 from repro.execution.fleet import (
     FleetOptions,
     FleetSimulator,
@@ -63,6 +64,37 @@ class TestFleetOptions:
     def test_rejects_bad_reserve_fraction(self):
         with pytest.raises(ValueError):
             FleetOptions(priority_reserve_fraction=1.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("interference_alpha", float("nan")),
+            ("interference_alpha", float("inf")),
+            ("keep_alive_seconds", -1.0),
+            ("keep_alive_seconds", float("nan")),
+            ("max_warm_per_function", 0),
+            ("node_failures_per_hour", float("nan")),
+            ("node_failures_per_hour", -1.0),
+            ("node_recovery_seconds", 0.0),
+            ("node_recovery_seconds", -30.0),
+            ("spot_evictions_per_hour", float("inf")),
+            ("spot_recovery_seconds", float("nan")),
+            ("queue_capacity", -1),
+        ],
+    )
+    def test_rejects_bad_numbers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FleetOptions(**{name: value})
+
+    def test_accepts_boundary_values(self):
+        FleetOptions(
+            queue_capacity=0,
+            keep_alive_seconds=0.0,
+            max_warm_per_function=1,
+            interference_alpha=0.0,
+            node_failures_per_hour=0.0,
+            spot_evictions_per_hour=0.0,
+        )
 
 
 class TestFleetSimulator:
@@ -163,6 +195,60 @@ class TestFleetLedger:
 
         assert len(set(place("fair-share"))) == 2
         assert len(set(place("bin-packing"))) == 1
+
+    def test_failed_reservation_leaves_node_usage_untouched(self):
+        # Placing 0.3 vCPU onto 0.6 and taking it off again gives
+        # 0.5999999999999999; a refused reservation must not do that.
+        cluster = Cluster([Node("n", vcpu_capacity=2.0, memory_capacity_mb=4096.0)])
+        ledger = _FleetLedger(
+            cluster, policy="fair-share", reserve_fraction=0.25, max_priority=0
+        )
+        small = ResourceConfig(0.3, 128)
+        assert ledger.try_reserve(0, WorkflowConfiguration({"a": small, "b": small}), 0.0)
+        node = cluster.node("n")
+        before = (node.vcpu_used, node.memory_used_mb, list(node.placements))
+        too_big = WorkflowConfiguration({"a": small, "b": ResourceConfig(1.5, 128)})
+        assert ledger.try_reserve(1, too_big, 1.0) is None
+        assert (node.vcpu_used, node.memory_used_mb, list(node.placements)) == before
+        assert node.vcpu_used == 0.6
+
+    def test_refusal_is_remembered_until_capacity_changes(self, monkeypatch):
+        import repro.execution.fleet as fleet_module
+
+        plans = []
+        real_plan = fleet_module.plan_placement
+
+        def counting_plan(*args, **kwargs):
+            plans.append(args[1])
+            return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_module, "plan_placement", counting_plan)
+        cluster = build_cluster([("m5.4xlarge", 1)])
+        ledger = _FleetLedger(
+            cluster, policy="priority", reserve_fraction=0.25, max_priority=2
+        )
+        config = self._config()
+        for request_id in range(3):
+            assert ledger.try_reserve(request_id, config, 0.0, priority=0)
+        version = ledger.version
+        assert ledger.try_reserve(3, config, 1.0, priority=0) is None
+        assert len(plans) == 4
+        # Same object, same cap, unchanged cluster: refused without a scan.
+        assert ledger.try_reserve(3, config, 2.0, priority=0) is None
+        assert len(plans) == 4
+        assert ledger.version == version
+        # An equal but distinct configuration object, or another cap, scans.
+        assert ledger.try_reserve(3, self._config(), 2.0, priority=0) is None
+        assert ledger.try_reserve(3, config, 2.0, priority=2)
+        assert len(plans) == 6
+        # Every commit and release bumps the version and forgets refusals;
+        # once room is freed, a fresh scan grants the same configuration.
+        assert ledger.version == version + 1
+        ledger.release(0, 3.0)
+        ledger.release(3, 3.0)
+        assert ledger.version == version + 3
+        assert ledger.try_reserve(4, config, 4.0, priority=0)
+        assert len(plans) == 7
 
     def test_failed_node_aborts_and_restores(self):
         cluster = build_cluster([("m5.4xlarge", 2)])

@@ -411,6 +411,44 @@ class TestLedgerHealthyCapacityAccounting:
         assert cpu == pytest.approx((4 * 200.0) / (16 * 150.0 + 8 * 50.0))
 
 
+class TestLedgerRefusedReservation:
+    """Regression: a refused reservation leaves every node bit-identical.
+
+    Placing a container and removing it again is not exact in floating point
+    (0.6 + 0.3 - 0.3 == 0.5999999999999999), so the ledger must decide before
+    it places anything.
+    """
+
+    def test_refusal_leaves_no_float_residue(self):
+        from repro.execution.cluster import Node
+        from repro.execution.serving import _ClusterLedger
+
+        cluster = Cluster(
+            [
+                Node("a", vcpu_capacity=2.0, memory_capacity_mb=4096.0),
+                Node("b", vcpu_capacity=1.0, memory_capacity_mb=4096.0),
+            ]
+        )
+        ledger = _ClusterLedger(cluster)
+        small = ResourceConfig(0.3, 128)
+        assert ledger.try_reserve(0, WorkflowConfiguration({"f": small, "g": small}), 0.0)
+        before = [
+            (node.vcpu_used, node.memory_used_mb, list(node.placements))
+            for node in cluster.nodes
+        ]
+        assert cluster.node("a").vcpu_used == 0.6
+        too_big = WorkflowConfiguration(
+            {"f": small, "g": small, "h": ResourceConfig(1.5, 128)}
+        )
+        assert not ledger.try_reserve(1, too_big, 1.0)
+        after = [
+            (node.vcpu_used, node.memory_used_mb, list(node.placements))
+            for node in cluster.nodes
+        ]
+        assert after == before
+        assert ledger.active == 1
+
+
 class TestAutoscalerWindowing:
     """Regression: service observations share the arrivals' sliding window,
     and early ticks divide by the time actually observed (warm-up)."""

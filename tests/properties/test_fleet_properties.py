@@ -8,7 +8,10 @@ Three invariants the fleet layer promises:
   per-tenant bills (no request is double-billed or dropped from the
   ledger);
 * capacity safety — policy-scored placement never overcommits a node,
-  whatever heterogeneous shapes the cluster mixes.
+  whatever heterogeneous shapes the cluster mixes;
+* reference equivalence — the ledger's plan-then-commit reservation with
+  its refusal memo makes exactly the decisions of the original
+  scan-and-rollback loop, node usage included, bit for bit.
 """
 
 from hypothesis import given, settings
@@ -147,3 +150,154 @@ class TestLedgerCapacitySafety:
         # summing and subtracting the drawn vcpu values).
         assert all(abs(node.vcpu_used) < 1e-9 for node in cluster.nodes)
         assert all(abs(node.memory_used_mb) < 1e-6 for node in cluster.nodes)
+
+
+class _ReferenceLedger(_FleetLedger):
+    """The fleet ledger's original scan-and-rollback reservation loop.
+
+    Each function is placed on its best node as soon as it is chosen; when a
+    later function fits nowhere the placements are removed again and every
+    node's usage is then restored exactly (removal alone leaves float
+    residue).  Nothing is remembered between calls: every call scans.
+    """
+
+    def try_reserve(self, request_id, configuration, now, priority=0):
+        self.advance(now)
+        cap = 1.0
+        if self.policy == "priority" and priority < self.max_priority:
+            cap = 1.0 - self.reserve_fraction
+        snapshot = [(n, n.vcpu_used, n.memory_used_mb) for n in self.cluster.nodes]
+        placed = []
+        node_of = {}
+        for function_name, config in configuration.items():
+            best = None
+            best_key = None
+            for node in self.cluster.nodes:
+                if not node.can_fit(config):
+                    continue
+                projected_cpu = (node.vcpu_used + config.vcpu) / node.vcpu_capacity
+                projected_mem = (
+                    node.memory_used_mb + config.memory_mb
+                ) / node.memory_capacity_mb
+                if max(projected_cpu, projected_mem) > cap + 1e-9:
+                    continue
+                imbalance = round(abs(projected_cpu - projected_mem), 9)
+                load = round(projected_cpu + projected_mem, 9)
+                if self.policy == "bin-packing":
+                    key = (imbalance, load, node.name)
+                else:
+                    key = (load, imbalance, node.name)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = node
+            if best is None:
+                for node, name in placed:
+                    node.remove(name)
+                for node, vcpu_used, memory_used_mb in snapshot:
+                    node.vcpu_used = vcpu_used
+                    node.memory_used_mb = memory_used_mb
+                return None
+            name = f"{function_name}#{request_id}"
+            best.place(name, config)
+            placed.append((best, name))
+            node_of[function_name] = best
+        self._placements[request_id] = placed
+        self.active += 1
+        self.peak_active = max(self.peak_active, self.active)
+        return node_of
+
+
+def _usage(cluster):
+    """Every node's state, with usage as exact float bit patterns."""
+    return [
+        (
+            node.name,
+            node.healthy,
+            node.vcpu_used.hex(),
+            node.memory_used_mb.hex(),
+            list(node.placements),
+        )
+        for node in cluster.nodes
+    ]
+
+
+def _assignment(node_of):
+    if node_of is None:
+        return None
+    return {function_name: node.name for function_name, node in node_of.items()}
+
+
+# A small pool of configuration objects, reused across reservations so the
+# ledger's refusal memo (keyed by object identity) gets hit.
+configuration_pool = st.lists(
+    st.lists(configs, min_size=1, max_size=4).map(
+        lambda drawn: WorkflowConfiguration({f"f{i}": c for i, c in enumerate(drawn)})
+    ),
+    min_size=1,
+    max_size=4,
+)
+# (kind, pick, priority): ``pick`` selects the configuration, live request
+# or node modulo the available choices; reservations are drawn most often.
+ledger_operations = st.lists(
+    st.tuples(
+        st.sampled_from(("reserve", "reserve", "reserve", "release", "fail", "restore")),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=2),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestLedgerMatchesReference:
+    @given(
+        policy=st.sampled_from(PLACEMENT_POLICIES),
+        shapes=st.lists(
+            st.tuples(instance_names, st.integers(min_value=1, max_value=2)),
+            min_size=1,
+            max_size=3,
+        ),
+        pool=configuration_pool,
+        reserve=st.floats(min_value=0.0, max_value=0.5),
+        operations=ledger_operations,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_decisions_and_node_usage_match_the_reference(
+        self, policy, shapes, pool, reserve, operations
+    ):
+        spec = list(dict(shapes).items())  # one entry per instance type
+        cluster, reference_cluster = build_cluster(spec), build_cluster(spec)
+        ledger = _FleetLedger(cluster, policy, reserve, max_priority=2)
+        reference = _ReferenceLedger(reference_cluster, policy, reserve, max_priority=2)
+        node_names = [node.name for node in cluster.nodes]
+        live = []
+        now = 0.0
+        for request_id, (kind, pick, priority) in enumerate(operations):
+            now += 1.0
+            if kind == "reserve":
+                configuration = pool[pick % len(pool)]
+                got = ledger.try_reserve(request_id, configuration, now, priority)
+                want = reference.try_reserve(request_id, configuration, now, priority)
+                if want is not None:
+                    assert got is not None, "the memo refused a grantable reservation"
+                assert _assignment(got) == _assignment(want)
+                if got is not None:
+                    live.append(request_id)
+            elif kind == "release":
+                if not live:
+                    continue
+                released = live.pop(pick % len(live))
+                ledger.release(released, now)
+                reference.release(released, now)
+            elif kind == "fail":
+                name = node_names[pick % len(node_names)]
+                aborted = ledger.fail_node(name, now)
+                assert aborted == reference.fail_node(name, now)
+                live = [r for r in live if r not in aborted]
+            else:
+                name = node_names[pick % len(node_names)]
+                ledger.restore_node(name, now)
+                reference.restore_node(name, now)
+            assert _usage(cluster) == _usage(reference_cluster)
+            assert ledger.active == reference.active
+        assert ledger.utilization() == reference.utilization()

@@ -1,5 +1,7 @@
 """Tests for the seeded RNG utilities."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,63 @@ class TestRngStream:
         stream = RngStream(77)
         assert isinstance(stream.normal(), float)
         assert stream.lognormal() > 0
+
+
+class TestLazyGenerator:
+    """A stream builds its generator on first draw; draws must not notice."""
+
+    def _chain(self) -> RngStream:
+        return RngStream(7, "root").child("request", 3).child("f")
+
+    def _reference(self) -> np.random.Generator:
+        seed = derive_seed(derive_seed(7, "root", "request", 3), "root/request/3", "f")
+        return np.random.default_rng(seed)
+
+    def test_seed_and_label_of_chained_children(self):
+        stream = self._chain()
+        assert stream.seed == derive_seed(
+            derive_seed(7, "root", "request", 3), "root/request/3", "f"
+        )
+        assert stream.label == "root/request/3/f"
+
+    def test_scalar_and_array_draws_match_default_rng(self):
+        stream, reference = self._chain(), self._reference()
+        assert stream.uniform(2.0, 5.0) == float(reference.uniform(2.0, 5.0))
+        assert stream.normal(1.0, 0.5) == float(reference.normal(1.0, 0.5))
+        assert stream.integers(0, 100) == int(reference.integers(0, 100))
+        np.testing.assert_array_equal(
+            stream.generator.uniform(0.0, 1.0, size=16),
+            reference.uniform(0.0, 1.0, size=16),
+        )
+        assert stream.exponential(3.0) == float(reference.exponential(3.0))
+
+    def test_no_generator_is_built_until_the_first_draw(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed)
+        )
+        stream = self._chain()
+        assert stream.multiplicative_noise(0.0) == 1.0  # a CV of 0 draws nothing
+        assert built == []
+        stream.uniform()
+        stream.uniform()
+        assert built == [stream.seed]
+
+    def test_pickle_round_trip_before_first_draw(self):
+        restored = pickle.loads(pickle.dumps(self._chain()))
+        assert (restored.seed, restored.label) == (self._chain().seed, "root/request/3/f")
+        np.testing.assert_array_equal(
+            restored.generator.normal(size=8), self._reference().normal(size=8)
+        )
+
+    def test_pickle_round_trip_after_first_draw_keeps_the_position(self):
+        stream, reference = self._chain(), self._reference()
+        assert stream.uniform() == float(reference.uniform())
+        restored = pickle.loads(pickle.dumps(stream))
+        expected = reference.uniform(size=4)
+        np.testing.assert_array_equal(restored.generator.uniform(size=4), expected)
+        np.testing.assert_array_equal(stream.generator.uniform(size=4), expected)
 
 
 class TestSpawnStreams:
