@@ -22,7 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from repro import AARC, AARCOptions, SchedulerOptions
 from repro.core.input_aware import InputAwareEngine
-from repro.execution.events import RequestStreamSimulator
+from repro.execution.serving import ServingOptions, ServingSimulator
 from repro.utils.tables import Table
 from repro.workloads.inputs import VIDEO_INPUT_CLASSES, input_class_rules, request_sequence
 from repro.workloads.registry import get_workload
@@ -33,7 +33,7 @@ def summarise(label, outcomes, slo_limit):
     bad = sum(
         1
         for o in outcomes
-        if o.runtime_seconds > slo_limit or not o.trace.succeeded
+        if o.latency_seconds > slo_limit or not o.succeeded
     )
     by_class = {}
     for outcome in outcomes:
@@ -66,10 +66,15 @@ def main() -> None:
     fixed_configuration = engine.configurations()["middle"]
 
     requests = request_sequence(n_requests=15, pattern="interleaved")
-    simulator = RequestStreamSimulator(workload.build_executor(), workload.workflow)
+    # Unbounded capacity, no cold starts: each request runs at its arrival.
+    simulator = ServingSimulator(
+        workload.workflow,
+        workload.build_executor(),
+        options=ServingOptions(simulate_cold_starts=False),
+    )
 
-    aware_outcomes = simulator.run(requests, engine.dispatcher())
-    fixed_outcomes = simulator.run(requests, lambda _: fixed_configuration)
+    aware_outcomes = simulator.run(requests, engine.dispatcher()).outcomes
+    fixed_outcomes = simulator.run(requests, lambda _: fixed_configuration).outcomes
 
     slo_limit = workload.slo.latency_limit
     aware_violations, aware_costs = summarise("input-aware", aware_outcomes, slo_limit)

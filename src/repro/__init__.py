@@ -36,7 +36,6 @@ from repro.execution import (
     CachingBackend,
     EvaluationBackend,
     ExecutorOptions,
-    ParallelBackend,
     SimulatorBackend,
     VectorizedBackend,
     WorkflowExecutor,
@@ -78,7 +77,6 @@ __all__ = [
     "EvaluationBackend",
     "SimulatorBackend",
     "CachingBackend",
-    "ParallelBackend",
     "VectorizedBackend",
     "BackendStats",
     "build_backend",

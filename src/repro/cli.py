@@ -117,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache", action=argparse.BooleanOptionalAction, default=False,
             help="memoize deterministic evaluations (--no-cache disables)",
         )
-        sub.add_argument(
-            "--workers", type=positive_int, default=None,
-            help="thread-pool width for batched evaluation (>1 implies "
-                 "--backend parallel; --backend parallel alone defaults to 4)",
-        )
 
     search = subparsers.add_parser("search", help="search a configuration for one workload")
     search.add_argument("workload")
@@ -370,7 +365,6 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         bo_samples=args.bo_samples,
         backend=getattr(args, "backend", "simulator"),
         cache=getattr(args, "cache", False),
-        workers=getattr(args, "workers", None),
     )
 
 
@@ -407,7 +401,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # One backend for all methods: with --cache, configurations that several
     # methods visit (baselines, generous initials) are simulated only once.
     shared_backend = workload.build_backend(
-        backend=settings.backend, cache=settings.cache, workers=settings.workers
+        backend=settings.backend, cache=settings.cache
     )
     previous = shared_backend.stats
     for method in DEFAULT_METHODS:

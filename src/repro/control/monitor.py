@@ -22,7 +22,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 from collections import deque
 
 from repro.execution.events import RequestArrival
-from repro.execution.serving import ServedRequest, percentile
+from repro.execution.serving import ServedRequest
+from repro.utils.stats import percentile
 from repro.workflow.slo import SLO
 
 __all__ = ["CompletionRecord", "WindowSnapshot", "SlidingWindowMonitor"]

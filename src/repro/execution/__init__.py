@@ -17,7 +17,6 @@ from repro.execution.backend import (
     BackendStats,
     CachingBackend,
     EvaluationBackend,
-    ParallelBackend,
     SimulatorBackend,
     build_backend,
 )
@@ -26,12 +25,7 @@ from repro.execution.vectorized import (
     VectorizedBackend,
     VectorizedWorkflowEngine,
 )
-from repro.execution.events import (
-    EventLoop,
-    RequestArrival,
-    RequestOutcome,
-    RequestStreamSimulator,
-)
+from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.faults import (
     FAULT_PROFILE_NAMES,
     ExponentialBackoffRetry,
@@ -64,7 +58,6 @@ __all__ = [
     "EvaluationBackend",
     "SimulatorBackend",
     "CachingBackend",
-    "ParallelBackend",
     "BatchOutcome",
     "VectorizedBackend",
     "VectorizedWorkflowEngine",
@@ -77,8 +70,6 @@ __all__ = [
     "WorkflowExecutor",
     "EventLoop",
     "RequestArrival",
-    "RequestOutcome",
-    "RequestStreamSimulator",
     "FAULT_PROFILE_NAMES",
     "ExponentialBackoffRetry",
     "FaultInjector",

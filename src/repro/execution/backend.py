@@ -12,19 +12,16 @@ is where the *execution substrate* is chosen and composed:
   keyed on ``(workflow, configuration, input_scale)`` with hit/miss counters.
   Noisy evaluations (those carrying an :class:`~repro.utils.rng.RngStream`)
   always bypass the cache.
-* :class:`ParallelBackend` — a decorator fanning :meth:`evaluate_batch` out
-  over a thread pool, preserving submission order.
 * :class:`~repro.execution.vectorized.VectorizedBackend` — a substrate
   serving whole batches from NumPy array kernels, bit-identical to the
   simulator (defined in :mod:`repro.execution.vectorized`).
 
-Backends compose: ``CachingBackend(ParallelBackend(SimulatorBackend(...)))``
-serves repeated configurations from memory and simulates fresh ones in
-parallel.  :func:`build_backend` assembles that stack from plain knobs
-(``backend=``, ``cache=``, ``workers=``) so experiment settings and the CLI
-can select a substrate by name.  Future substrates (multi-provider adapters,
-trace replay, distributed evaluation) plug in by implementing the same
-protocol.
+Backends compose: ``CachingBackend(VectorizedBackend(...))`` serves repeated
+configurations from memory and evaluates fresh batches in array passes.
+:func:`build_backend` assembles that stack from plain knobs (``name=``,
+``cache=``) so experiment settings and the CLI can select a substrate by
+name.  Future substrates (multi-provider adapters, trace replay, distributed
+evaluation) plug in by implementing the same protocol.
 """
 
 from __future__ import annotations
@@ -32,9 +29,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import threading
-import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
@@ -49,17 +44,12 @@ __all__ = [
     "EvaluationBackend",
     "SimulatorBackend",
     "CachingBackend",
-    "ParallelBackend",
     "BACKEND_NAMES",
     "build_backend",
 ]
 
 #: Substrate names understood by :func:`build_backend` (and the CLI).
-BACKEND_NAMES: Tuple[str, ...] = ("simulator", "parallel", "vectorized")
-
-#: Thread-pool width used when the parallel substrate is selected without an
-#: explicit worker count.
-DEFAULT_PARALLEL_WORKERS = 4
+BACKEND_NAMES: Tuple[str, ...] = ("simulator", "vectorized")
 
 
 @dataclass
@@ -153,7 +143,7 @@ class EvaluationBackend(abc.ABC):
     :class:`~repro.execution.trace.ExecutionTrace`.  ``evaluate_batch``
     evaluates many candidate configurations against the same workflow and
     input scale, returning traces in submission order; decorators may serve
-    entries from a cache or run them concurrently.
+    entries from a cache, and substrates may evaluate the whole batch at once.
     """
 
     #: Short name used in reports and factory lookups.
@@ -180,7 +170,7 @@ class EvaluationBackend(abc.ABC):
 
         ``rngs`` optionally supplies one (pre-derived) random stream per
         configuration so that noisy batches stay deterministic regardless of
-        the execution order a decorator chooses.
+        the order the substrate evaluates them in.
         """
         rngs = self._check_rngs(configurations, rngs)
         return [
@@ -516,124 +506,10 @@ class CachingBackend(EvaluationBackend):
         return f"caching({capacity}) -> {self.inner.describe()}"
 
 
-class ParallelBackend(EvaluationBackend):
-    """Decorator fanning batches out over a thread pool.
-
-    Single evaluations pass straight through; ``evaluate_batch`` submits every
-    configuration to a pool of ``max_workers`` threads and reassembles the
-    traces in submission order.  Determinism is preserved because each batch
-    entry carries its own pre-derived random stream (or none at all) — the
-    simulated traces do not depend on scheduling order.  The one exception is
-    ``simulate_cold_starts=True``: the warm pool is shared state, so *which*
-    concurrent evaluation pays a cold start depends on thread timing; keep
-    cold-start studies on a sequential backend when bit-reproducibility
-    matters.
-    """
-
-    name = "parallel"
-
-    def __init__(self, inner: EvaluationBackend, max_workers: int = 4) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.inner = inner
-        self.max_workers = int(max_workers)
-        self._lock = threading.Lock()
-        self._batches = 0
-        # The pool is created lazily on the first fan-out and reused across
-        # batches; repeated small batches would otherwise pay thread spawn
-        # and join costs every call.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._finalizer: Optional[weakref.finalize] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-eval",
-                )
-                # Reap the worker threads when this backend is collected so
-                # short-lived backends (one per objective) don't accumulate
-                # idle threads for the life of the process.
-                self._finalizer = weakref.finalize(
-                    self, self._pool.shutdown, wait=False
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; a later batch re-creates it)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-            finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def evaluate(
-        self,
-        workflow: Workflow,
-        configuration: WorkflowConfiguration,
-        input_scale: float = 1.0,
-        rng: Optional[RngStream] = None,
-    ) -> ExecutionTrace:
-        return self.inner.evaluate(
-            workflow, configuration, input_scale=input_scale, rng=rng
-        )
-
-    def evaluate_batch(
-        self,
-        workflow: Workflow,
-        configurations: Sequence[WorkflowConfiguration],
-        input_scale: float = 1.0,
-        rngs: Optional[Sequence[Optional[RngStream]]] = None,
-    ) -> List[ExecutionTrace]:
-        rngs = self._check_rngs(configurations, rngs)
-        if len(configurations) <= 1 or self.max_workers == 1:
-            # Delegate wholesale; the inner backend counts the batch.
-            return self.inner.evaluate_batch(workflow, configurations, input_scale, rngs)
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(
-                self.inner.evaluate,
-                workflow,
-                configuration,
-                input_scale,
-                rng,
-            )
-            for configuration, rng in zip(configurations, rngs)
-        ]
-        traces = [future.result() for future in futures]
-        with self._lock:
-            self._batches += 1
-        return traces
-
-    @property
-    def stats(self) -> BackendStats:
-        stats = self.inner.stats
-        with self._lock:
-            stats.batches += self._batches
-        return stats
-
-    @property
-    def deterministic(self) -> bool:
-        return self.inner.deterministic
-
-    def describe(self) -> str:
-        return f"parallel({self.max_workers}) -> {self.inner.describe()}"
-
-
 def build_backend(
     executor: WorkflowExecutor,
     name: str = "simulator",
     cache: bool = False,
-    workers: Optional[int] = None,
     cache_entries: Optional[int] = None,
 ) -> EvaluationBackend:
     """Assemble a backend stack from plain knobs.
@@ -643,20 +519,11 @@ def build_backend(
     executor:
         The execution simulator at the bottom of the stack.
     name:
-        ``"simulator"`` (sequential), ``"parallel"`` (batch fan-out over a
-        thread pool) or ``"vectorized"`` (whole batches in one NumPy pass,
-        bit-identical to the simulator).
+        ``"simulator"`` (one scalar walk per configuration) or
+        ``"vectorized"`` (whole batches in one NumPy pass, bit-identical to
+        the simulator).
     cache:
-        Wrap the stack in a :class:`CachingBackend` (outermost, so hits never
-        touch the thread pool).
-    workers:
-        Thread-pool width, honoured verbatim when given; values above 1
-        imply the parallel substrate even when ``name`` is ``"simulator"``,
-        and an explicit ``workers=1`` on a ``"parallel"`` backend degenerates
-        to sequential delegation.  When omitted, the parallel substrate uses
-        :data:`DEFAULT_PARALLEL_WORKERS`.  The vectorized substrate serves a
-        batch in one single-threaded array pass, so ``workers`` is ignored
-        there.
+        Wrap the stack in a :class:`CachingBackend`.
     cache_entries:
         Optional LRU capacity for the cache.
     """
@@ -665,8 +532,6 @@ def build_backend(
         raise KeyError(
             f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
         )
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be at least 1")
     backend: EvaluationBackend
     if key == "vectorized":
         # Imported here: the vectorized module depends on this one.
@@ -674,11 +539,7 @@ def build_backend(
 
         backend = VectorizedBackend(executor)
     else:
-        if workers is None:
-            workers = DEFAULT_PARALLEL_WORKERS if key == "parallel" else 1
         backend = SimulatorBackend(executor)
-        if key == "parallel" or workers > 1:
-            backend = ParallelBackend(backend, max_workers=workers)
     if cache:
         backend = CachingBackend(backend, max_entries=cache_entries)
     return backend

@@ -6,7 +6,9 @@ This module models that last step: a set of nodes with CPU and memory
 capacity, and a placement policy that co-locates containers with
 *complementary* resource affinities (CPU-hungry next to memory-hungry) so
 that node capacity in both dimensions is used evenly — the affinity-aware
-co-location that gives the paper its name.
+co-location that gives the paper its name.  The :class:`ClusterLedger`
+books that capacity per request over time for the serving and fleet
+simulators.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 __all__ = [
     "Node",
     "Cluster",
+    "ClusterLedger",
     "PlacementError",
     "affinity_aware_placement",
     "balance_key",
@@ -299,6 +302,199 @@ def plan_placement(
         tentative[best.name] = best_used
         plan.append((function_name, config, best))
     return plan
+
+
+class ClusterLedger:
+    """Per-request capacity reservations on a cluster, with utilization.
+
+    A request reserves one container per workflow function for its whole
+    residence time.  :func:`plan_placement` scores candidate nodes with
+    ``key`` (the affinity-aware :func:`balance_key` by default), and a
+    reservation's optional ``cap`` keeps every node it touches at or below
+    that utilisation fraction.  Placements are keyed ``function#request`` so
+    concurrent requests running the same workflow release exactly their own
+    capacity.  The ledger also integrates reserved vCPU/memory and the
+    number of requests in flight over time.  Without a cluster every
+    reservation succeeds with an empty assignment and only concurrency is
+    integrated.
+
+    ``version`` counts capacity changes (commits, releases, node failures and
+    restores).  A refusal depends only on the (immutable) configuration, the
+    cap and the node state, so the ledger remembers which configuration
+    objects were refused at which cap since the last change and refuses them
+    again without rescanning the cluster.  This holds as long as the nodes
+    change only through the ledger.
+    """
+
+    def __init__(
+        self,
+        cluster: Optional[Cluster],
+        key: Callable[[Node, float, float], Tuple] = balance_key,
+    ) -> None:
+        self.cluster = cluster
+        self.key = key
+        self.active = 0
+        self.peak_active = 0
+        self.version = 0
+        self._nodes: List[Node] = cluster.nodes if cluster is not None else []
+        self._last_time = 0.0
+        self._cpu_area = 0.0
+        self._mem_area = 0.0
+        self._concurrency_area = 0.0
+        self._cap_cpu_area = 0.0
+        self._cap_mem_area = 0.0
+        self._saw_unhealthy_window = False
+        self._placements: Dict[int, List[Tuple[Node, str]]] = {}
+        # (id(configuration), cap) -> configuration for refusals at the current
+        # version; holding the object keeps its id from being reused.
+        self._refused: Dict[Tuple[int, Optional[float]], WorkflowConfiguration] = {}
+
+    def _changed(self) -> None:
+        self.version += 1
+        self._refused.clear()
+
+    # -- time integration -------------------------------------------------------
+    def advance(self, now: float) -> None:
+        """Integrate utilization up to ``now`` (call before any change)."""
+        dt = now - self._last_time
+        if dt <= 0:
+            return
+        if self.cluster is not None:
+            nodes = self._nodes
+            self._cpu_area += sum(n.vcpu_used for n in nodes) * dt
+            self._mem_area += sum(n.memory_used_mb for n in nodes) * dt
+            # Capacity that could actually have hosted work over this window:
+            # failed nodes contribute nothing, so node-storm runs do not
+            # deflate reported utilization by dividing by ghost capacity.
+            cap_cpu = 0.0
+            cap_mem = 0.0
+            all_healthy = True
+            for n in nodes:
+                if n.healthy:
+                    cap_cpu += n.vcpu_capacity
+                    cap_mem += n.memory_capacity_mb
+                else:
+                    all_healthy = False
+            self._cap_cpu_area += cap_cpu * dt
+            self._cap_mem_area += cap_mem * dt
+            if not all_healthy:
+                self._saw_unhealthy_window = True
+        self._concurrency_area += self.active * dt
+        self._last_time = now
+
+    # -- reservations -----------------------------------------------------------
+    def try_reserve(
+        self,
+        request_id: int,
+        configuration: WorkflowConfiguration,
+        now: float,
+        cap: Optional[float] = None,
+    ) -> Optional[Dict[str, Node]]:
+        """Reserve one container per function; ``None`` (nothing placed) if
+        some function fits nowhere.
+
+        Returns the function → node assignment, so callers can price and
+        interfere per node.  Without a cluster it is empty, so test the
+        result with ``is None``.
+        """
+        self.advance(now)
+        if self.cluster is None:
+            self.active += 1
+            self.peak_active = max(self.peak_active, self.active)
+            return {}
+        memo = (id(configuration), cap)
+        if self._refused.get(memo) is configuration:
+            return None
+        plan = plan_placement(self._nodes, configuration, self.key, cap)
+        if plan is None:
+            self._refused[memo] = configuration
+            return None
+        placed: List[Tuple[Node, str]] = []
+        node_of: Dict[str, Node] = {}
+        for function_name, config, node in plan:
+            name = f"{function_name}#{request_id}"
+            node.place(name, config)
+            placed.append((node, name))
+            node_of[function_name] = node
+        self._placements[request_id] = placed
+        self.active += 1
+        self.peak_active = max(self.peak_active, self.active)
+        self._changed()
+        return node_of
+
+    def release(self, request_id: int, now: float) -> None:
+        """Give a finished request's capacity back."""
+        self.advance(now)
+        self.active -= 1
+        placed = self._placements.pop(request_id, None)
+        if placed is not None:
+            for node, name in placed:
+                node.remove(name)
+            self._changed()
+
+    # -- node failures ----------------------------------------------------------
+    def fail_node(self, node_name: str, now: float) -> List[int]:
+        """Take one node down and abort every request placed on it.
+
+        Every affected request loses *all* its reservations (including those
+        on healthy nodes — the request restarts from scratch), so the caller
+        must re-queue the returned request ids.  Failing an already-down
+        node is a no-op.
+        """
+        self.advance(now)
+        if self.cluster is None:
+            return []
+        node = self.cluster.node(node_name)
+        if not node.healthy:
+            return []
+        affected = sorted(
+            request_id
+            for request_id, placed in self._placements.items()
+            if any(n is node for n, _ in placed)
+        )
+        for request_id in affected:
+            for placed_node, name in self._placements.pop(request_id):
+                if placed_node is not node:
+                    placed_node.remove(name)
+            self.active -= 1
+        self.cluster.fail_node(node_name)
+        self._changed()
+        return affected
+
+    def restore_node(self, node_name: str, now: float) -> None:
+        """Bring a failed node back into the placement candidate set."""
+        self.advance(now)
+        if self.cluster is not None:
+            self.cluster.restore_node(node_name)
+            self._changed()
+
+    @property
+    def has_down_nodes(self) -> bool:
+        """Whether any node is currently failed (capacity may come back)."""
+        return any(not node.healthy for node in self._nodes)
+
+    # -- reporting --------------------------------------------------------------
+    def utilization(self) -> Tuple[Optional[float], Optional[float], float]:
+        """Time-averaged (cpu, memory, concurrency) over the observed span."""
+        span = self._last_time
+        if span <= 0:
+            return (None, None, 0.0) if self.cluster is None else (0.0, 0.0, 0.0)
+        mean_concurrency = self._concurrency_area / span
+        if self.cluster is None:
+            return None, None, mean_concurrency
+        if self._saw_unhealthy_window and self._cap_cpu_area > 0 and self._cap_mem_area > 0:
+            # Healthy-capacity time-area denominator: windows with failed
+            # nodes count only the capacity that was actually up.
+            cpu = self._cpu_area / self._cap_cpu_area
+            mem = self._mem_area / self._cap_mem_area
+            return cpu, mem, mean_concurrency
+        # No node was ever down: keep the closed-form denominator so
+        # fault-free runs stay byte-identical to the historical goldens
+        # (summing per-window capacity areas is not float-associative
+        # with multiplying total capacity by the span).
+        cpu = self._cpu_area / (self.cluster.total_vcpu_capacity * span)
+        mem = self._mem_area / (self.cluster.total_memory_capacity_mb * span)
+        return cpu, mem, mean_concurrency
 
 
 def affinity_aware_placement(

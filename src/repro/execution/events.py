@@ -1,30 +1,18 @@
-"""Discrete-event utilities and a request-stream simulator.
+"""Discrete-event loop and the request record every serving engine consumes.
 
-The input-aware experiment (paper §IV-D, Fig. 8) sends a *sequence* of
-requests with varying input sizes through the configured workflow.  The
-request-stream simulator here replays such a sequence on a discrete
-:class:`EventLoop`, invoking the evaluation backend once per request and
-letting the caller choose the configuration per request (which is exactly
-what the Input-Aware Configuration Engine does).  Each request still executes
-with unbounded capacity; the contended serving model (queueing, finite
-clusters, autoscaling) lives in :mod:`repro.execution.serving`.
+The serving layer (:mod:`repro.execution.serving`) drives request streams
+through the :class:`EventLoop`; each :class:`RequestArrival` carries the
+arrival time, input scale and input class the input-aware engine (paper
+§IV-D, Fig. 8) dispatches on.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.execution.backend import EvaluationBackend, SimulatorBackend
-from repro.execution.executor import WorkflowExecutor
-from repro.execution.trace import ExecutionTrace
-from repro.utils.rng import RngStream
-from repro.workflow.dag import Workflow
-from repro.workflow.resources import WorkflowConfiguration
-
-__all__ = ["EventLoop", "RequestArrival", "RequestOutcome", "RequestStreamSimulator"]
+__all__ = ["EventLoop", "RequestArrival"]
 
 
 class EventLoop:
@@ -134,106 +122,3 @@ class RequestArrival:
         object.__setattr__(self, "arrival_time", arrival_time)
         object.__setattr__(self, "input_scale", input_scale)
         object.__setattr__(self, "input_class", input_class)
-
-
-@dataclass
-class RequestOutcome:
-    """The trace and metadata of one processed request."""
-
-    request: RequestArrival
-    trace: ExecutionTrace
-    configuration: WorkflowConfiguration
-    runtime_seconds: float = field(init=False)
-    cost: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.runtime_seconds = self.trace.end_to_end_latency - self.request.arrival_time
-        self.cost = self.trace.total_cost
-
-
-class RequestStreamSimulator:
-    """Replay a stream of requests through a workflow on an event loop.
-
-    Each request is executed independently (serverless functions scale out,
-    so concurrent requests do not queue behind each other in this model); the
-    value of the simulator is in selecting a possibly different configuration
-    per request and aggregating per-class statistics.  Requests are processed
-    in arrival-time order on an :class:`EventLoop` (ties keep stream order),
-    and deterministic evaluations are routed through the
-    :class:`~repro.execution.backend.EvaluationBackend` layer at trigger time
-    0 and shifted to the arrival time — so a memoizing backend serves
-    repeated ``(configuration, input_scale)`` requests from memory.  Noisy
-    requests (an ``rng`` was given) bypass the cache by the backend's own
-    rules, and a stateful executor (``simulate_cold_starts=True``) falls back
-    to direct execution at the arrival trigger, where warm-pool history is
-    time-relevant.
-    """
-
-    def __init__(
-        self,
-        executor: WorkflowExecutor,
-        workflow: Workflow,
-        backend: Optional[EvaluationBackend] = None,
-    ) -> None:
-        self.executor = executor
-        self.workflow = workflow
-        self.backend = backend if backend is not None else SimulatorBackend(executor)
-
-    def run(
-        self,
-        requests: Iterable[RequestArrival],
-        configuration_for: Callable[[RequestArrival], WorkflowConfiguration],
-        rng: Optional[RngStream] = None,
-    ) -> List[RequestOutcome]:
-        """Process every request and return its outcome.
-
-        Parameters
-        ----------
-        requests:
-            The request stream (need not be sorted; outcomes preserve stream
-            order even though processing follows arrival order).
-        configuration_for:
-            Callback choosing the configuration for each request — a constant
-            function for the fixed-configuration baselines, or the input-aware
-            engine's dispatch for AARC.
-        rng:
-            Optional random stream for execution noise (derived per request
-            index, so outcomes do not depend on processing order).
-        """
-        request_list = list(requests)
-        outcomes: List[Optional[RequestOutcome]] = [None] * len(request_list)
-        # Warm-pool state makes traces depend on absolute trigger times, so a
-        # cold-start-simulating executor cannot be served by trigger-0 traces.
-        direct = self.executor.options.simulate_cold_starts
-        loop = EventLoop()
-
-        def process(index: int, request: RequestArrival) -> Callable[[], None]:
-            def fire() -> None:
-                configuration = configuration_for(request)
-                request_rng = rng.child("request", index) if rng is not None else None
-                if direct:
-                    trace = self.executor.execute(
-                        self.workflow,
-                        configuration,
-                        input_scale=request.input_scale,
-                        rng=request_rng,
-                        trigger_time=request.arrival_time,
-                    )
-                else:
-                    trace = self.backend.evaluate(
-                        self.workflow,
-                        configuration,
-                        input_scale=request.input_scale,
-                        rng=request_rng,
-                    ).shifted(request.arrival_time)
-                outcomes[index] = RequestOutcome(
-                    request=request, trace=trace, configuration=configuration
-                )
-
-            return fire
-
-        for index, request in enumerate(request_list):
-            loop.schedule(request.arrival_time, process(index, request))
-        loop.run()
-        # Every slot is filled: one event was scheduled per request.
-        return [outcome for outcome in outcomes if outcome is not None]

@@ -36,12 +36,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
-from repro.execution.cluster import Cluster, Node, balance_key, plan_placement, spread_key
+from repro.execution.cluster import Cluster, ClusterLedger, Node, balance_key, spread_key
 from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
-from repro.execution.serving import ServedRequest, ServingMetrics, percentile
+from repro.execution.serving import ServedRequest, ServingMetrics, summarize_outcomes
 from repro.execution.trace import ExecutionStatus
 from repro.utils.rng import RngStream, derive_seed
 from repro.workloads.arrivals import merge_request_streams
@@ -58,7 +58,7 @@ __all__ = [
     "FleetSimulator",
 ]
 
-#: Placement policies the fleet ledger understands.
+#: Placement policies; a run maps each onto the cluster ledger's key and cap.
 PLACEMENT_POLICIES = ("fair-share", "bin-packing", "priority")
 
 
@@ -186,158 +186,6 @@ class FleetResult:
     @property
     def rejected_total(self) -> int:
         return sum(r.metrics.rejected for r in self.tenants.values())
-
-
-class _FleetLedger:
-    """Capacity reservations on a heterogeneous cluster, policy-scored.
-
-    Generalises the serving ledger: the candidate-node scoring key is chosen
-    by the placement policy, the ``priority`` policy additionally withholds
-    ``reserve_fraction`` of every node from tenants below the fleet's top
-    priority, and utilization always integrates against the *healthy*
-    capacity actually available in each window.
-
-    ``version`` counts capacity changes (commits, releases, node failures and
-    restores).  A refusal depends only on the (immutable) configuration, the
-    cap and the node state, so the ledger remembers which configuration
-    objects were refused at which cap since the last change and refuses them
-    again without rescanning the cluster.  This holds as long as the nodes
-    change only through the ledger.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        policy: str,
-        reserve_fraction: float,
-        max_priority: int,
-    ) -> None:
-        self.cluster = cluster
-        self.policy = policy
-        self.reserve_fraction = reserve_fraction
-        self.max_priority = max_priority
-        self.active = 0
-        self.peak_active = 0
-        self.version = 0
-        self._key = balance_key if policy == "bin-packing" else spread_key
-        self._last_time = 0.0
-        self._cpu_area = 0.0
-        self._mem_area = 0.0
-        self._cap_cpu_area = 0.0
-        self._cap_mem_area = 0.0
-        self._concurrency_area = 0.0
-        self._placements: Dict[int, List[Tuple[Node, str]]] = {}
-        # (id(configuration), cap) -> configuration for refusals at the current
-        # version; holding the object keeps its id from being reused.
-        self._refused: Dict[Tuple[int, float], WorkflowConfiguration] = {}
-
-    def _changed(self) -> None:
-        self.version += 1
-        self._refused.clear()
-
-    def advance(self, now: float) -> None:
-        dt = now - self._last_time
-        if dt <= 0:
-            return
-        cap_cpu = 0.0
-        cap_mem = 0.0
-        for node in self.cluster.nodes:
-            if node.healthy:
-                cap_cpu += node.vcpu_capacity
-                cap_mem += node.memory_capacity_mb
-        self._cpu_area += sum(n.vcpu_used for n in self.cluster.nodes) * dt
-        self._mem_area += sum(n.memory_used_mb for n in self.cluster.nodes) * dt
-        self._cap_cpu_area += cap_cpu * dt
-        self._cap_mem_area += cap_mem * dt
-        self._concurrency_area += self.active * dt
-        self._last_time = now
-
-    def try_reserve(
-        self,
-        request_id: int,
-        configuration: WorkflowConfiguration,
-        now: float,
-        priority: int = 0,
-    ) -> Optional[Dict[str, Node]]:
-        """Reserve one container per function; None (nothing placed) if not placeable.
-
-        Returns the function → node assignment on success so the caller can
-        price and interfere per node.
-        """
-        self.advance(now)
-        cap = 1.0
-        if self.policy == "priority" and priority < self.max_priority:
-            cap = 1.0 - self.reserve_fraction
-        memo = (id(configuration), cap)
-        if self._refused.get(memo) is configuration:
-            return None
-        plan = plan_placement(self.cluster.nodes, configuration, self._key, cap)
-        if plan is None:
-            self._refused[memo] = configuration
-            return None
-        placed: List[Tuple[Node, str]] = []
-        node_of: Dict[str, Node] = {}
-        for function_name, config, node in plan:
-            name = f"{function_name}#{request_id}"
-            node.place(name, config)
-            placed.append((node, name))
-            node_of[function_name] = node
-        self._placements[request_id] = placed
-        self.active += 1
-        self.peak_active = max(self.peak_active, self.active)
-        self._changed()
-        return node_of
-
-    def release(self, request_id: int, now: float) -> None:
-        self.advance(now)
-        self.active -= 1
-        placed = self._placements.pop(request_id, None)
-        if placed is not None:
-            for node, name in placed:
-                node.remove(name)
-        self._changed()
-
-    def fail_node(self, node_name: str, now: float) -> List[int]:
-        """Down one node; return the aborted request ids (see serving ledger)."""
-        self.advance(now)
-        node = self.cluster.node(node_name)
-        if not node.healthy:
-            return []
-        affected = sorted(
-            request_id
-            for request_id, placed in self._placements.items()
-            if any(n is node for n, _ in placed)
-        )
-        for request_id in affected:
-            for placed_node, name in self._placements.pop(request_id):
-                if placed_node is not node:
-                    placed_node.remove(name)
-            self.active -= 1
-        self.cluster.fail_node(node_name)
-        self._changed()
-        return affected
-
-    def restore_node(self, node_name: str, now: float) -> None:
-        self.advance(now)
-        self.cluster.restore_node(node_name)
-        self._changed()
-
-    @property
-    def has_down_nodes(self) -> bool:
-        return any(not node.healthy for node in self.cluster.nodes)
-
-    def utilization(self) -> Tuple[Optional[float], Optional[float], float]:
-        span = self._last_time
-        if span <= 0:
-            return 0.0, 0.0, 0.0
-        mean_concurrency = self._concurrency_area / span
-        if self._cap_cpu_area <= 0 or self._cap_mem_area <= 0:
-            return 0.0, 0.0, mean_concurrency
-        return (
-            self._cpu_area / self._cap_cpu_area,
-            self._mem_area / self._cap_mem_area,
-            mean_concurrency,
-        )
 
 
 class _TenantRuntime:
@@ -468,7 +316,12 @@ class FleetSimulator:
         the caller re-queues the request.
         """
         tenant = runtime.tenant
-        trace = self.backend_evaluate(runtime, configuration, request, rng)
+        trace = runtime.backend.evaluate(
+            runtime.workflow,
+            configuration,
+            input_scale=request.input_scale,
+            rng=rng,
+        )
         pool = self.container_pool if self.options.simulate_cold_starts else None
         records = trace.records
         finish: Dict[str, float] = {}
@@ -589,20 +442,6 @@ class FleetSimulator:
         for name in roots:
             loop.schedule(dispatch_time, run_function(name, dispatch_time))
 
-    def backend_evaluate(
-        self,
-        runtime: _TenantRuntime,
-        configuration: WorkflowConfiguration,
-        request: RequestArrival,
-        rng: Optional[RngStream],
-    ):
-        return runtime.backend.evaluate(
-            runtime.workflow,
-            configuration,
-            input_scale=request.input_scale,
-            rng=rng,
-        )
-
     # -- the run -------------------------------------------------------------------
     def run(self, duration_seconds: float, seed: int = 2025) -> FleetResult:
         """Serve every tenant's stream for ``duration_seconds`` at ``seed``."""
@@ -611,13 +450,21 @@ class FleetSimulator:
         options = self.options
         rng = RngStream(derive_seed(seed, "fleet"))
         loop = EventLoop()
-        max_priority = max(tenant.priority for tenant in self.tenants)
-        ledger = _FleetLedger(
+        # The policy picks the ledger's node score; under ``priority`` every
+        # tenant below the top priority is capped short of the reserve.
+        ledger = ClusterLedger(
             self.cluster,
-            options.placement,
-            options.priority_reserve_fraction,
-            max_priority,
+            key=balance_key if options.placement == "bin-packing" else spread_key,
         )
+        max_priority = max(tenant.priority for tenant in self.tenants)
+        cap_of = {
+            tenant.name: (
+                1.0 - options.priority_reserve_fraction
+                if options.placement == "priority" and tenant.priority < max_priority
+                else 1.0
+            )
+            for tenant in self.tenants
+        }
         guard: Optional[ProtectionGuard] = None
         if self.protection is not None and not self.protection.is_empty:
             guard = ProtectionGuard(
@@ -697,7 +544,7 @@ class FleetSimulator:
                 _, seq = queue[0]
                 tenant_name, request, configuration = entries[seq]
                 node_of = ledger.try_reserve(
-                    seq, configuration, loop.now, priority_of[tenant_name]
+                    seq, configuration, loop.now, cap_of[tenant_name]
                 )
                 if node_of is None:
                     if ledger.active == 0 and not ledger.has_down_nodes:
@@ -772,14 +619,17 @@ class FleetSimulator:
                     options.queue_capacity is not None
                     and len(queue) > options.queue_capacity
                 ):
-                    # Shed the *worst* queued entry (heap max), matching the
-                    # serving layer's drop-from-the-back semantics.
-                    worst = max(queue)
-                    queue.remove(worst)
-                    heapq.heapify(queue)
-                    _, dropped_seq = worst
-                    dropped_tenant, dropped_request, _ = entries.pop(dropped_seq)
-                    reject(dropped_seq, dropped_tenant, dropped_request, "queue-full")
+                    # Shed the worst queued entry that never ran, as the
+                    # serving layer sheds its newest arrival; a request that
+                    # an eviction put back keeps its place (and its bill).
+                    fresh = [entry for entry in queue if entry[1] not in carries]
+                    if fresh:
+                        worst = max(fresh)
+                        queue.remove(worst)
+                        heapq.heapify(queue)
+                        _, dropped_seq = worst
+                        dropped_tenant, dropped_request, _ = entries.pop(dropped_seq)
+                        reject(dropped_seq, dropped_tenant, dropped_request, "queue-full")
 
             return fire
 
@@ -848,13 +698,13 @@ class FleetSimulator:
         total_cost = 0.0
         for tenant in self.tenants:
             name = tenant.name
-            metrics = _summarize_tenant(
+            metrics = summarize_outcomes(
                 outcomes[name],
                 rejected[name],
-                causes[name],
-                offered[name],
                 duration_seconds,
+                offered[name],
                 runtimes[name].slo,
+                rejection_causes=causes[name],
             )
             total_cost += metrics.total_cost
             controller = self.controllers.get(name)
@@ -884,60 +734,3 @@ class FleetSimulator:
             protection_events=guard.drain_events() if guard is not None else [],
         )
 
-
-def _summarize_tenant(
-    outcomes: Sequence[ServedRequest],
-    rejected: Sequence[RequestArrival],
-    causes: Dict[str, int],
-    offered: int,
-    duration_seconds: float,
-    slo: Optional[SLO],
-) -> ServingMetrics:
-    """Per-tenant :class:`ServingMetrics` (fleet-wide gauges zeroed)."""
-    latencies = [o.latency_seconds for o in outcomes]
-    queueing = [o.queueing_delay for o in outcomes]
-    costs = [o.cost for o in outcomes]
-    completed = len(outcomes)
-    makespan = max((o.completion_time for o in outcomes), default=0.0)
-    slo_limit = slo.latency_limit if slo is not None else None
-    attainment: Optional[float] = None
-    if slo_limit is not None and completed:
-        attainment = sum(1 for l in latencies if l <= slo_limit) / completed
-    successes = sum(1 for o in outcomes if o.succeeded)
-    return ServingMetrics(
-        duration_seconds=duration_seconds,
-        offered=offered,
-        completed=completed,
-        rejected=len(rejected),
-        failed=sum(1 for o in outcomes if not o.succeeded),
-        makespan_seconds=makespan,
-        offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
-        throughput_rps=completed / makespan if makespan > 0 else 0.0,
-        latency_mean_seconds=sum(latencies) / completed if completed else float("nan"),
-        latency_p50_seconds=percentile(latencies, 50),
-        latency_p95_seconds=percentile(latencies, 95),
-        latency_p99_seconds=percentile(latencies, 99),
-        latency_max_seconds=max(latencies) if completed else float("nan"),
-        queueing_mean_seconds=sum(queueing) / completed if completed else float("nan"),
-        queueing_p95_seconds=percentile(queueing, 95),
-        queueing_max_seconds=max(queueing) if completed else float("nan"),
-        slo_limit_seconds=slo_limit,
-        slo_attainment=attainment,
-        cold_start_request_rate=(
-            sum(1 for o in outcomes if o.cold_start_count > 0) / completed
-            if completed
-            else 0.0
-        ),
-        cold_start_invocations=sum(o.cold_start_count for o in outcomes),
-        mean_cost_per_request=sum(costs) / completed if completed else float("nan"),
-        total_cost=sum(costs),
-        cpu_utilization=None,
-        memory_utilization=None,
-        peak_concurrency=0,
-        mean_concurrency=0.0,
-        goodput_rps=successes / makespan if makespan > 0 else 0.0,
-        availability=successes / offered if offered else 1.0,
-        wasted_seconds=sum(o.wasted_seconds for o in outcomes),
-        node_failures=0,
-        rejected_by_cause=dict(causes),
-    )

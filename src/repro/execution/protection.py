@@ -35,12 +35,12 @@ to a run with no policy at all, mirroring the empty-fault-plan invariant.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.faults import FaultKind, InvocationOutcome
+from repro.utils.stats import percentile
 
 __all__ = [
     "REJECTION_CAUSES",
@@ -67,19 +67,6 @@ REJECTION_CAUSES: Tuple[str, ...] = (
     "breaker",
     "deadline",
 )
-
-
-def _nearest_rank(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over ``values`` (mirrors ``serving.percentile``).
-
-    Re-implemented locally because :mod:`repro.execution.serving` imports
-    this module; importing back would be circular.
-    """
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
 
 
 # -- mechanism configs -------------------------------------------------------------
@@ -743,7 +730,7 @@ class ProtectionGuard:
         history = self._hedge_history.get(function_name)
         if history is None or len(history) < hedging.min_observations:
             return None
-        threshold = _nearest_rank(list(history), hedging.straggler_percentile)
+        threshold = percentile(history, hedging.straggler_percentile)
         if planned_elapsed_seconds > threshold:
             return threshold
         return None

@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tu
 import numpy as np
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
-from repro.execution.cluster import Cluster, Node, balance_key, plan_placement
+from repro.execution.cluster import Cluster, ClusterLedger
 from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.executor import WorkflowExecutor
@@ -52,6 +52,7 @@ from repro.execution.faults import (
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
 from repro.execution.trace import ExecutionStatus, ExecutionTrace
 from repro.utils.rng import RngStream
+from repro.utils.stats import nearest_rank, percentile
 from repro.workflow.dag import Workflow
 from repro.workflow.resources import WorkflowConfiguration
 from repro.workflow.slo import SLO
@@ -64,29 +65,8 @@ __all__ = [
     "ServingResult",
     "ServingSimulator",
     "percentile",
+    "summarize_outcomes",
 ]
-
-
-def _nearest_rank(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank lookup into an already-sorted sequence."""
-    if not 0 <= q <= 100:
-        raise ValueError("q must be between 0 and 100")
-    if len(ordered) == 0:
-        return float("nan")
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation).
-
-    ``q`` is in percent (p99 → ``q=99``).  Returns ``nan`` on empty input.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError("q must be between 0 and 100")
-    if not values:
-        return float("nan")
-    return _nearest_rank(sorted(values), q)
 
 
 @dataclass(frozen=True)
@@ -346,155 +326,6 @@ class ServingResult:
             sums[name] = sums.get(name, 0.0) + outcome.cost
             counts[name] = counts.get(name, 0) + 1
         return {name: sums[name] / counts[name] for name in sums}
-
-
-class _ClusterLedger:
-    """Per-request capacity reservations on a cluster, with utilization.
-
-    A request reserves one container per workflow function for its full
-    residence time; placement follows the affinity-aware heuristic (minimise
-    the node's CPU/memory utilisation imbalance after hosting the container).
-    Placements are keyed ``function#request`` so concurrent requests running
-    the same workflow release exactly their own capacity.  The ledger also
-    integrates reserved vCPU/memory over time for utilization reporting.
-    """
-
-    def __init__(self, cluster: Optional[Cluster]) -> None:
-        self.cluster = cluster
-        self.active = 0
-        self.peak_active = 0
-        self._last_time = 0.0
-        self._cpu_area = 0.0
-        self._mem_area = 0.0
-        self._concurrency_area = 0.0
-        self._cap_cpu_area = 0.0
-        self._cap_mem_area = 0.0
-        self._saw_unhealthy_window = False
-        self._placements: Dict[int, List[Tuple[Node, str]]] = {}
-
-    # -- time integration -------------------------------------------------------
-    def advance(self, now: float) -> None:
-        """Integrate utilization up to ``now`` (call before any change)."""
-        dt = now - self._last_time
-        if dt <= 0:
-            return
-        if self.cluster is not None:
-            self._cpu_area += sum(n.vcpu_used for n in self.cluster.nodes) * dt
-            self._mem_area += sum(n.memory_used_mb for n in self.cluster.nodes) * dt
-            # Capacity that could actually have hosted work over this window:
-            # failed nodes contribute nothing, so node-storm runs no longer
-            # deflate reported utilization by dividing by ghost capacity.
-            cap_cpu = 0.0
-            cap_mem = 0.0
-            all_healthy = True
-            for n in self.cluster.nodes:
-                if n.healthy:
-                    cap_cpu += n.vcpu_capacity
-                    cap_mem += n.memory_capacity_mb
-                else:
-                    all_healthy = False
-            self._cap_cpu_area += cap_cpu * dt
-            self._cap_mem_area += cap_mem * dt
-            if not all_healthy:
-                self._saw_unhealthy_window = True
-        self._concurrency_area += self.active * dt
-        self._last_time = now
-
-    # -- reservations -----------------------------------------------------------
-    def try_reserve(
-        self, request_id: int, configuration: WorkflowConfiguration, now: float
-    ) -> bool:
-        """Reserve capacity for one request; places nothing on failure."""
-        self.advance(now)
-        if self.cluster is None:
-            self.active += 1
-            self.peak_active = max(self.peak_active, self.active)
-            return True
-        plan = plan_placement(self.cluster.nodes, configuration, balance_key)
-        if plan is None:
-            return False
-        placed: List[Tuple[Node, str]] = []
-        for function_name, config, node in plan:
-            name = f"{function_name}#{request_id}"
-            node.place(name, config)
-            placed.append((node, name))
-        self._placements[request_id] = placed
-        self.active += 1
-        self.peak_active = max(self.peak_active, self.active)
-        return True
-
-    def release(self, request_id: int, now: float) -> None:
-        """Give a finished request's capacity back."""
-        self.advance(now)
-        self.active -= 1
-        placed = self._placements.pop(request_id, None)
-        if placed is not None:
-            for node, name in placed:
-                node.remove(name)
-
-    # -- node failures ----------------------------------------------------------
-    def fail_node(self, node_name: str, now: float) -> List[int]:
-        """Take one node down and abort every request placed on it.
-
-        Every affected request loses *all* its reservations (including those
-        on healthy nodes — the request restarts from scratch), so the caller
-        must re-queue the returned request ids.  Failing an already-down
-        node is a no-op.
-        """
-        self.advance(now)
-        if self.cluster is None:
-            return []
-        node = self.cluster.node(node_name)
-        if not node.healthy:
-            return []
-        affected = sorted(
-            request_id
-            for request_id, placed in self._placements.items()
-            if any(n is node for n, _ in placed)
-        )
-        for request_id in affected:
-            for placed_node, name in self._placements.pop(request_id):
-                if placed_node is not node:
-                    placed_node.remove(name)
-            self.active -= 1
-        self.cluster.fail_node(node_name)
-        return affected
-
-    def restore_node(self, node_name: str, now: float) -> None:
-        """Bring a failed node back into the placement candidate set."""
-        self.advance(now)
-        if self.cluster is not None:
-            self.cluster.restore_node(node_name)
-
-    @property
-    def has_down_nodes(self) -> bool:
-        """Whether any node is currently failed (capacity may come back)."""
-        return self.cluster is not None and any(
-            not node.healthy for node in self.cluster.nodes
-        )
-
-    # -- reporting --------------------------------------------------------------
-    def utilization(self) -> Tuple[Optional[float], Optional[float], float]:
-        """Time-averaged (cpu, memory, concurrency) over the observed span."""
-        span = self._last_time
-        if span <= 0:
-            return (None, None, 0.0) if self.cluster is None else (0.0, 0.0, 0.0)
-        mean_concurrency = self._concurrency_area / span
-        if self.cluster is None:
-            return None, None, mean_concurrency
-        if self._saw_unhealthy_window and self._cap_cpu_area > 0 and self._cap_mem_area > 0:
-            # Healthy-capacity time-area denominator: windows with failed
-            # nodes count only the capacity that was actually up.
-            cpu = self._cpu_area / self._cap_cpu_area
-            mem = self._mem_area / self._cap_mem_area
-            return cpu, mem, mean_concurrency
-        # No node was ever down: keep the closed-form denominator so
-        # fault-free runs stay byte-identical to the historical goldens
-        # (summing per-window capacity areas is not float-associative
-        # with multiplying total capacity by the span).
-        cpu = self._cpu_area / (self.cluster.total_vcpu_capacity * span)
-        mem = self._mem_area / (self.cluster.total_memory_capacity_mb * span)
-        return cpu, mem, mean_concurrency
 
 
 class _Autoscaler:
@@ -1337,7 +1168,7 @@ class ServingSimulator:
         """
         request_list = list(requests)
         loop = EventLoop()
-        ledger = _ClusterLedger(self.cluster)
+        ledger = ClusterLedger(self.cluster)
         queue: Deque[Tuple[int, RequestArrival, WorkflowConfiguration]] = deque()
         outcomes: List[ServedRequest] = []
         rejected: List[RequestArrival] = []
@@ -1410,7 +1241,7 @@ class ServingSimulator:
             # fit so later (possibly smaller) requests cannot starve it.
             while queue:
                 index, request, configuration = queue[0]
-                if not ledger.try_reserve(index, configuration, loop.now):
+                if ledger.try_reserve(index, configuration, loop.now) is None:
                     if ledger.active == 0 and not ledger.has_down_nodes:
                         # Fits on no node even with the cluster empty: it can
                         # never be served, so drop it instead of deadlocking
@@ -1544,8 +1375,9 @@ class ServingSimulator:
         loop.run()
         ledger.advance(loop.now)
         outcomes.sort(key=lambda o: o.index)
-        metrics = self._summarize(
-            outcomes, rejected, ledger, duration_seconds, len(request_list),
+        metrics = summarize_outcomes(
+            outcomes, rejected, duration_seconds, len(request_list), self.slo,
+            ledger=ledger,
             node_failures=node_failure_count,
             rejection_causes=rejection_causes,
         )
@@ -1565,82 +1397,93 @@ class ServingSimulator:
             protection_events=protection_events,
         )
 
-    # -- metrics ---------------------------------------------------------------
-    def _summarize(
-        self,
-        outcomes: Sequence[ServedRequest],
-        rejected: Sequence[RequestArrival],
-        ledger: _ClusterLedger,
-        duration_seconds: float,
-        offered: int,
-        node_failures: int = 0,
-        rejection_causes: Optional[Dict[str, int]] = None,
-    ) -> ServingMetrics:
-        latencies = [o.latency_seconds for o in outcomes]
-        queueing = [o.queueing_delay for o in outcomes]
-        costs = [o.cost for o in outcomes]
-        # Sort once per metric list (numpy sorts the same float values the
-        # builtin would, and the nearest-rank lookup only reads elements) —
-        # three percentile calls per list would re-sort each time.
-        latencies_sorted = np.sort(np.asarray(latencies, dtype=np.float64))
-        queueing_sorted = np.sort(np.asarray(queueing, dtype=np.float64))
-        completed = len(outcomes)
-        makespan = max((o.completion_time for o in outcomes), default=0.0)
-        slo_limit = self.slo.latency_limit if self.slo is not None else None
-        attainment: Optional[float] = None
-        if slo_limit is not None and completed:
-            attainment = sum(1 for l in latencies if l <= slo_limit) / completed
+
+def summarize_outcomes(
+    outcomes: Sequence[ServedRequest],
+    rejected: Sequence[RequestArrival],
+    duration_seconds: float,
+    offered: int,
+    slo: Optional[SLO],
+    ledger: Optional[ClusterLedger] = None,
+    node_failures: int = 0,
+    rejection_causes: Optional[Dict[str, int]] = None,
+) -> ServingMetrics:
+    """Tail-latency / SLO / cost / resilience summary of one run's outcomes.
+
+    ``ledger`` supplies the cluster gauges (utilization, peak and mean
+    concurrency); without one they read ``None``, ``None``, 0 and 0.0, as
+    for one tenant's slice of a fleet.
+    """
+    latencies = [o.latency_seconds for o in outcomes]
+    queueing = [o.queueing_delay for o in outcomes]
+    costs = [o.cost for o in outcomes]
+    # Sort once per metric list (numpy sorts the same float values the
+    # builtin would, and the nearest-rank lookup only reads elements) —
+    # three percentile calls per list would re-sort each time.
+    latencies_sorted = np.sort(np.asarray(latencies, dtype=np.float64))
+    queueing_sorted = np.sort(np.asarray(queueing, dtype=np.float64))
+    completed = len(outcomes)
+    makespan = max((o.completion_time for o in outcomes), default=0.0)
+    slo_limit = slo.latency_limit if slo is not None else None
+    attainment: Optional[float] = None
+    if slo_limit is not None and completed:
+        attainment = sum(1 for l in latencies if l <= slo_limit) / completed
+    if ledger is not None:
         cpu_util, mem_util, mean_concurrency = ledger.utilization()
-        successes = sum(1 for o in outcomes if o.succeeded)
-        total_attempts = sum(o.attempts for o in outcomes)
-        total_base = sum(o.base_invocations for o in outcomes)
-        if rejection_causes is None:
-            # Callers predating the protection layer (e.g. the batched
-            # engine) reject only on queue pressure.
-            rejection_causes = {"queue-full": len(rejected)} if rejected else {}
-        return ServingMetrics(
-            duration_seconds=duration_seconds,
-            offered=offered,
-            completed=completed,
-            rejected=len(rejected),
-            failed=sum(1 for o in outcomes if not o.succeeded),
-            makespan_seconds=makespan,
-            offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
-            throughput_rps=completed / makespan if makespan > 0 else 0.0,
-            latency_mean_seconds=sum(latencies) / completed if completed else float("nan"),
-            latency_p50_seconds=_nearest_rank(latencies_sorted, 50),
-            latency_p95_seconds=_nearest_rank(latencies_sorted, 95),
-            latency_p99_seconds=_nearest_rank(latencies_sorted, 99),
-            latency_max_seconds=float(latencies_sorted[-1]) if completed else float("nan"),
-            queueing_mean_seconds=sum(queueing) / completed if completed else float("nan"),
-            queueing_p95_seconds=_nearest_rank(queueing_sorted, 95),
-            queueing_max_seconds=float(queueing_sorted[-1]) if completed else float("nan"),
-            slo_limit_seconds=slo_limit,
-            slo_attainment=attainment,
-            cold_start_request_rate=(
-                sum(1 for o in outcomes if o.cold_start_count > 0) / completed
-                if completed
-                else 0.0
-            ),
-            cold_start_invocations=sum(o.cold_start_count for o in outcomes),
-            mean_cost_per_request=sum(costs) / completed if completed else float("nan"),
-            total_cost=sum(costs),
-            cpu_utilization=cpu_util,
-            memory_utilization=mem_util,
-            peak_concurrency=ledger.peak_active,
-            mean_concurrency=mean_concurrency,
-            goodput_rps=successes / makespan if makespan > 0 else 0.0,
-            availability=successes / offered if offered else 1.0,
-            retry_amplification=(
-                total_attempts / total_base if total_base else 1.0
-            ),
-            wasted_seconds=sum(o.wasted_seconds for o in outcomes),
-            wasted_gb_seconds=sum(o.wasted_gb_seconds for o in outcomes),
-            faults_injected=sum(
-                sum(o.fault_counts.values()) for o in outcomes
-            ),
-            node_failures=node_failures,
-            rejected_by_cause=dict(rejection_causes),
-            hedges_launched=sum(o.hedges for o in outcomes),
-            hedge_wins=sum(o.hedge_wins for o in outcomes),
-        )
+        peak_concurrency = ledger.peak_active
+    else:
+        cpu_util, mem_util, mean_concurrency = None, None, 0.0
+        peak_concurrency = 0
+    successes = sum(1 for o in outcomes if o.succeeded)
+    total_attempts = sum(o.attempts for o in outcomes)
+    total_base = sum(o.base_invocations for o in outcomes)
+    if rejection_causes is None:
+        # Callers predating the protection layer (e.g. the batched
+        # engine) reject only on queue pressure.
+        rejection_causes = {"queue-full": len(rejected)} if rejected else {}
+    return ServingMetrics(
+        duration_seconds=duration_seconds,
+        offered=offered,
+        completed=completed,
+        rejected=len(rejected),
+        failed=sum(1 for o in outcomes if not o.succeeded),
+        makespan_seconds=makespan,
+        offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
+        throughput_rps=completed / makespan if makespan > 0 else 0.0,
+        latency_mean_seconds=sum(latencies) / completed if completed else float("nan"),
+        latency_p50_seconds=nearest_rank(latencies_sorted, 50),
+        latency_p95_seconds=nearest_rank(latencies_sorted, 95),
+        latency_p99_seconds=nearest_rank(latencies_sorted, 99),
+        latency_max_seconds=float(latencies_sorted[-1]) if completed else float("nan"),
+        queueing_mean_seconds=sum(queueing) / completed if completed else float("nan"),
+        queueing_p95_seconds=nearest_rank(queueing_sorted, 95),
+        queueing_max_seconds=float(queueing_sorted[-1]) if completed else float("nan"),
+        slo_limit_seconds=slo_limit,
+        slo_attainment=attainment,
+        cold_start_request_rate=(
+            sum(1 for o in outcomes if o.cold_start_count > 0) / completed
+            if completed
+            else 0.0
+        ),
+        cold_start_invocations=sum(o.cold_start_count for o in outcomes),
+        mean_cost_per_request=sum(costs) / completed if completed else float("nan"),
+        total_cost=sum(costs),
+        cpu_utilization=cpu_util,
+        memory_utilization=mem_util,
+        peak_concurrency=peak_concurrency,
+        mean_concurrency=mean_concurrency,
+        goodput_rps=successes / makespan if makespan > 0 else 0.0,
+        availability=successes / offered if offered else 1.0,
+        retry_amplification=(
+            total_attempts / total_base if total_base else 1.0
+        ),
+        wasted_seconds=sum(o.wasted_seconds for o in outcomes),
+        wasted_gb_seconds=sum(o.wasted_gb_seconds for o in outcomes),
+        faults_injected=sum(
+            sum(o.fault_counts.values()) for o in outcomes
+        ),
+        node_failures=node_failures,
+        rejected_by_cause=dict(rejection_causes),
+        hedges_launched=sum(o.hedges for o in outcomes),
+        hedge_wins=sum(o.hedge_wins for o in outcomes),
+    )

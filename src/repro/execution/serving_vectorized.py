@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.execution.backend import EvaluationBackend
-from repro.execution.cluster import Cluster
+from repro.execution.cluster import Cluster, ClusterLedger
 from repro.execution.container import ContainerPool
 from repro.execution.events import RequestArrival
 from repro.execution.events_calendar import EventCalendar
@@ -55,7 +55,7 @@ from repro.execution.serving import (
     ServingOptions,
     ServingResult,
     ServingSimulator,
-    _ClusterLedger,
+    summarize_outcomes,
 )
 from repro.execution.trace import ExecutionStatus
 from repro.utils.logging import get_logger
@@ -150,8 +150,7 @@ class BatchedServingSimulator:
 
     Accepts the same construction arguments as :class:`ServingSimulator`
     and wraps one internally — both for the fallback paths (faults, noise,
-    adaptive control, autoscaling) and to reuse its precomputed topology
-    and metrics summarisation.
+    adaptive control, autoscaling) and to reuse its precomputed topology.
     """
 
     def __init__(
@@ -440,7 +439,9 @@ class BatchedServingSimulator:
             stats.evictions += pool_evicted
 
         ledger = self._replay_ledger(arrivals, completion)
-        metrics = scalar._summarize(outcomes, [], ledger, duration_seconds, n)
+        metrics = summarize_outcomes(
+            outcomes, [], duration_seconds, n, scalar.slo, ledger=ledger
+        )
         return ServingResult(outcomes=outcomes, rejected=[], metrics=metrics)
 
     def _sweep_function(
@@ -596,7 +597,7 @@ class BatchedServingSimulator:
     @staticmethod
     def _replay_ledger(
         arrivals: np.ndarray, completion: np.ndarray
-    ) -> _ClusterLedger:
+    ) -> ClusterLedger:
         """Rebuild the scalar ledger's concurrency integral from arrays.
 
         ``np.cumsum`` is bit-identical to a sequential running sum, the
@@ -604,7 +605,7 @@ class BatchedServingSimulator:
         arrivals win completion ties (stable sort, arrivals concatenated
         first) exactly as their lower event sequence numbers do.
         """
-        ledger = _ClusterLedger(None)
+        ledger = ClusterLedger(None)
         n = arrivals.size
         if n == 0:
             return ledger
@@ -645,7 +646,7 @@ class BatchedServingSimulator:
         pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
         queue_capacity = scalar.options.queue_capacity
         templates, template_of = self._build_templates(request_list, configs)
-        ledger = _ClusterLedger(scalar.cluster)
+        ledger = ClusterLedger(scalar.cluster)
         queue: deque = deque()
         outcomes: List[ServedRequest] = []
         rejected: List[RequestArrival] = []
@@ -679,7 +680,7 @@ class BatchedServingSimulator:
         def try_dispatch() -> None:
             while queue:
                 i = queue[0]
-                if not ledger.try_reserve(i, configs[i], calendar.now):
+                if ledger.try_reserve(i, configs[i], calendar.now) is None:
                     if ledger.active == 0 and not ledger.has_down_nodes:
                         queue.popleft()
                         rejected.append(request_list[i])
@@ -761,8 +762,8 @@ class BatchedServingSimulator:
 
         ledger.advance(calendar.now)
         outcomes.sort(key=lambda o: o.index)
-        metrics = scalar._summarize(
-            outcomes, rejected, ledger, duration_seconds, n
+        metrics = summarize_outcomes(
+            outcomes, rejected, duration_seconds, n, scalar.slo, ledger=ledger
         )
         return ServingResult(outcomes=outcomes, rejected=rejected, metrics=metrics)
 

@@ -25,13 +25,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.control.controller import ControllerOptions, MixtureObjective
 from repro.execution.backend import build_backend
-from repro.execution.serving import percentile
 from repro.experiments.harness import ExperimentSettings, make_searcher
 from repro.experiments.serving_experiment import (
     ServingReport,
     ServingSettings,
     run_serving_experiment,
 )
+from repro.utils.stats import percentile
 from repro.workflow.resources import WorkflowConfiguration
 from repro.workloads.arrivals import DriftingTrafficModel, TrafficPhase, TrafficProfile
 from repro.workloads.registry import get_workload

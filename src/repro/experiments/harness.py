@@ -61,17 +61,13 @@ class ExperimentSettings:
         on a real, noisy platform); deterministic by default for reproducible
         unit results.
     backend:
-        Evaluation substrate name (``"simulator"``, ``"parallel"`` or
-        ``"vectorized"`` — the latter serves whole evaluation batches from
-        NumPy array kernels, bit-identical to the simulator).
+        Evaluation substrate name (``"simulator"`` or ``"vectorized"`` — the
+        latter serves whole evaluation batches from NumPy array kernels,
+        bit-identical to the simulator).
     cache:
         Memoize deterministic evaluations behind a
         :class:`~repro.execution.backend.CachingBackend`.  Noisy searches
         bypass the cache automatically.
-    workers:
-        Thread-pool width for batched evaluation; values above 1 imply the
-        parallel substrate, and ``None`` lets the backend pick its default
-        width.
     """
 
     seed: int = 2025
@@ -83,7 +79,6 @@ class ExperimentSettings:
     search_noise: bool = False
     backend: str = "simulator"
     cache: bool = False
-    workers: Optional[int] = None
 
 
 def make_searcher(
@@ -178,7 +173,6 @@ def build_objective(
         executor=executor,
         backend=settings.backend,
         cache=settings.cache,
-        workers=settings.workers,
     )
     return workload.build_objective(
         executor=executor, input_scale=input_scale, rng=rng, backend=backend

@@ -121,8 +121,8 @@ class ServingSettings:
         load shedding.
     backend:
         Evaluation substrate serving the request path's service traces
-        (``"simulator"``, ``"parallel"`` or ``"vectorized"`` — all
-        bit-identical; the differential test tier asserts it).
+        (``"simulator"`` or ``"vectorized"`` — bit-identical; the
+        differential test tier asserts it).
     engine:
         Serving engine walking the request stream: ``"event"`` (the scalar
         reference event loop) or ``"batched"`` (the array-cohort engine in

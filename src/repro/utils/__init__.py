@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG streams, unit handling, ASCII tables, logging.
+"""Shared utilities: seeded RNG streams, units, ASCII tables, logging, percentiles.
 
 These helpers are deliberately small and dependency-free so that every other
 subsystem (workflow model, simulator, optimizers, experiment harness) can use
@@ -17,6 +17,7 @@ from repro.utils.units import (
 )
 from repro.utils.tables import Table, format_series
 from repro.utils.logging import get_logger
+from repro.utils.stats import nearest_rank, percentile
 
 __all__ = [
     "RngStream",
@@ -32,4 +33,6 @@ __all__ = [
     "Table",
     "format_series",
     "get_logger",
+    "nearest_rank",
+    "percentile",
 ]

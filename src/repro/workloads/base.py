@@ -106,12 +106,11 @@ class WorkloadSpec:
         noise: Optional[NoiseModel] = None,
         backend: str = "simulator",
         cache: bool = False,
-        workers: Optional[int] = None,
     ) -> EvaluationBackend:
         """Create an evaluation backend stack over this workload's simulator."""
         if executor is None:
             executor = self.build_executor(noise=noise)
-        return build_backend(executor, name=backend, cache=cache, workers=workers)
+        return build_backend(executor, name=backend, cache=cache)
 
     def build_objective(
         self,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.objective import SearchHistory, WorkflowObjective
-from repro.execution.backend import CachingBackend, ParallelBackend, SimulatorBackend
+from repro.execution.backend import CachingBackend, SimulatorBackend
 from repro.optimizers.grid import GridSearchOptimizer
 from repro.workflow.resources import ResourceConfig
 
@@ -126,28 +126,12 @@ class TestEvaluateBatch:
         with pytest.raises(ValueError):
             WorkflowObjective(workflow=diamond_workflow, slo=diamond_slo)
 
-    def test_parallel_backend_batch_matches_sequential(self, diamond_executor,
-                                                       diamond_workflow, diamond_slo,
-                                                       diamond_base_configuration):
-        configurations = self._variants(diamond_base_configuration, 5)
-        parallel = WorkflowObjective(
-            workflow=diamond_workflow, slo=diamond_slo,
-            backend=ParallelBackend(SimulatorBackend(diamond_executor), max_workers=4),
-        )
-        sequential = WorkflowObjective(
-            executor=diamond_executor, workflow=diamond_workflow, slo=diamond_slo
-        )
-        parallel.evaluate_batch(configurations)
-        for configuration in configurations:
-            sequential.evaluate(configuration)
-        assert parallel.history.cost_series() == sequential.history.cost_series()
-
     def test_noisy_parallel_batch_matches_sequential(self, diamond_profiles,
                                                      diamond_workflow, diamond_slo,
                                                      diamond_base_configuration):
         # The per-sample RNGs are derived from history indices, so a noisy
-        # batch fanned out over threads must be bit-identical to the same
-        # objective evaluated sequentially with the same root stream.
+        # batch must be bit-identical to the same objective evaluated one
+        # sample at a time with the same root stream.
         from repro.perfmodel.noise import LognormalNoise
         from repro.perfmodel.registry import PerformanceModelRegistry
         from repro.utils.rng import RngStream
@@ -158,26 +142,21 @@ class TestEvaluateBatch:
         )
         configurations = self._variants(diamond_base_configuration, 6)
 
-        def run(parallel):
-            executor = WorkflowExecutor(registry)
-            backend = (
-                ParallelBackend(SimulatorBackend(executor), max_workers=4)
-                if parallel
-                else SimulatorBackend(executor)
-            )
+        def run(batched):
             objective = WorkflowObjective(
                 workflow=diamond_workflow, slo=diamond_slo,
-                rng=RngStream(2025, "noisy-batch"), backend=backend,
+                rng=RngStream(2025, "noisy-batch"),
+                backend=SimulatorBackend(WorkflowExecutor(registry)),
             )
-            if parallel:
+            if batched:
                 objective.evaluate_batch(configurations)
             else:
                 for configuration in configurations:
                     objective.evaluate(configuration)
             return objective.history.runtime_series()
 
-        series = run(parallel=True)
-        assert series == run(parallel=False)
+        series = run(batched=True)
+        assert series == run(batched=False)
         assert len(set(series)) > 1  # the noise really is active
 
 

@@ -4,10 +4,8 @@ import pytest
 
 from repro.execution.backend import (
     BACKEND_NAMES,
-    DEFAULT_PARALLEL_WORKERS,
     BackendStats,
     CachingBackend,
-    ParallelBackend,
     SimulatorBackend,
     build_backend,
 )
@@ -244,110 +242,24 @@ class TestCachingBackend:
         assert backend.stats.batches == 2
 
 
-class TestParallelBackend:
-    def test_batch_matches_sequential(self, diamond_executor, diamond_workflow,
-                                      diamond_base_configuration):
-        reference = SimulatorBackend(diamond_executor)
-        parallel = ParallelBackend(SimulatorBackend(diamond_executor), max_workers=4)
-        configurations = _variants(diamond_base_configuration)
-        expected = [
-            reference.evaluate(diamond_workflow, configuration).total_cost
-            for configuration in configurations
-        ]
-        traces = parallel.evaluate_batch(diamond_workflow, configurations)
-        assert [t.total_cost for t in traces] == expected
-
-    def test_noisy_batch_deterministic_with_fixed_streams(self, diamond_profiles,
-                                                          diamond_workflow,
-                                                          diamond_base_configuration):
-        registry = PerformanceModelRegistry.from_profiles(
-            diamond_profiles, noise=LognormalNoise(0.05)
-        )
-        configurations = _variants(diamond_base_configuration)
-        root = RngStream(2025, "parallel-test")
-
-        def run(workers):
-            executor = WorkflowExecutor(registry)
-            backend = ParallelBackend(SimulatorBackend(executor), max_workers=workers)
-            # Fresh child streams per run: RngStream state advances on use.
-            rngs = [root.child("sample", i) for i in range(len(configurations))]
-            traces = backend.evaluate_batch(diamond_workflow, configurations, rngs=rngs)
-            return [t.end_to_end_latency for t in traces]
-
-        assert run(workers=1) == run(workers=4)
-
-    def test_invalid_worker_count_rejected(self, diamond_executor):
-        with pytest.raises(ValueError):
-            ParallelBackend(SimulatorBackend(diamond_executor), max_workers=0)
-
-    def test_cold_start_batch_with_duplicate_configs_does_not_crash(
-        self, diamond_registry, diamond_workflow, diamond_base_configuration
-    ):
-        # Regression: concurrent evaluations of the same configuration used
-        # to share one warm container and crash on out-of-order release; the
-        # pool now checks containers out while they are in use.
-        executor = WorkflowExecutor(
-            diamond_registry, options=ExecutorOptions(simulate_cold_starts=True)
-        )
-        backend = ParallelBackend(SimulatorBackend(executor), max_workers=8)
-        batch = [diamond_base_configuration] * 8
-        for _ in range(3):
-            traces = backend.evaluate_batch(diamond_workflow, batch)
-            assert len(traces) == 8
-            assert all(t.succeeded for t in traces)
-
-
 class TestBuildBackend:
     def test_default_is_plain_simulator(self, diamond_executor):
         backend = build_backend(diamond_executor)
         assert isinstance(backend, SimulatorBackend)
 
     def test_cache_wraps_outermost(self, diamond_executor):
-        backend = build_backend(diamond_executor, name="parallel", cache=True, workers=3)
+        backend = build_backend(diamond_executor, cache=True)
         assert isinstance(backend, CachingBackend)
-        assert isinstance(backend.inner, ParallelBackend)
-        assert isinstance(backend.inner.inner, SimulatorBackend)
+        assert isinstance(backend.inner, SimulatorBackend)
         assert "caching" in backend.describe()
 
-    def test_workers_imply_parallel(self, diamond_executor):
-        backend = build_backend(diamond_executor, workers=4)
-        assert isinstance(backend, ParallelBackend)
-        assert backend.max_workers == 4
-
-    def test_explicit_worker_count_is_honoured(self, diamond_executor):
-        backend = build_backend(diamond_executor, name="parallel", workers=1)
-        assert isinstance(backend, ParallelBackend)
-        assert backend.max_workers == 1
-
-    def test_parallel_without_workers_gets_default_width(self, diamond_executor):
-        backend = build_backend(diamond_executor, name="parallel")
-        assert isinstance(backend, ParallelBackend)
-        assert backend.max_workers == DEFAULT_PARALLEL_WORKERS
-
-    def test_pool_threads_are_reaped(self, diamond_executor, diamond_workflow,
-                                     diamond_base_configuration):
-        backend = ParallelBackend(SimulatorBackend(diamond_executor), max_workers=2)
-        backend.evaluate_batch(diamond_workflow, [diamond_base_configuration] * 4)
-        assert backend._pool is not None
-        backend.close()
-        assert backend._pool is None
-        # And close is idempotent / usable as a context manager.
-        backend.close()
-        with ParallelBackend(SimulatorBackend(diamond_executor), max_workers=2) as scoped:
-            scoped.evaluate_batch(diamond_workflow, [diamond_base_configuration] * 2)
-        assert scoped._pool is None
-
     def test_unknown_name_rejected(self, diamond_executor):
-        with pytest.raises(KeyError):
-            build_backend(diamond_executor, name="quantum")
-
-    def test_invalid_workers_rejected(self, diamond_executor):
-        with pytest.raises(ValueError):
-            build_backend(diamond_executor, workers=0)
+        for name in ("quantum", "parallel"):
+            with pytest.raises(KeyError):
+                build_backend(diamond_executor, name=name)
 
     def test_names_constant(self):
-        assert "simulator" in BACKEND_NAMES
-        assert "parallel" in BACKEND_NAMES
+        assert BACKEND_NAMES == ("simulator", "vectorized")
 
 
 class TestBackendStats:

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.execution.cluster import Cluster, Node
-from repro.execution.fleet import (
-    FleetOptions,
-    FleetSimulator,
-    Tenant,
-    _FleetLedger,
-)
+from repro.execution.cluster import Cluster, ClusterLedger, Node, balance_key, spread_key
+from repro.execution.fleet import FleetOptions, FleetSimulator, Tenant
 from repro.execution.instances import build_cluster
 from repro.experiments.fleet_experiment import (
     FLEET_SCENARIO_NAMES,
@@ -156,23 +151,60 @@ class TestFleetSimulator:
         metrics = result.tenant("steady").metrics
         assert metrics.offered == metrics.completed + metrics.rejected
 
+    def test_queue_shedding_never_drops_a_request_that_ran(self, monkeypatch):
+        # Regression: a full queue used to shed its worst entry even when an
+        # eviction had put that request back after it ran, dropping its
+        # billed partial work and restarts.  Only never-run entries shed.
+        import repro.execution.fleet as fleet_module
+
+        granted = set()
+
+        class RecordingLedger(ClusterLedger):
+            def try_reserve(self, request_id, configuration, now, cap=None):
+                node_of = super().try_reserve(request_id, configuration, now, cap)
+                if node_of is not None:
+                    granted.add(request_id)
+                return node_of
+
+        monkeypatch.setattr(fleet_module, "ClusterLedger", RecordingLedger)
+        tenants = [
+            Tenant(name, get_workload("chatbot"), priority=priority,
+                   arrival="poisson", rate_rps=0.5)
+            for name, priority in (("hi", 1), ("lo", 0))
+        ]
+        cluster = build_cluster([("m5.large", 1)], spot_spec=[("m5.4xlarge", 3)])
+        options = FleetOptions(
+            placement="priority",
+            queue_capacity=4,
+            spot_evictions_per_hour=120.0,
+            spot_recovery_seconds=120.0,
+        )
+        result = FleetSimulator(tenants, cluster, options=options).run(900.0, seed=3)
+        assert result.spot_evictions > 0
+        assert result.rejected_total > 0
+        completed = {
+            outcome.index
+            for tenant in result.tenants.values()
+            for outcome in tenant.outcomes
+        }
+        assert granted and granted <= completed
+
 
 class TestFleetLedger:
     def _config(self):
         return WorkflowConfiguration({"f": ResourceConfig(4, 4096)})
 
     def test_priority_policy_reserves_headroom(self):
-        # One 16-vCPU node, 25% reserved: low-priority work may fill 12 vCPU
-        # (three 4-vCPU containers) but not the reserved quarter.
+        # One 16-vCPU node, 25% reserved: low-priority work (the priority
+        # policy's 0.75 cap) may fill 12 vCPU (three 4-vCPU containers) but
+        # not the reserved quarter.
         cluster = build_cluster([("m5.4xlarge", 1)])
-        ledger = _FleetLedger(
-            cluster, policy="priority", reserve_fraction=0.25, max_priority=2
-        )
+        ledger = ClusterLedger(cluster, key=spread_key)
         for request_id in range(3):
-            assert ledger.try_reserve(request_id, self._config(), 0.0, priority=0)
-        assert ledger.try_reserve(3, self._config(), 0.0, priority=0) is None
-        # The top-priority tenant can still use the reserved headroom.
-        assert ledger.try_reserve(4, self._config(), 0.0, priority=2)
+            assert ledger.try_reserve(request_id, self._config(), 0.0, cap=0.75)
+        assert ledger.try_reserve(3, self._config(), 0.0, cap=0.75) is None
+        # The top-priority tenant (cap 1.0) can still use the reserved headroom.
+        assert ledger.try_reserve(4, self._config(), 0.0, cap=1.0)
 
     def test_fair_share_spreads_while_bin_packing_stacks(self):
         # A cpu-heavy then a mem-heavy container: packing them on one node
@@ -181,65 +213,60 @@ class TestFleetLedger:
         cpu_heavy = WorkflowConfiguration({"f": ResourceConfig(8, 2048)})
         mem_heavy = WorkflowConfiguration({"f": ResourceConfig(1, 32768)})
 
-        def place(policy):
+        def place(key):
             cluster = build_cluster([("m5.4xlarge", 2)])
-            ledger = _FleetLedger(
-                cluster, policy=policy, reserve_fraction=0.25, max_priority=0
-            )
+            ledger = ClusterLedger(cluster, key=key)
             nodes = []
             for request_id, config in enumerate([cpu_heavy, mem_heavy]):
-                assignment = ledger.try_reserve(request_id, config, 0.0)
+                assignment = ledger.try_reserve(request_id, config, 0.0, cap=1.0)
                 assert assignment is not None
                 nodes.append(assignment["f"].name)
             return nodes
 
-        assert len(set(place("fair-share"))) == 2
-        assert len(set(place("bin-packing"))) == 1
+        assert len(set(place(spread_key))) == 2
+        assert len(set(place(balance_key))) == 1
 
     def test_failed_reservation_leaves_node_usage_untouched(self):
         # Placing 0.3 vCPU onto 0.6 and taking it off again gives
         # 0.5999999999999999; a refused reservation must not do that.
         cluster = Cluster([Node("n", vcpu_capacity=2.0, memory_capacity_mb=4096.0)])
-        ledger = _FleetLedger(
-            cluster, policy="fair-share", reserve_fraction=0.25, max_priority=0
-        )
+        ledger = ClusterLedger(cluster, key=spread_key)
         small = ResourceConfig(0.3, 128)
-        assert ledger.try_reserve(0, WorkflowConfiguration({"a": small, "b": small}), 0.0)
+        pair = WorkflowConfiguration({"a": small, "b": small})
+        assert ledger.try_reserve(0, pair, 0.0, cap=1.0)
         node = cluster.node("n")
         before = (node.vcpu_used, node.memory_used_mb, list(node.placements))
         too_big = WorkflowConfiguration({"a": small, "b": ResourceConfig(1.5, 128)})
-        assert ledger.try_reserve(1, too_big, 1.0) is None
+        assert ledger.try_reserve(1, too_big, 1.0, cap=1.0) is None
         assert (node.vcpu_used, node.memory_used_mb, list(node.placements)) == before
         assert node.vcpu_used == 0.6
 
     def test_refusal_is_remembered_until_capacity_changes(self, monkeypatch):
-        import repro.execution.fleet as fleet_module
+        import repro.execution.cluster as cluster_module
 
         plans = []
-        real_plan = fleet_module.plan_placement
+        real_plan = cluster_module.plan_placement
 
         def counting_plan(*args, **kwargs):
             plans.append(args[1])
             return real_plan(*args, **kwargs)
 
-        monkeypatch.setattr(fleet_module, "plan_placement", counting_plan)
+        monkeypatch.setattr(cluster_module, "plan_placement", counting_plan)
         cluster = build_cluster([("m5.4xlarge", 1)])
-        ledger = _FleetLedger(
-            cluster, policy="priority", reserve_fraction=0.25, max_priority=2
-        )
+        ledger = ClusterLedger(cluster, key=spread_key)
         config = self._config()
         for request_id in range(3):
-            assert ledger.try_reserve(request_id, config, 0.0, priority=0)
+            assert ledger.try_reserve(request_id, config, 0.0, cap=0.75)
         version = ledger.version
-        assert ledger.try_reserve(3, config, 1.0, priority=0) is None
+        assert ledger.try_reserve(3, config, 1.0, cap=0.75) is None
         assert len(plans) == 4
         # Same object, same cap, unchanged cluster: refused without a scan.
-        assert ledger.try_reserve(3, config, 2.0, priority=0) is None
+        assert ledger.try_reserve(3, config, 2.0, cap=0.75) is None
         assert len(plans) == 4
         assert ledger.version == version
         # An equal but distinct configuration object, or another cap, scans.
-        assert ledger.try_reserve(3, self._config(), 2.0, priority=0) is None
-        assert ledger.try_reserve(3, config, 2.0, priority=2)
+        assert ledger.try_reserve(3, self._config(), 2.0, cap=0.75) is None
+        assert ledger.try_reserve(3, config, 2.0, cap=1.0)
         assert len(plans) == 6
         # Every commit and release bumps the version and forgets refusals;
         # once room is freed, a fresh scan grants the same configuration.
@@ -247,15 +274,13 @@ class TestFleetLedger:
         ledger.release(0, 3.0)
         ledger.release(3, 3.0)
         assert ledger.version == version + 3
-        assert ledger.try_reserve(4, config, 4.0, priority=0)
+        assert ledger.try_reserve(4, config, 4.0, cap=0.75)
         assert len(plans) == 7
 
     def test_failed_node_aborts_and_restores(self):
         cluster = build_cluster([("m5.4xlarge", 2)])
-        ledger = _FleetLedger(
-            cluster, policy="fair-share", reserve_fraction=0.25, max_priority=0
-        )
-        assignment = ledger.try_reserve(0, self._config(), 0.0)
+        ledger = ClusterLedger(cluster, key=spread_key)
+        assignment = ledger.try_reserve(0, self._config(), 0.0, cap=1.0)
         victim = assignment["f"].name
         assert ledger.fail_node(victim, 10.0) == [0]
         assert ledger.active == 0

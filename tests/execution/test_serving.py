@@ -363,12 +363,12 @@ class TestLedgerHealthyCapacityAccounting:
     """Regression: utilization must divide by the capacity actually up."""
 
     def _loaded_ledger(self):
-        from repro.execution.serving import _ClusterLedger
+        from repro.execution.cluster import ClusterLedger
 
         cluster = Cluster.homogeneous(2, vcpu_per_node=8, memory_per_node_mb=8192)
-        ledger = _ClusterLedger(cluster)
+        ledger = ClusterLedger(cluster)
         configuration = WorkflowConfiguration({"f": ResourceConfig(4, 2048)})
-        assert ledger.try_reserve(0, configuration, 0.0)
+        assert ledger.try_reserve(0, configuration, 0.0) is not None
         return ledger
 
     def test_mid_run_node_failure_strictly_raises_utilization(self):
@@ -420,8 +420,7 @@ class TestLedgerRefusedReservation:
     """
 
     def test_refusal_leaves_no_float_residue(self):
-        from repro.execution.cluster import Node
-        from repro.execution.serving import _ClusterLedger
+        from repro.execution.cluster import ClusterLedger, Node
 
         cluster = Cluster(
             [
@@ -429,9 +428,10 @@ class TestLedgerRefusedReservation:
                 Node("b", vcpu_capacity=1.0, memory_capacity_mb=4096.0),
             ]
         )
-        ledger = _ClusterLedger(cluster)
+        ledger = ClusterLedger(cluster)
         small = ResourceConfig(0.3, 128)
-        assert ledger.try_reserve(0, WorkflowConfiguration({"f": small, "g": small}), 0.0)
+        pair = WorkflowConfiguration({"f": small, "g": small})
+        assert ledger.try_reserve(0, pair, 0.0) is not None
         before = [
             (node.vcpu_used, node.memory_used_mb, list(node.placements))
             for node in cluster.nodes
@@ -440,13 +440,52 @@ class TestLedgerRefusedReservation:
         too_big = WorkflowConfiguration(
             {"f": small, "g": small, "h": ResourceConfig(1.5, 128)}
         )
-        assert not ledger.try_reserve(1, too_big, 1.0)
+        assert ledger.try_reserve(1, too_big, 1.0) is None
         after = [
             (node.vcpu_used, node.memory_used_mb, list(node.placements))
             for node in cluster.nodes
         ]
         assert after == before
         assert ledger.active == 1
+
+
+class TestLedgerWithoutCluster:
+    """Unbounded capacity: every reservation is granted, only concurrency
+    is integrated, and the summary reports no cluster gauges without it."""
+
+    def test_every_reservation_is_an_empty_grant(self):
+        from repro.execution.cluster import ClusterLedger
+
+        ledger = ClusterLedger(None)
+        configuration = WorkflowConfiguration({"f": ResourceConfig(4, 2048)})
+        # An empty assignment is a grant: callers must test ``is None``.
+        assert ledger.try_reserve(0, configuration, 0.0) == {}
+        assert ledger.try_reserve(1, configuration, 10.0) == {}
+        ledger.release(0, 20.0)
+        ledger.release(1, 30.0)
+        assert ledger.fail_node("node-0", 30.0) == []
+        assert not ledger.has_down_nodes
+        assert ledger.peak_active == 2
+        assert ledger.utilization() == (None, None, 40.0 / 30.0)
+
+    def test_summary_without_a_ledger_zeroes_the_cluster_gauges(
+        self, serving, diamond_base_configuration
+    ):
+        from repro.execution.serving import summarize_outcomes
+
+        slo = SLO(latency_limit=100.0)
+        result = serving(cluster=Cluster.homogeneous(2), slo=slo).run(
+            constant_stream(6, 5.0), lambda r: diamond_base_configuration
+        )
+        metrics = summarize_outcomes(
+            result.outcomes, result.rejected, result.metrics.duration_seconds,
+            result.metrics.offered, slo,
+        )
+        assert (metrics.cpu_utilization, metrics.memory_utilization) == (None, None)
+        assert (metrics.peak_concurrency, metrics.mean_concurrency) == (0, 0.0)
+        assert result.metrics.peak_concurrency > 0
+        for name in ("completed", "latency_p99_seconds", "slo_attainment", "total_cost"):
+            assert getattr(metrics, name) == getattr(result.metrics, name)
 
 
 class TestAutoscalerWindowing:

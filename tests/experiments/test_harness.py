@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.aarc import AARC
-from repro.execution.backend import CachingBackend, ParallelBackend, SimulatorBackend
+from repro.execution.backend import CachingBackend, SimulatorBackend
 from repro.experiments.harness import (
     DEFAULT_METHODS,
     DEFAULT_WORKLOADS,
@@ -66,15 +66,10 @@ class TestBuildObjective:
         objective = build_objective(workload, ExperimentSettings(cache=True))
         assert isinstance(objective.backend, CachingBackend)
 
-    def test_worker_knob_wraps_parallel_backend(self):
-        workload = get_workload("chatbot")
-        objective = build_objective(workload, ExperimentSettings(workers=4))
-        assert isinstance(objective.backend, ParallelBackend)
-
     def test_cached_run_matches_uncached(self):
         workload = get_workload("chatbot")
         plain = run_method_on_workload("Random", "chatbot")
-        settings = ExperimentSettings(cache=True, workers=2)
+        settings = ExperimentSettings(cache=True)
         searcher = make_searcher("Random", workload, settings)
         cached = searcher.search(build_objective(workload, settings))
         assert cached.best_cost == plain.best_cost

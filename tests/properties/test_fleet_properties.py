@@ -7,22 +7,24 @@ Three invariants the fleet layer promises:
 * billing closure — the fleet-wide bill is exactly the sum of the
   per-tenant bills (no request is double-billed or dropped from the
   ledger);
-* capacity safety — policy-scored placement never overcommits a node,
-  whatever heterogeneous shapes the cluster mixes;
-* reference equivalence — the ledger's plan-then-commit reservation with
-  its refusal memo makes exactly the decisions of the original
-  scan-and-rollback loop, node usage included, bit for bit.
+* capacity safety — key-scored, capped placement never overcommits a
+  node, whatever heterogeneous shapes the cluster mixes;
+* reference equivalence — the cluster ledger's plan-then-commit
+  reservation with its refusal memo makes exactly the decisions of the
+  original scan-and-rollback loop, node usage included, bit for bit, for
+  both node scores and with or without a cap (the serving layer's
+  ``balance_key`` with no cap included).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.execution.cluster import ClusterLedger, balance_key, spread_key
 from repro.execution.fleet import (
     PLACEMENT_POLICIES,
     FleetOptions,
     FleetSimulator,
     Tenant,
-    _FleetLedger,
 )
 from repro.execution.instances import build_cluster, instance_catalog
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
@@ -104,11 +106,18 @@ configs = st.builds(
     memory_mb=st.floats(min_value=128.0, max_value=16384.0),
 )
 instance_names = st.sampled_from(sorted(instance_catalog()))
+# The node scores the serving layer and the fleet policies use.
+node_keys = st.sampled_from((balance_key, spread_key))
+
+
+def caps_for(reserve):
+    """The caps callers pass: none (serving), full nodes, or a reserve."""
+    return (None, 1.0, 1.0 - reserve)
 
 
 class TestLedgerCapacitySafety:
     @given(
-        policy=st.sampled_from(PLACEMENT_POLICIES),
+        key=node_keys,
         shapes=st.lists(instance_names, min_size=1, max_size=4),
         requests=st.lists(
             st.lists(configs, min_size=1, max_size=3), min_size=1, max_size=12
@@ -117,12 +126,11 @@ class TestLedgerCapacitySafety:
     )
     @settings(max_examples=60, deadline=None)
     def test_placement_never_exceeds_node_capacity(
-        self, policy, shapes, requests, reserve
+        self, key, shapes, requests, reserve
     ):
         cluster = build_cluster([(name, 1) for name in dict.fromkeys(shapes)])
-        ledger = _FleetLedger(
-            cluster, policy=policy, reserve_fraction=reserve, max_priority=1
-        )
+        ledger = ClusterLedger(cluster, key=key)
+        caps = caps_for(reserve)
         now = 0.0
         live = []
         for request_id, request in enumerate(requests):
@@ -131,7 +139,7 @@ class TestLedgerCapacitySafety:
             )
             now += 1.0
             assignment = ledger.try_reserve(
-                request_id, configuration, now, priority=request_id % 2
+                request_id, configuration, now, caps[request_id % len(caps)]
             )
             if assignment is not None:
                 live.append(request_id)
@@ -152,8 +160,8 @@ class TestLedgerCapacitySafety:
         assert all(abs(node.memory_used_mb) < 1e-6 for node in cluster.nodes)
 
 
-class _ReferenceLedger(_FleetLedger):
-    """The fleet ledger's original scan-and-rollback reservation loop.
+class _ReferenceLedger(ClusterLedger):
+    """The ledgers' original scan-and-rollback reservation loop.
 
     Each function is placed on its best node as soon as it is chosen; when a
     later function fits nowhere the placements are removed again and every
@@ -161,11 +169,8 @@ class _ReferenceLedger(_FleetLedger):
     residue).  Nothing is remembered between calls: every call scans.
     """
 
-    def try_reserve(self, request_id, configuration, now, priority=0):
+    def try_reserve(self, request_id, configuration, now, cap=None):
         self.advance(now)
-        cap = 1.0
-        if self.policy == "priority" and priority < self.max_priority:
-            cap = 1.0 - self.reserve_fraction
         snapshot = [(n, n.vcpu_used, n.memory_used_mb) for n in self.cluster.nodes]
         placed = []
         node_of = {}
@@ -179,11 +184,11 @@ class _ReferenceLedger(_FleetLedger):
                 projected_mem = (
                     node.memory_used_mb + config.memory_mb
                 ) / node.memory_capacity_mb
-                if max(projected_cpu, projected_mem) > cap + 1e-9:
+                if cap is not None and max(projected_cpu, projected_mem) > cap + 1e-9:
                     continue
                 imbalance = round(abs(projected_cpu - projected_mem), 9)
                 load = round(projected_cpu + projected_mem, 9)
-                if self.policy == "bin-packing":
+                if self.key is balance_key:
                     key = (imbalance, load, node.name)
                 else:
                     key = (load, imbalance, node.name)
@@ -236,7 +241,7 @@ configuration_pool = st.lists(
     min_size=1,
     max_size=4,
 )
-# (kind, pick, priority): ``pick`` selects the configuration, live request
+# (kind, pick, cap index): ``pick`` selects the configuration, live request
 # or node modulo the available choices; reservations are drawn most often.
 ledger_operations = st.lists(
     st.tuples(
@@ -251,7 +256,7 @@ ledger_operations = st.lists(
 
 class TestLedgerMatchesReference:
     @given(
-        policy=st.sampled_from(PLACEMENT_POLICIES),
+        key=node_keys,
         shapes=st.lists(
             st.tuples(instance_names, st.integers(min_value=1, max_value=2)),
             min_size=1,
@@ -263,21 +268,23 @@ class TestLedgerMatchesReference:
     )
     @settings(max_examples=150, deadline=None)
     def test_decisions_and_node_usage_match_the_reference(
-        self, policy, shapes, pool, reserve, operations
+        self, key, shapes, pool, reserve, operations
     ):
         spec = list(dict(shapes).items())  # one entry per instance type
         cluster, reference_cluster = build_cluster(spec), build_cluster(spec)
-        ledger = _FleetLedger(cluster, policy, reserve, max_priority=2)
-        reference = _ReferenceLedger(reference_cluster, policy, reserve, max_priority=2)
+        ledger = ClusterLedger(cluster, key=key)
+        reference = _ReferenceLedger(reference_cluster, key=key)
+        caps = caps_for(reserve)
         node_names = [node.name for node in cluster.nodes]
         live = []
         now = 0.0
-        for request_id, (kind, pick, priority) in enumerate(operations):
+        for request_id, (kind, pick, cap_index) in enumerate(operations):
             now += 1.0
             if kind == "reserve":
                 configuration = pool[pick % len(pool)]
-                got = ledger.try_reserve(request_id, configuration, now, priority)
-                want = reference.try_reserve(request_id, configuration, now, priority)
+                cap = caps[cap_index]
+                got = ledger.try_reserve(request_id, configuration, now, cap)
+                want = reference.try_reserve(request_id, configuration, now, cap)
                 if want is not None:
                     assert got is not None, "the memo refused a grantable reservation"
                 assert _assignment(got) == _assignment(want)

@@ -20,7 +20,6 @@ class TestParser:
         assert args.seed == 2025
         assert args.backend == "simulator"
         assert args.cache is False
-        assert args.workers is None
 
     def test_invalid_method_rejected(self):
         with pytest.raises(SystemExit):
@@ -28,23 +27,25 @@ class TestParser:
 
     def test_backend_flags_parse(self):
         args = build_parser().parse_args(
-            ["search", "chatbot", "--backend", "parallel", "--cache", "--workers", "4"]
+            ["search", "chatbot", "--backend", "vectorized", "--cache"]
         )
-        assert args.backend == "parallel"
+        assert args.backend == "vectorized"
         assert args.cache is True
-        assert args.workers == 4
 
     def test_no_cache_flag(self):
         args = build_parser().parse_args(["compare", "chatbot", "--no-cache"])
         assert args.cache is False
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["search", "chatbot", "--backend", "quantum"])
+        for name in ("quantum", "parallel"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["search", "chatbot", "--backend", name])
 
     def test_zero_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["search", "chatbot", "--workers", "0"])
+        # --workers sizes the process pool of the scenario and fuzz verbs.
+        for verb in ("scenarios", "fuzz"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb, "--workers", "0"])
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -101,7 +102,7 @@ class TestCommands:
         assert "MAFF on ml-pipeline" in capsys.readouterr().out
 
     def test_search_with_cache_reports_backend(self, capsys):
-        assert main(["search", "chatbot", "--cache", "--workers", "2"]) == 0
+        assert main(["search", "chatbot", "--cache"]) == 0
         output = capsys.readouterr().out
         assert "AARC on chatbot" in output
         assert "backend:" in output
