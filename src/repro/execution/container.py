@@ -215,11 +215,15 @@ class ContainerPool:
 
     # -- maintenance -----------------------------------------------------------
     def _evict_expired(self, function_name: str, timestamp: float) -> None:
-        """Pop expired heap entries; skip stale ones, re-queue still-warm ones.
+        """Pop expired heap entries; skip stale ones, re-queue boundary ones.
 
         An entry can be stale in two ways: its container left the pool
         (checked out, discarded, capacity-evicted), or it was re-released
-        later so a fresher entry with a later expiry also sits in the heap.
+        later.  Every release pushes an entry, so in the second case the
+        fresher entry with the container's current expiry already sits in
+        the heap and the popped one is dropped; re-queuing it would add one
+        duplicate per reuse of a busy container.  Only the current entry is
+        re-queued, when rounding leaves its container warm at its own expiry.
         Warmth is always re-checked against the container itself, so this
         evicts exactly the containers a full scan would.
         """
@@ -229,15 +233,16 @@ class ContainerPool:
         pool = self._containers.get(function_name, {})
         still_warm: List[Tuple[float, int]] = []
         while heap and heap[0][0] <= timestamp:
-            _, container_id = heapq.heappop(heap)
+            expiry, container_id = heapq.heappop(heap)
             container = pool.get(container_id)
             if container is None:
                 continue  # stale entry: container no longer pool-resident
+            current_expiry = container.last_used_at + self.keep_alive_seconds
+            if current_expiry > expiry:
+                continue  # stale entry: a later release queued the fresh one
             if container.is_warm_at(timestamp, self.keep_alive_seconds):
-                # Boundary / stale-but-refreshed entry: keep the container.
-                still_warm.append(
-                    (container.last_used_at + self.keep_alive_seconds, container_id)
-                )
+                # Boundary entry: warm at its own expiry, so keep it queued.
+                still_warm.append((current_expiry, container_id))
                 continue
             self._remove(container)
             self._stats.evictions += 1

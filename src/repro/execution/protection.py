@@ -35,12 +35,13 @@ to a run with no policy at all, mirroring the empty-fault-plan invariant.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.faults import FaultKind, InvocationOutcome
-from repro.utils.stats import percentile
+from repro.utils.stats import nearest_rank
 
 __all__ = [
     "REJECTION_CAUSES",
@@ -387,7 +388,8 @@ class _Breaker:
     time advances (or the breaker is queried at a later instant), so the
     verdict never depends on the order in which simultaneous completions
     happened to be recorded — the property the permutation-determinism
-    tests pin down.
+    tests pin down.  The window keeps a running count of its kills, so a
+    flush costs O(1) per attempt entering or leaving the window.
     """
 
     CLOSED = "closed"
@@ -398,6 +400,7 @@ class _Breaker:
         "config",
         "state",
         "window",
+        "failures",
         "opened_at",
         "probes_issued",
         "probe_successes",
@@ -411,6 +414,8 @@ class _Breaker:
         self.config = config
         self.state = self.CLOSED
         self.window: Deque[Tuple[float, bool]] = deque()
+        #: Kills among ``window``'s entries.
+        self.failures = 0
         self.opened_at = 0.0
         self.probes_issued = 0
         self.probe_successes = 0
@@ -445,15 +450,17 @@ class _Breaker:
                 if self.probe_successes >= self.config.half_open_probes:
                     self.state = self.CLOSED
                     self.window.clear()
+                    self.failures = 0
                     self.transitions.append((now, self.CLOSED))
             return
         for killed in batch:
             self.window.append((now, killed))
+            if killed:
+                self.failures += 1
         self._evict(now)
         total = len(self.window)
         if total >= self.config.min_attempts:
-            failures = sum(1 for _, k in self.window if k)
-            if failures / total >= self.config.failure_threshold:
+            if self.failures / total >= self.config.failure_threshold:
                 self._open(now)
 
     def _open(self, now: float) -> None:
@@ -461,12 +468,14 @@ class _Breaker:
         self.opened_at = now
         self.opens += 1
         self.window.clear()
+        self.failures = 0
         self.transitions.append((now, self.OPEN))
 
     def _evict(self, now: float) -> None:
         horizon = now - self.config.window_seconds
         while self.window and self.window[0][0] < horizon:
-            self.window.popleft()
+            if self.window.popleft()[1]:
+                self.failures -= 1
 
     # -- gating ------------------------------------------------------------------
     def allow(self, now: float) -> bool:
@@ -531,7 +540,10 @@ class ProtectionGuard:
         self.shed_level = 0
         self._above_since: Optional[float] = None
         self._below_since: Optional[float] = None
+        # Per function: the last ``hedging.history`` completed-attempt
+        # durations in arrival order, and the same values kept sorted.
         self._hedge_history: Dict[str, Deque[float]] = {}
+        self._hedge_sorted: Dict[str, List[float]] = {}
         self._service_sum = 0.0
         self._service_count = 0
         self._dispatch_times: List[float] = []
@@ -598,7 +610,12 @@ class ProtectionGuard:
             if history is None:
                 history = deque(maxlen=self.policy.hedging.history)
                 self._hedge_history[function_name] = history
+                self._hedge_sorted[function_name] = []
+            ordered = self._hedge_sorted[function_name]
+            if len(history) == history.maxlen:
+                del ordered[bisect_left(ordered, history[0])]
             history.append(elapsed)
+            insort(ordered, elapsed)
 
     # -- admission ---------------------------------------------------------------
     def admit(
@@ -727,10 +744,10 @@ class ProtectionGuard:
         hedging = self.policy.hedging
         if hedging is None:
             return None
-        history = self._hedge_history.get(function_name)
-        if history is None or len(history) < hedging.min_observations:
+        ordered = self._hedge_sorted.get(function_name)
+        if ordered is None or len(ordered) < hedging.min_observations:
             return None
-        threshold = percentile(history, hedging.straggler_percentile)
+        threshold = nearest_rank(ordered, hedging.straggler_percentile)
         if planned_elapsed_seconds > threshold:
             return threshold
         return None

@@ -5,6 +5,9 @@ it needs): stationary kernels (RBF and Matérn 5/2), exact GP posterior with a
 jitter-stabilised Cholesky factorisation, and input/output normalisation so
 hyper-parameters behave across very differently scaled objectives (workflow
 costs span several orders of magnitude).
+
+``scipy.linalg`` is imported inside the methods that call it, so importing
+this module (and ``repro``) does not load it; the first fit does.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import abc
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import linalg
 
 __all__ = ["RBFKernel", "Matern52Kernel", "GaussianProcessRegressor"]
 
@@ -133,6 +135,7 @@ class GaussianProcessRegressor:
             raise ValueError("x and y must have matching first dimensions")
         if len(x) == 0:
             raise ValueError("cannot fit a GP on zero observations")
+        from scipy import linalg
 
         self._x_train = x
         self._y_raw = y
@@ -145,10 +148,10 @@ class GaussianProcessRegressor:
             try:
                 self._cholesky = linalg.cholesky(gram + jitter * identity, lower=True)
                 break
-            except linalg.LinAlgError:
+            except np.linalg.LinAlgError:
                 jitter = max(jitter * 10.0, 1e-10)
         else:  # pragma: no cover - pathological conditioning
-            raise linalg.LinAlgError("could not factorise the GP covariance matrix")
+            raise np.linalg.LinAlgError("could not factorise the GP covariance matrix")
         self._jitter = jitter
         self._alpha = linalg.cho_solve((self._cholesky, True), self._y_train)
         return self
@@ -178,6 +181,7 @@ class GaussianProcessRegressor:
             return self
         if not self.is_fitted:
             return self.fit(x, y)
+        from scipy import linalg
 
         new_y = np.concatenate([self._y_raw, y])
         known = self._x_train
@@ -199,6 +203,8 @@ class GaussianProcessRegressor:
         self, cholesky: np.ndarray, known: np.ndarray, row: np.ndarray
     ) -> Optional[np.ndarray]:
         """Append one observation's row to a lower Cholesky factor, or None."""
+        from scipy import linalg
+
         cross = self.kernel(known, row[None, :]).ravel()
         prior = float(self.kernel(row[None, :], row[None, :])[0, 0]) + self._jitter
         solved = linalg.solve_triangular(cholesky, cross, lower=True)
@@ -234,6 +240,8 @@ class GaussianProcessRegressor:
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean, np.zeros_like(mean)
+        from scipy import linalg
+
         v = linalg.solve_triangular(self._cholesky, cross.T, lower=True)
         prior_var = self.kernel.diag(x)
         variance = np.maximum(prior_var - np.sum(v**2, axis=0), 1e-12)

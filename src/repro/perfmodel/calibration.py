@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.perfmodel.analytic import AnalyticFunctionModel, FunctionProfile
 from repro.workflow.resources import ResourceConfig
@@ -91,6 +90,7 @@ def fit_profile(
     distinct_cpus = {round(s.config.vcpu, 6) for s in samples}
     if len(distinct_cpus) < 2:
         raise ValueError("calibration samples must cover at least two CPU allocations")
+    from scipy import optimize
 
     if template is None:
         min_memory = min(s.config.memory_mb for s in samples)

@@ -175,6 +175,32 @@ class TestExpiryHeap:
         pool.release(checked_out, finish_time=105.0)
         assert pool.warm_count("f", timestamp=110.0) == 1
 
+    def test_busy_container_keeps_the_heap_at_pool_size(self):
+        # Regression: a popped entry whose container was re-released since
+        # was re-queued next to the fresher entry that release had pushed,
+        # so the heap gained one duplicate per reuse of a busy container.
+        pool = ContainerPool(keep_alive_seconds=10.0)
+        t = 0.0
+        for _ in range(1000):
+            container, _ = pool.acquire("f", CONFIG, timestamp=t)
+            pool.release(container, finish_time=t + 1.0)
+            t += 6.0
+        assert len(pool._expiry_heaps["f"]) == 2
+        assert (pool.cold_starts, pool.warm_hits, pool.evictions) == (1, 999, 0)
+
+    def test_rounding_boundary_entry_stays_queued(self):
+        # 13.4 + 16.9 rounds to 30.299999999999997, yet 30.3 - 13.4 == 16.9:
+        # the container is still warm when its own entry falls due.
+        pool = ContainerPool(keep_alive_seconds=16.9)
+        container, _ = pool.acquire("f", CONFIG, timestamp=0.0)
+        pool.release(container, finish_time=13.4)
+        pool.acquire("f", OTHER_CONFIG, timestamp=30.3)
+        assert pool.evictions == 0
+        assert len(pool._expiry_heaps["f"]) == 1
+        assert pool.warm_count("f", timestamp=30.3) == 1
+        pool.acquire("f", OTHER_CONFIG, timestamp=31.0)
+        assert pool.evictions == 1
+
     def test_most_recently_used_match_wins(self):
         pool = ContainerPool(keep_alive_seconds=1000.0)
         a, _ = pool.acquire("f", CONFIG, timestamp=0.0)

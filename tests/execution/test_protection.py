@@ -1,6 +1,7 @@
 """Unit tests for the graceful-degradation layer (repro.execution.protection)."""
 
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.execution.protection import (
     split_deadline,
 )
 from repro.execution.protection import _Breaker
+from repro.utils.stats import percentile
 
 
 class TestConfigValidation:
@@ -241,6 +243,23 @@ class TestBreaker:
             states.add((breaker.state, breaker.opens))
         assert len(states) == 1
 
+    def test_running_failure_count_matches_the_window(self):
+        # The count is kept incrementally through appends, evictions and
+        # the clears at every open and close; it must equal a recount.
+        rng = random.Random(7)
+        breaker = _Breaker(self.CONFIG)
+        now = 0.0
+        states = set()
+        for _ in range(2000):
+            now += rng.choice([0.0, 0.5, 2.0, 9.0])
+            breaker.allow(now)
+            breaker.record(now, rng.random() < 0.45)
+            breaker.allow(now + 1e-9)
+            assert breaker.failures == sum(1 for _, killed in breaker.window if killed)
+            states.add(breaker.state)
+        assert states == {_Breaker.CLOSED, _Breaker.OPEN, _Breaker.HALF_OPEN}
+        assert breaker.opens > 10
+
     def test_transitions_are_logged(self):
         breaker = _Breaker(self.CONFIG)
         for t in (1.0, 2.0, 3.0, 4.0):
@@ -414,6 +433,25 @@ class TestGuardHedging:
         # p75 nearest-rank over [1, 2, 3, 4] = 3.
         assert guard.hedge_delay("f", 10.0) == pytest.approx(3.0)
         assert guard.hedge_delay("f", 2.5) is None
+
+    def test_threshold_is_the_percentile_of_the_last_history_values(self):
+        # The sorted twin of the rolling history drops the evicted oldest
+        # value, duplicates included, before inserting the new one.
+        history = 8
+        policy = ProtectionPolicy(
+            hedging=HedgingConfig(
+                straggler_percentile=75.0, min_observations=4, history=history
+            )
+        )
+        guard = make_guard(policy)
+        rng = random.Random(11)
+        seen = []
+        for step in range(300):
+            elapsed = float(rng.randint(1, 6))
+            seen.append(elapsed)
+            guard.observe_attempt("f", float(step), killed=False, elapsed=elapsed)
+            expected = percentile(seen[-history:], 75.0) if len(seen) >= 4 else None
+            assert guard.hedge_delay("f", 100.0) == expected
 
     def test_killed_attempts_do_not_enter_history(self):
         guard = make_guard(self.POLICY)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.optimizers.acquisition import (
     ExpectedImprovement,
@@ -17,6 +18,75 @@ def fitted_model():
     y = np.array([5.0, 2.0, 8.0])
     model = GaussianProcessRegressor(kernel=RBFKernel(0.2))
     return model.fit(x, y)
+
+
+class _FixedPosterior:
+    """Stands in for a fitted GP: returns a preset posterior mean and std."""
+
+    def __init__(self, mean, std):
+        self.mean, self.std = mean, std
+
+    def predict(self, candidates, return_std=True):
+        return self.mean, self.std
+
+
+def _posterior_sweep():
+    """Seeded posteriors whose z spans ±0.0, ±inf, NaN and |z| up to 40.
+
+    With ``best_observed`` 0.0, ``xi`` 0.0 and unit std, ``mean = -z`` gives
+    exactly ``z``; ``best_observed = -0.0`` minus a mean of +0.0 gives -0.0.
+    """
+    rng = np.random.default_rng(2025)
+    z = np.concatenate([
+        [0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 1e-300, -1e-300],
+        rng.uniform(-40.0, 40.0, 4000),
+        rng.normal(0.0, 3.0, 4000),
+    ])
+    mean = -z
+    mean[0] = 0.0
+    unit = _FixedPosterior(mean, np.ones_like(z))
+    spread = _FixedPosterior(rng.uniform(-5.0, 5.0, 2000), rng.uniform(0.0, 0.2, 2000))
+    spread.std[:10] = 0.0  # floored at 1e-12 by the score
+    return [(unit, 0.0), (unit, -0.0), (spread, 0.3)]
+
+
+def _assert_bit_identical(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float64
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+class TestMatchesScipyStatsNorm:
+    """The scores equal the ``scipy.stats.norm`` formulas bit for bit."""
+
+    @pytest.mark.parametrize("xi", [0.0, 0.01])
+    def test_expected_improvement(self, xi):
+        for model, best in _posterior_sweep():
+            std = np.maximum(model.std, 1e-12)
+            improvement = best - model.mean - xi
+            z = improvement / std
+            with np.errstate(invalid="ignore"):  # -inf * 0 at z = -inf
+                expected = np.maximum(
+                    improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z), 0.0
+                )
+                actual = ExpectedImprovement(xi=xi).score(model, None, best)
+            _assert_bit_identical(actual, expected)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.01])
+    def test_probability_of_improvement(self, xi):
+        for model, best in _posterior_sweep():
+            z = (best - model.mean - xi) / np.maximum(model.std, 1e-12)
+            actual = ProbabilityOfImprovement(xi=xi).score(model, None, best)
+            _assert_bit_identical(actual, stats.norm.cdf(z))
+
+    def test_sweep_reaches_the_special_values(self):
+        _, (signed, best), _ = _posterior_sweep()
+        z = best - signed.mean
+        assert np.signbit(z[0]) and z[0] == 0.0
+        assert np.isposinf(z[1]) and np.isneginf(z[2]) and np.isnan(z[3])
+        assert np.nanmax(np.abs(z[np.isfinite(z)])) == 40.0
 
 
 class TestExpectedImprovement:

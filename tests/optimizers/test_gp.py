@@ -96,3 +96,32 @@ class TestGaussianProcess:
         assert not gp.is_fitted
         gp.fit(np.zeros((1, 1)), np.ones(1))
         assert gp.is_fitted
+
+
+class TestJitterFallbacks:
+    """Without observation noise a duplicated input makes the Gram matrix
+    exactly singular, which drives both of the GP's fallback paths."""
+
+    X = np.array([[0.2, 0.3], [0.2, 0.3], [0.5, 0.5]])
+    Y = np.array([1.0, 1.2, 3.0])
+    QUERY = np.array([[0.3, 0.3], [0.2, 0.3], [0.9, 0.1]])
+
+    def assert_finite_predictions(self, gp):
+        mean, std = gp.predict(self.QUERY)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
+
+    def test_fit_raises_the_jitter_after_a_failed_cholesky(self):
+        gp = GaussianProcessRegressor(noise_variance=0.0)
+        gp.fit(self.X, self.Y)
+        assert gp._jitter == 1e-10
+        self.assert_finite_predictions(gp)
+
+    def test_update_refits_when_the_schur_complement_is_not_positive(self):
+        gp = GaussianProcessRegressor(noise_variance=0.0)
+        gp.fit(self.X[[0, 2]], self.Y[[0, 2]])
+        assert gp._jitter == 0.0
+        gp.update(self.X[1:2], self.Y[1:2])
+        # Extending the factor keeps the jitter; only the refit raises it.
+        assert gp._jitter == 1e-10
+        assert len(gp._x_train) == 3
+        self.assert_finite_predictions(gp)
