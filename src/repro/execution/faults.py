@@ -12,7 +12,11 @@ those perturbations as data — a :class:`FaultPlan` — plus a
   :class:`~repro.utils.rng.RngStream` children keyed by
   ``(request index, incarnation, function, attempt)``, so the schedule is a
   pure function of the plan's seed — independent of event interleaving,
-  dispatch order, or how many other requests are in flight.
+  dispatch order, or how many other requests are in flight.  The draws
+  most attempts need (first attempts, first retries and their backoffs,
+  first hedges) are computed for a block of requests at a time in array
+  passes (:func:`~repro.utils.rng.first_randoms`) that reproduce each keyed
+  stream's draws bit for bit; every other key builds its stream.
 * Whole-node failures are a Poisson process over the run horizon,
   precomputed up front the same way.
 * Retries are governed by pluggable :class:`RetryPolicy` objects
@@ -29,10 +33,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.utils.rng import RngStream
+import numpy as np
+
+from repro.utils.rng import RngStream, first_randoms
 
 __all__ = [
     "FaultKind",
@@ -67,6 +74,12 @@ class FaultKind(enum.Enum):
 HEDGE_ATTEMPT_OFFSET = 1000
 
 
+def _require_finite(name: str, value: float) -> None:
+    # NaN and ±inf slip through the range comparisons the validators make.
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 # -- retry policies ---------------------------------------------------------------
 
 
@@ -81,8 +94,14 @@ class RetryPolicy:
     max_attempts: int = 1
 
     def __post_init__(self) -> None:
+        _require_finite("max_attempts", self.max_attempts)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+
+    @property
+    def draws(self) -> bool:
+        """Whether :meth:`backoff_seconds` draws from the stream it is given."""
+        return False
 
     def backoff_seconds(
         self, attempt: int, rng: Optional[RngStream] = None
@@ -125,6 +144,7 @@ class FixedRetry(RetryPolicy):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _require_finite("delay_seconds", self.delay_seconds)
         if self.delay_seconds < 0:
             raise ValueError("delay_seconds must be non-negative")
 
@@ -154,12 +174,18 @@ class ExponentialBackoffRetry(RetryPolicy):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        for name in ("base_delay_seconds", "multiplier", "max_delay_seconds"):
+            _require_finite(name, getattr(self, name))
         if self.base_delay_seconds < 0 or self.max_delay_seconds < 0:
             raise ValueError("delays must be non-negative")
         if self.multiplier < 1:
             raise ValueError("multiplier must be at least 1")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
+
+    @property
+    def draws(self) -> bool:
+        return self.jitter > 0
 
     def _delay(self, attempt: int, rng: Optional[RngStream]) -> float:
         delay = min(
@@ -237,12 +263,17 @@ class FaultPlan:
         low, high = self.crash_fraction_range
         if not 0.0 <= low <= high <= 1.0:
             raise ValueError("crash_fraction_range must satisfy 0 <= low <= high <= 1")
+        for name in ("straggler_slowdown", "node_failures_per_hour", "node_recovery_seconds"):
+            _require_finite(name, getattr(self, name))
         if self.straggler_slowdown < 1.0:
             raise ValueError("straggler_slowdown must be at least 1")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive (or None)")
+        if self.timeout_seconds is not None:
+            _require_finite("timeout_seconds", self.timeout_seconds)
+            if self.timeout_seconds <= 0:
+                raise ValueError("timeout_seconds must be positive (or None)")
         if self.timeout_overrides is not None:
             for name, value in self.timeout_overrides.items():
+                _require_finite(f"timeout override for {name!r}", value)
                 if value <= 0:
                     raise ValueError(f"timeout override for {name!r} must be positive")
         if self.node_failures_per_hour < 0:
@@ -341,6 +372,27 @@ class InvocationOutcome:
 # -- the injector -----------------------------------------------------------------
 
 
+class _RowDraws:
+    """The leading draws of one keyed stream, read from a precomputed row.
+
+    Stands in for the :class:`~repro.utils.rng.RngStream` child the row was
+    computed from.  :meth:`uniform` evaluates ``low + (high - low) * u``, the
+    expression NumPy's ``Generator.uniform`` evaluates, so each value equals
+    the stream's own draw bit for bit; ``item`` keeps it a Python float.
+    """
+
+    __slots__ = ("_row", "_column")
+
+    def __init__(self, row: np.ndarray, column: int) -> None:
+        self._row = row
+        self._column = column
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        u = self._row.item(self._column)
+        self._column += 1
+        return low + (high - low) * u
+
+
 class FaultInjector:
     """Turns a :class:`FaultPlan` into a deterministic fault schedule.
 
@@ -348,11 +400,98 @@ class FaultInjector:
     child keyed by the invocation's identity, never from a shared sequential
     stream — so the schedule depends only on the plan's seed, not on the
     order in which the serving layer asks.
+
+    Building a generator per attempt dominates faulted serving, so given the
+    workflow's ``function_names`` the injector also precomputes, a block of
+    requests at a time, the first incarnation's draws for the keys most
+    attempts use: attempt 1, attempt 2 when the policy retries, attempt 1's
+    hedge when the run hedges (``hedging``), and attempt 1's backoff when the
+    policy jitters.  :meth:`draw_row` hands out one request's row; the
+    planning methods read a key from it when it holds the key and build the
+    key's stream otherwise, with the same result either way.
     """
 
-    def __init__(self, plan: FaultPlan, rng: Optional[RngStream] = None) -> None:
+    #: Requests per block of precomputed draws.  The array kernel's cost per
+    #: seed falls from tens of microseconds at a handful of seeds to a
+    #: fraction of one at thousands; a block holds thousands of keys while
+    #: staying a few hundred KB.
+    BLOCK_REQUESTS = 512
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        rng: Optional[RngStream] = None,
+        function_names: Sequence[str] = (),
+        hedging: bool = False,
+    ) -> None:
         self.plan = plan
         self._rng = rng if rng is not None else RngStream(plan.seed, "faults")
+        # With every per-attempt probability zero the draw cannot change an
+        # outcome, so none is made.
+        self._draws = bool(
+            plan.crash_probability or plan.oom_probability or plan.straggler_probability
+        )
+        retry = plan.retry
+        waves: List[Tuple[str, int]] = []
+        if self._draws:
+            waves.append(("invocation", 1))
+            if retry.max_attempts >= 2:
+                waves.append(("invocation", 2))
+            if hedging:
+                waves.append(("invocation", HEDGE_ATTEMPT_OFFSET + 1))
+            if retry.max_attempts >= 2 and retry.draws:
+                waves.append(("backoff", 1))
+        # Each (kind, function, attempt) key owns two adjacent columns of a
+        # request's row: its stream's first two draws.
+        self._row_keys = [
+            (kind, name, attempt) for name in function_names for kind, attempt in waves
+        ]
+        self._columns = {key: 2 * i for i, key in enumerate(self._row_keys)}
+        self._block: Optional[np.ndarray] = None
+        self._block_start = self._block_end = 0
+
+    def draw_row(self, request_index: int) -> Optional[np.ndarray]:
+        """Precomputed draws of request ``request_index``'s first incarnation.
+
+        :meth:`plan_invocation` and :meth:`backoff_seconds` read it for
+        incarnation 0 only.  An index past the current block starts the
+        next block; ``None`` means every key of the request builds its
+        stream, as for a plan with nothing to precompute or an index below
+        the current block (first dispatches come in index order, so that is
+        rare).  A row is a view of its block, which therefore lives exactly
+        as long as a row of it is held.
+        """
+        if not self._row_keys or request_index < self._block_start:
+            return None
+        if request_index >= self._block_end:
+            count = self.BLOCK_REQUESTS
+            keys = (
+                (kind, index, 0, name, attempt)
+                for index in range(request_index, request_index + count)
+                for kind, name, attempt in self._row_keys
+            )
+            draws = first_randoms(self._rng.child_seeds(keys), 2)
+            self._block = draws.reshape(count, -1)
+            self._block_start, self._block_end = request_index, request_index + count
+        return self._block[request_index - self._block_start]
+
+    def _stream(
+        self,
+        row: Optional[np.ndarray],
+        kind: str,
+        request_index: int,
+        incarnation: int,
+        function_name: str,
+        attempt: int,
+    ) -> Union[RngStream, _RowDraws]:
+        column = (
+            self._columns.get((kind, function_name, attempt))
+            if row is not None and incarnation == 0
+            else None
+        )
+        if column is None:
+            return self._rng.child(kind, request_index, incarnation, function_name, attempt)
+        return _RowDraws(row, column)
 
     # -- per-invocation schedule ---------------------------------------------------
     def plan_invocation(
@@ -363,6 +502,7 @@ class FaultInjector:
         runtime_seconds: float,
         cold_start_seconds: float = 0.0,
         incarnation: int = 0,
+        row: Optional[np.ndarray] = None,
     ) -> InvocationOutcome:
         """Decide the fate of one invocation attempt.
 
@@ -376,27 +516,30 @@ class FaultInjector:
             The attempt's fault-free service runtime.
         cold_start_seconds:
             Cold-start latency the attempt pays before useful work starts.
+        row:
+            The request's :meth:`draw_row`, or ``None``.
         """
-        stream = self._rng.child(
-            "invocation", request_index, incarnation, function_name, attempt
-        )
-        draw = stream.uniform()
         fault: Optional[FaultKind] = None
         effective = float(runtime_seconds)
         kill_at: Optional[float] = None
-        crash_p = self.plan.crash_probability
-        oom_p = self.plan.oom_probability
-        straggler_p = self.plan.straggler_probability
-        low, high = self.plan.crash_fraction_range
-        if draw < crash_p:
-            fault = FaultKind.CRASH
-            kill_at = cold_start_seconds + stream.uniform(low, high) * effective
-        elif draw < crash_p + oom_p:
-            fault = FaultKind.OOM
-            kill_at = cold_start_seconds + stream.uniform(low, high) * effective
-        elif draw < crash_p + oom_p + straggler_p:
-            fault = FaultKind.STRAGGLER
-            effective *= self.plan.straggler_slowdown
+        if self._draws:
+            stream = self._stream(
+                row, "invocation", request_index, incarnation, function_name, attempt
+            )
+            draw = stream.uniform()
+            crash_p = self.plan.crash_probability
+            oom_p = self.plan.oom_probability
+            straggler_p = self.plan.straggler_probability
+            low, high = self.plan.crash_fraction_range
+            if draw < crash_p:
+                fault = FaultKind.CRASH
+                kill_at = cold_start_seconds + stream.uniform(low, high) * effective
+            elif draw < crash_p + oom_p:
+                fault = FaultKind.OOM
+                kill_at = cold_start_seconds + stream.uniform(low, high) * effective
+            elif draw < crash_p + oom_p + straggler_p:
+                fault = FaultKind.STRAGGLER
+                effective *= self.plan.straggler_slowdown
         completion = cold_start_seconds + effective
         end = completion if kill_at is None else kill_at
         timeout = self.plan.timeout_for(function_name)
@@ -415,11 +558,13 @@ class FaultInjector:
         function_name: str,
         attempt: int,
         incarnation: int = 0,
+        row: Optional[np.ndarray] = None,
     ) -> Optional[float]:
-        """Retry delay after failed attempt ``attempt`` (None = give up)."""
-        stream = self._rng.child(
-            "backoff", request_index, incarnation, function_name, attempt
-        )
+        """Retry delay after failed attempt ``attempt`` (None = give up).
+
+        ``row`` is as for :meth:`plan_invocation`.
+        """
+        stream = self._stream(row, "backoff", request_index, incarnation, function_name, attempt)
         return self.plan.retry.backoff_seconds(attempt, stream)
 
     # -- node-failure schedule -----------------------------------------------------

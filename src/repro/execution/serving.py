@@ -377,10 +377,13 @@ class _RequestCarry:
     launch must keep billing, retry and wasted-work totals from the aborted
     incarnation, so they live here rather than in per-launch state.
     ``__slots__``-backed like :class:`ServedRequest` — one per in-flight
-    request on the faulty hot path.
+    request on the faulty hot path.  ``row`` holds the request's precomputed
+    fault draws (:meth:`~repro.execution.faults.FaultInjector.draw_row`),
+    which the injector reads for its first incarnation only.
     """
 
     __slots__ = (
+        "row",
         "attempts",
         "retries",
         "restarts",
@@ -394,7 +397,8 @@ class _RequestCarry:
         "hedge_wins",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, row: Optional[np.ndarray]) -> None:
+        self.row = row
         self.attempts = 0
         self.retries = 0
         self.restarts = 0
@@ -676,6 +680,7 @@ class ServingSimulator:
         pricing = self.executor.pricing
         records = trace.records
         incarnation = carry.restarts
+        row = carry.row
         budgets = (
             guard.stage_budgets(
                 {
@@ -813,7 +818,7 @@ class ServingSimulator:
                 )
                 if guard is not None:
                     guard.observe_attempt(name, end, True, None)
-                delay = injector.backoff_seconds(index, name, attempt, incarnation)
+                delay = injector.backoff_seconds(index, name, attempt, incarnation, row)
                 if delay is None:
                     # Retry budget exhausted: terminal failure.  Dependents
                     # are skipped, sibling branches run to completion.
@@ -869,6 +874,7 @@ class ServingSimulator:
                     record.runtime_seconds,
                     cold_start_seconds=penalty,
                     incarnation=incarnation,
+                    row=row,
                 )
                 h_outcome = guard.cap_stage(name, h_outcome, budgets)
                 h_end = h_start + h_outcome.elapsed_seconds
@@ -969,7 +975,7 @@ class ServingSimulator:
                         record.config.memory_mb / 1024.0 * h_outcome.elapsed_seconds
                     )
                     guard.observe_attempt(name, h_end, True, None)
-                    delay = injector.backoff_seconds(index, name, attempt, incarnation)
+                    delay = injector.backoff_seconds(index, name, attempt, incarnation, row)
                     if delay is None:
                         failed.add(name)
                         finish_function(name, h_end)
@@ -1056,6 +1062,7 @@ class ServingSimulator:
                     record.runtime_seconds,
                     cold_start_seconds=penalty,
                     incarnation=incarnation,
+                    row=row,
                 )
                 if guard is not None:
                     outcome = guard.cap_stage(name, outcome, budgets)
@@ -1179,11 +1186,6 @@ class ServingSimulator:
         )
         pending_arrivals = len(request_list)
         plan = self.faults
-        injector = (
-            FaultInjector(plan, fault_rng)
-            if plan is not None and not plan.is_empty
-            else None
-        )
         policy = self.protection
         guard = (
             ProtectionGuard(
@@ -1199,7 +1201,15 @@ class ServingSimulator:
             if policy is not None and not policy.is_empty
             else None
         )
-        if guard is not None and injector is None:
+        injector: Optional[FaultInjector] = None
+        if plan is not None and not plan.is_empty:
+            injector = FaultInjector(
+                plan,
+                fault_rng,
+                function_names=self._topo_order,
+                hedging=guard is not None and policy.hedging is not None,
+            )
+        elif guard is not None:
             # Protected runs need the per-attempt machinery (deadline kills,
             # hedges, retries) even without injected faults: borrow the
             # faulty launch path with an empty plan, which perturbs nothing.
@@ -1266,7 +1276,7 @@ class ServingSimulator:
                     continue
                 carry = carries.get(index)
                 if carry is None:
-                    carry = _RequestCarry()
+                    carry = _RequestCarry(injector.draw_row(index))
                     carries[index] = carry
                 dispatched[index] = (request, configuration)
                 self._launch_faulty(

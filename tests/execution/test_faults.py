@@ -1,11 +1,14 @@
 """Unit tests for the fault-injection subsystem."""
 
+import math
+
 import pytest
 
 from repro.execution.cluster import Cluster
 from repro.execution.container import ContainerPool
 from repro.execution.faults import (
     FAULT_PROFILE_NAMES,
+    HEDGE_ATTEMPT_OFFSET,
     ExponentialBackoffRetry,
     FaultInjector,
     FaultKind,
@@ -14,6 +17,7 @@ from repro.execution.faults import (
     NoRetry,
     get_fault_profile,
 )
+from repro.utils.rng import RngStream
 from repro.workflow.resources import ResourceConfig
 
 
@@ -62,6 +66,42 @@ class TestFaultPlan:
         ).describe()
         assert "crash" in text and "node failures" in text and "retry" in text
         assert FaultPlan.none().describe() == "no faults"
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: FaultPlan(timeout_seconds=v),
+        lambda v: FaultPlan(timeout_overrides={"split": v}),
+        lambda v: FaultPlan(straggler_slowdown=v),
+        lambda v: FaultPlan(node_failures_per_hour=v),
+        lambda v: FaultPlan(node_recovery_seconds=v),
+        lambda v: ExponentialBackoffRetry(base_delay_seconds=v),
+        lambda v: ExponentialBackoffRetry(multiplier=v),
+        lambda v: ExponentialBackoffRetry(max_delay_seconds=v),
+        lambda v: FixedRetry(delay_seconds=v),
+        lambda v: FixedRetry(max_attempts=v),
+    ],
+    ids=[
+        "timeout_seconds",
+        "timeout_overrides",
+        "straggler_slowdown",
+        "node_failures_per_hour",
+        "node_recovery_seconds",
+        "base_delay_seconds",
+        "multiplier",
+        "max_delay_seconds",
+        "delay_seconds",
+        "max_attempts",
+    ],
+)
+def test_non_finite_values_are_rejected_when_built(build, value):
+    with pytest.raises(ValueError):
+        build(value)
 
 
 class TestRetryPolicies:
@@ -155,6 +195,111 @@ class TestFaultInjector:
 
     def test_empty_node_schedule_without_rate(self):
         assert FaultInjector(FaultPlan.none()).node_failure_schedule(600.0, ["a"]) == []
+
+    def test_a_plan_without_per_attempt_faults_draws_nothing(self, monkeypatch):
+        def no_child(self, *labels):
+            raise AssertionError(f"built a stream for {labels}")
+
+        monkeypatch.setattr(RngStream, "child", no_child)
+        plan = FaultPlan(timeout_seconds=4.0, node_failures_per_hour=30.0)
+        injector = FaultInjector(plan, function_names=["a", "b"], hedging=True)
+        assert injector.draw_row(0) is None
+        outcome = injector.plan_invocation(0, "a", 1, runtime_seconds=3.0)
+        assert outcome.completed and outcome.fault is None
+        assert injector.plan_invocation(0, "a", 1, runtime_seconds=5.0).fault is (
+            FaultKind.TIMEOUT
+        )
+
+
+#: Functions of the row tests' workflow.
+FUNCTIONS = ["split", "extract", "classify"]
+
+
+#: A plan whose draws hit every branch: crash and OOM kills (which use the
+#: second draw), stragglers, clean runs, and jittered backoffs.
+ROW_PLAN = FaultPlan(
+    crash_probability=0.3,
+    oom_probability=0.3,
+    straggler_probability=0.2,
+    crash_fraction_range=(0.15, 0.85),
+    retry=ExponentialBackoffRetry(max_attempts=4, jitter=0.5),
+    seed=31,
+)
+
+
+class TestDrawRows:
+    """Reading a precomputed row must equal building the key's stream."""
+
+    def test_covered_keys_match_the_per_key_path_field_for_field(self):
+        injector = FaultInjector(ROW_PLAN, function_names=FUNCTIONS, hedging=True)
+        reference = FaultInjector(ROW_PLAN)  # no rows
+        seen = set()
+        for index in range(0, 40):
+            row = injector.draw_row(index)
+            assert row is not None
+            for name in FUNCTIONS:
+                for attempt in (1, 2, HEDGE_ATTEMPT_OFFSET + 1):
+                    fast = injector.plan_invocation(
+                        index, name, attempt, 7.5, cold_start_seconds=0.25, row=row
+                    )
+                    slow = reference.plan_invocation(
+                        index, name, attempt, 7.5, cold_start_seconds=0.25
+                    )
+                    assert fast == slow
+                    assert type(fast.elapsed_seconds) is float
+                    seen.add(fast.fault)
+                fast_delay = injector.backoff_seconds(index, name, 1, row=row)
+                assert fast_delay == reference.backoff_seconds(index, name, 1)
+                assert type(fast_delay) is float
+                seen.add("negative jitter" if fast_delay < 0.5 else "positive jitter")
+        # Crash and OOM kills use the second draw; jitter takes both signs.
+        assert {FaultKind.CRASH, FaultKind.OOM, FaultKind.STRAGGLER, None} <= seen
+        assert {"negative jitter", "positive jitter"} <= seen
+
+    def test_uncovered_keys_take_the_per_key_path(self, monkeypatch):
+        injector = FaultInjector(ROW_PLAN, function_names=FUNCTIONS, hedging=True)
+        reference = FaultInjector(ROW_PLAN)  # no rows
+        row = injector.draw_row(0)
+        built = []
+        child = RngStream.child
+        monkeypatch.setattr(
+            RngStream, "child", lambda self, *labels: built.append(labels) or child(self, *labels)
+        )
+        for attempt, incarnation in ((3, 0), (HEDGE_ATTEMPT_OFFSET + 2, 0), (1, 1)):
+            for name in FUNCTIONS:
+                fast = injector.plan_invocation(
+                    0, name, attempt, 7.5, incarnation=incarnation, row=row
+                )
+                assert built[-1] == ("invocation", 0, incarnation, name, attempt)
+                assert fast == reference.plan_invocation(
+                    0, name, attempt, 7.5, incarnation=incarnation
+                )
+                fast_delay = injector.backoff_seconds(0, name, attempt, incarnation, row)
+                assert built[-1] == ("backoff", 0, incarnation, name, attempt)
+                assert fast_delay == reference.backoff_seconds(0, name, attempt, incarnation)
+
+    def test_rows_hold_only_the_waves_the_run_can_ask_for(self):
+        def width(plan, hedging):
+            row = FaultInjector(plan, function_names=FUNCTIONS, hedging=hedging).draw_row(0)
+            return None if row is None else len(row) // (2 * len(FUNCTIONS))
+
+        assert width(ROW_PLAN, hedging=True) == 4
+        assert width(ROW_PLAN, hedging=False) == 3
+        assert width(FaultPlan(crash_probability=0.2, retry=FixedRetry()), False) == 2
+        assert width(FaultPlan(crash_probability=0.2), hedging=True) == 2
+        assert width(FaultPlan(crash_probability=0.2), hedging=False) == 1
+        assert width(FaultPlan(timeout_seconds=1.0), hedging=True) is None
+
+    def test_blocks_follow_first_dispatch_order(self, monkeypatch):
+        monkeypatch.setattr(FaultInjector, "BLOCK_REQUESTS", 4)
+        injector = FaultInjector(ROW_PLAN, function_names=FUNCTIONS)
+        first = injector.draw_row(2)
+        assert injector.draw_row(5) is not None and injector.draw_row(5).base is first.base
+        assert injector.draw_row(1) is None  # below the current block
+        later = injector.draw_row(9)  # past the block: a new one starts at 9
+        assert later.base is not first.base
+        assert injector.draw_row(8) is None
+        assert injector.draw_row(12).base is later.base
 
 
 class TestFaultProfiles:

@@ -1,11 +1,13 @@
 """Tests for the seeded RNG utilities."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngStream, derive_seed, spawn_streams
+import repro.utils.rng as rng_module
+from repro.utils.rng import RngStream, derive_seed, first_randoms, spawn_streams
 
 
 class TestDeriveSeed:
@@ -137,6 +139,81 @@ class TestLazyGenerator:
         expected = reference.uniform(size=4)
         np.testing.assert_array_equal(restored.generator.uniform(size=4), expected)
         np.testing.assert_array_equal(stream.generator.uniform(size=4), expected)
+
+
+class TestLazyChild:
+    def test_a_child_hashes_nothing_until_its_seed_or_label_is_used(self, monkeypatch):
+        calls = []
+        real = rng_module.derive_seed
+        monkeypatch.setattr(
+            rng_module, "derive_seed", lambda *args: calls.append(args) or real(*args)
+        )
+        parent = RngStream(7, "root")
+        children = [parent.child("request", index) for index in range(100)]
+        assert calls == []
+        assert children[3].label == "root/request/3"
+        assert children[3].seed == real(7, "root", "request", 3)
+        assert len(calls) == 1
+
+    def test_pickled_child_of_a_drawn_parent_keeps_its_seed(self):
+        parent = RngStream(5, "root")
+        parent.uniform()
+        child = parent.child("x", 1)
+        restored = pickle.loads(pickle.dumps(child))
+        assert (restored.seed, restored.label) == (derive_seed(5, "root", "x", 1), "root/x/1")
+
+
+class TestChildSeeds:
+    def test_bulk_seeds_equal_each_childs_seed(self):
+        stream = RngStream(2025, "faults").child("serve", 3)
+        keys = [
+            ("invocation", index, 0, name, attempt)
+            for index in (0, 1, 511, 10**6)
+            for name in ("split", "video-analysis", "f\u00e9")
+            for attempt in (1, 2, 1001)
+        ] + [("backoff", 4, 0, "split", 1), (0,), ("x",), ()]
+        assert stream.child_seeds(keys) == [stream.child(*key).seed for key in keys]
+
+    def test_no_keys_no_seeds(self):
+        assert RngStream(1).child_seeds([]) == []
+
+
+#: Seeds at the edges of SeedSequence's one- and two-word entropy and of
+#: the uint64 range.
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 2, 2**63 - 1, 2**64 - 1]
+
+
+class TestFirstRandoms:
+    """The array kernel against NumPy's own generators, bit for bit."""
+
+    @staticmethod
+    def _reference(seeds, count):
+        return np.array(
+            [np.random.default_rng(seed).random(count) for seed in seeds]
+        ).reshape(len(seeds), count)
+
+    def test_boundary_seeds(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = first_randoms(BOUNDARY_SEEDS, 3)
+        assert drawn.shape == (len(BOUNDARY_SEEDS), 3)
+        assert drawn.dtype == np.float64
+        np.testing.assert_array_equal(drawn, self._reference(BOUNDARY_SEEDS, 3))
+
+    def test_sample_of_seeds(self):
+        sampler = np.random.default_rng(20251017)
+        seeds = [int(s) for s in sampler.integers(0, 2**63 - 1, size=8000)]
+        seeds += [int(s) for s in sampler.integers(0, 2**32, size=2000)]
+        seeds += [int(s) for s in sampler.integers(0, 2**64, size=2000, dtype=np.uint64)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = first_randoms(seeds, 2)
+        np.testing.assert_array_equal(drawn, self._reference(seeds, 2))
+
+    def test_derived_seeds_and_empty_input(self):
+        seeds = RngStream(717, "faults").child_seeds([("invocation", i) for i in range(50)])
+        np.testing.assert_array_equal(first_randoms(seeds), self._reference(seeds, 1))
+        assert first_randoms([], 2).shape == (0, 2)
 
 
 class TestSpawnStreams:
