@@ -107,6 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be at least 1")
         return value
 
+    def non_negative_int(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError("must be at least 0")
+        return value
+
     def add_backend_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--backend", default="simulator", choices=list(BACKEND_NAMES),
@@ -173,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="traffic horizon in simulated seconds (the run drains past it)",
     )
     serve.add_argument(
-        "--nodes", type=int, default=8,
+        "--nodes", type=non_negative_int, default=8,
         help="cluster size requests contend for (0 = unlimited capacity)",
     )
     serve.add_argument(

@@ -13,8 +13,11 @@ simulators.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 
@@ -22,6 +25,7 @@ __all__ = [
     "Node",
     "Cluster",
     "ClusterLedger",
+    "NodeOrder",
     "PlacementError",
     "affinity_aware_placement",
     "balance_key",
@@ -56,8 +60,9 @@ class Node:
     spot: bool = False
 
     def __post_init__(self) -> None:
-        if self.vcpu_capacity <= 0 or self.memory_capacity_mb <= 0:
-            raise ValueError("node capacities must be positive")
+        for capacity in (self.vcpu_capacity, self.memory_capacity_mb):
+            if not (0 < capacity < math.inf):
+                raise ValueError(f"node capacities must be positive and finite, got {capacity}")
 
     # -- capacity queries -------------------------------------------------------
     def can_fit(self, config: ResourceConfig) -> bool:
@@ -229,78 +234,146 @@ class Cluster:
             node.healthy = True
 
 
-def balance_key(node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
-    """Affinity-aware score: least CPU/memory imbalance, then least load, then name."""
-    return (
-        round(abs(projected_cpu - projected_mem), 9),
-        round(projected_cpu + projected_mem, 9),
-        node.name,
-    )
+def _imbalance(projected_cpu: float, projected_mem: float) -> float:
+    return round(abs(projected_cpu - projected_mem), 9)
 
 
-def spread_key(node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
-    """Spreading score: least load, then least imbalance, then name."""
-    return (
-        round(projected_cpu + projected_mem, 9),
-        round(abs(projected_cpu - projected_mem), 9),
-        node.name,
-    )
+def _load(projected_cpu: float, projected_mem: float) -> float:
+    return round(projected_cpu + projected_mem, 9)
+
+
+@dataclass(frozen=True)
+class NodeOrder:
+    """A total order on candidate nodes: ``first``, then ``second``, then name.
+
+    Each component maps a node's projected CPU and memory utilisation
+    fractions (after hosting the container) to a number; calling the order
+    gives the whole sort key.  The contract the planner relies on: an order
+    reads nothing of a node but its projections and, last, its name.  Nodes
+    with equal capacities and usage therefore differ only by name, and the
+    planner computes ``second`` only when ``first`` ties.
+    """
+
+    first: Callable[[float, float], float]
+    second: Callable[[float, float], float]
+
+    def __call__(self, node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
+        return (
+            self.first(projected_cpu, projected_mem),
+            self.second(projected_cpu, projected_mem),
+            node.name,
+        )
+
+
+#: Affinity-aware order: least CPU/memory imbalance, then least load, then name.
+balance_key = NodeOrder(_imbalance, _load)
+#: Spreading order: least load, then least imbalance, then name.
+spread_key = NodeOrder(_load, _imbalance)
+
+#: ``(vcpu_capacity, memory_capacity_mb, vcpu_used, memory_used_mb)``, exact.
+NodeClassKey = Tuple[float, float, float, float]
+#: Class key -> the class's ``(name, node)`` members, in name order.
+NodeClasses = Dict[NodeClassKey, List[Tuple[str, Node]]]
+
+
+def _class_key(node: Node) -> NodeClassKey:
+    return (node.vcpu_capacity, node.memory_capacity_mb, node.vcpu_used, node.memory_used_mb)
+
+
+def _file(classes: NodeClasses, key: NodeClassKey, member: Tuple[str, Node]) -> None:
+    members = classes.get(key)
+    if members is None:
+        classes[key] = [member]
+    else:
+        insort(members, member)
+
+
+def _unfile(classes: NodeClasses, key: NodeClassKey, name: str) -> None:
+    members = classes[key]
+    if len(members) == 1:
+        del classes[key]
+    else:
+        del members[bisect_left(members, (name,))]
 
 
 def plan_placement(
-    nodes: Sequence[Node],
+    classes: NodeClasses,
     configuration: WorkflowConfiguration,
-    key: Callable[[Node, float, float], Tuple],
+    order: NodeOrder,
     cap: Optional[float] = None,
 ) -> Optional[List[Tuple[str, ResourceConfig, Node]]]:
     """Choose a node for every function of ``configuration``, placing nothing.
 
-    Functions are considered in configuration order.  Each goes to the healthy
-    node that fits it after the earlier functions of the same plan and has
-    the smallest ``key(node, projected_cpu, projected_mem)``; the projections
-    are the node's utilisation fractions after hosting the container.  Those
-    earlier choices live in a tentative per-node usage overlay computed with
-    exactly the additions :meth:`Node.place` would make, so committing the
-    plan in order reproduces the overlay bit for bit.  With ``cap`` set, a
-    node whose projected CPU or memory utilisation would exceed it is skipped
-    too.
+    ``classes`` groups the healthy nodes by capacities and exact usage.
+    Functions are considered in configuration order.  Each goes to the node
+    that fits it after the earlier functions of the same plan and comes
+    first in ``order``.  With ``cap`` set, a node whose projected CPU or
+    memory utilisation would exceed it is skipped too.
 
-    Returns ``(function, config, node)`` triples, or ``None`` when some
-    function fits nowhere; the nodes are never touched either way.
+    The members of a class differ only by name, so each class is scored
+    once, through its least name; that picks exactly the node a scan of
+    every healthy node would pick.  The earlier functions' choices form a
+    tentative usage overlay: the planner moves each chosen node to the
+    class of its usage after the container, computed with exactly the
+    additions :meth:`Node.place` makes.  When some function fits nowhere
+    the moves are undone and ``None`` is returned.  Otherwise the
+    ``(function, config, node)`` triples are returned and ``classes``
+    already matches the nodes as they will be once the caller places the
+    plan in order.  The nodes themselves are never touched either way.
     """
-    tentative: Dict[str, Tuple[float, float]] = {}
+    first = order.first
+    second = order.second
+    limit = None if cap is None else cap + 1e-9
     plan: List[Tuple[str, ResourceConfig, Node]] = []
+    moves: List[Tuple[NodeClassKey, NodeClassKey, Tuple[str, Node]]] = []
     for function_name, config in configuration.items():
         vcpu = config.vcpu
         memory_mb = config.memory_mb
-        best: Optional[Node] = None
-        best_key: Optional[Tuple] = None
-        for node in nodes:
-            if not node.healthy:
-                continue
-            if node.name in tentative:
-                cpu, mem = tentative[node.name]
-            else:
-                cpu, mem = node.vcpu_used, node.memory_used_mb
+        best_key: Optional[NodeClassKey] = None
+        for key, members in classes.items():
+            vcpu_capacity, memory_capacity_mb, cpu, mem = key
+            cpu += vcpu
+            mem += memory_mb
             # Node.can_fit's capacity checks, on the tentative usage.
-            if not (
-                cpu + vcpu <= node.vcpu_capacity + 1e-9
-                and mem + memory_mb <= node.memory_capacity_mb + 1e-9
-            ):
+            if not (cpu <= vcpu_capacity + 1e-9 and mem <= memory_capacity_mb + 1e-9):
                 continue
-            projected_cpu = (cpu + vcpu) / node.vcpu_capacity
-            projected_mem = (mem + memory_mb) / node.memory_capacity_mb
-            if cap is not None and max(projected_cpu, projected_mem) > cap + 1e-9:
+            projected_cpu = cpu / vcpu_capacity
+            projected_mem = mem / memory_capacity_mb
+            if limit is not None and max(projected_cpu, projected_mem) > limit:
                 continue
-            score = key(node, projected_cpu, projected_mem)
-            if best_key is None or score < best_key:
-                best_key = score
-                best = node
-                best_used = (cpu + vcpu, mem + memory_mb)
-        if best is None:
+            # Compare (first, second, name) as a tuple would, computing
+            # second only when first ties.
+            score = first(projected_cpu, projected_mem)
+            if best_key is None or score != best_score:
+                if best_key is not None and not score < best_score:
+                    continue
+                best_score = score
+                best_second = None
+                best_projected = (projected_cpu, projected_mem)
+            else:
+                if best_second is None:
+                    best_second = second(*best_projected)
+                tiebreak = second(projected_cpu, projected_mem)
+                if not (
+                    tiebreak < best_second
+                    or (tiebreak == best_second and members[0][0] < best_name)
+                ):
+                    continue
+                best_second = tiebreak
+            best_key = key
+            best_name = members[0][0]
+            best_used = (cpu, mem)
+        if best_key is None:
+            for old_key, new_key, member in reversed(moves):
+                _unfile(classes, new_key, member[0])
+                _file(classes, old_key, member)
             return None
-        tentative[best.name] = best_used
-        plan.append((function_name, config, best))
+        member = classes[best_key][0]
+        new_key = best_key[:2] + best_used
+        _unfile(classes, best_key, best_name)
+        _file(classes, new_key, member)
+        moves.append((best_key, new_key, member))
+        plan.append((function_name, config, member[1]))
     return plan
 
 
@@ -308,29 +381,32 @@ class ClusterLedger:
     """Per-request capacity reservations on a cluster, with utilization.
 
     A request reserves one container per workflow function for its whole
-    residence time.  :func:`plan_placement` scores candidate nodes with
-    ``key`` (the affinity-aware :func:`balance_key` by default), and a
-    reservation's optional ``cap`` keeps every node it touches at or below
-    that utilisation fraction.  Placements are keyed ``function#request`` so
-    concurrent requests running the same workflow release exactly their own
-    capacity.  The ledger also integrates reserved vCPU/memory and the
-    number of requests in flight over time.  Without a cluster every
-    reservation succeeds with an empty assignment and only concurrency is
-    integrated.
+    residence time.  :func:`plan_placement` picks each function's node by
+    ``key``, a :class:`NodeOrder` (the affinity-aware :data:`balance_key` by
+    default), and a reservation's optional ``cap`` keeps every node it
+    touches at or below that utilisation fraction.  Placements are keyed
+    ``function#request`` so concurrent requests running the same workflow
+    release exactly their own capacity.  The ledger also integrates reserved
+    vCPU/memory and the number of requests in flight over time.  Without a
+    cluster every reservation succeeds with an empty assignment and only
+    concurrency is integrated.
+
+    The ledger keeps the healthy nodes grouped into classes of equal
+    capacities and exactly equal usage, the planner's candidate set, and
+    moves a node between classes whenever it places, removes, fails or
+    restores.  ``advance`` reuses its usage sums until the next such change
+    and its healthy-capacity sums until the next failure or restore.
 
     ``version`` counts capacity changes (commits, releases, node failures and
     restores).  A refusal depends only on the (immutable) configuration, the
     cap and the node state, so the ledger remembers which configuration
     objects were refused at which cap since the last change and refuses them
-    again without rescanning the cluster.  This holds as long as the nodes
-    change only through the ledger.
+    again without rescanning the cluster.  The class index, the cached sums
+    and the memo all hold only as long as the nodes change only through the
+    ledger.
     """
 
-    def __init__(
-        self,
-        cluster: Optional[Cluster],
-        key: Callable[[Node, float, float], Tuple] = balance_key,
-    ) -> None:
+    def __init__(self, cluster: Optional[Cluster], key: NodeOrder = balance_key) -> None:
         self.cluster = cluster
         self.key = key
         self.active = 0
@@ -348,10 +424,32 @@ class ClusterLedger:
         # (id(configuration), cap) -> configuration for refusals at the current
         # version; holding the object keeps its id from being reused.
         self._refused: Dict[Tuple[int, Optional[float]], WorkflowConfiguration] = {}
+        self._classes: NodeClasses = {}
+        self._reindex_all({node.name: node for node in self._nodes})
+        # advance's sums over the nodes, None until recomputed after a change:
+        # (vcpu used, memory used) and (healthy vcpu, healthy memory, all healthy).
+        self._used: Optional[Tuple[float, float]] = None
+        self._healthy_capacity: Optional[Tuple[float, float, bool]] = None
 
     def _changed(self) -> None:
         self.version += 1
         self._refused.clear()
+        self._used = None
+
+    # -- node classes -------------------------------------------------------------
+    def _unindex_all(self, nodes: Iterable[Node]) -> Dict[str, Node]:
+        """Take each distinct node out of its class before its usage changes."""
+        moving = {node.name: node for node in nodes}
+        for node in moving.values():
+            _unfile(self._classes, _class_key(node), node.name)
+        return moving
+
+    def _reindex_all(self, moving: Dict[str, Node]) -> None:
+        """File the nodes taken out by :meth:`_unindex_all` under their new
+        usage; a node that went down stays out."""
+        for node in moving.values():
+            if node.healthy:
+                _file(self._classes, _class_key(node), (node.name, node))
 
     # -- time integration -------------------------------------------------------
     def advance(self, now: float) -> None:
@@ -361,20 +459,29 @@ class ClusterLedger:
             return
         if self.cluster is not None:
             nodes = self._nodes
-            self._cpu_area += sum(n.vcpu_used for n in nodes) * dt
-            self._mem_area += sum(n.memory_used_mb for n in nodes) * dt
-            # Capacity that could actually have hosted work over this window:
-            # failed nodes contribute nothing, so node-storm runs do not
-            # deflate reported utilization by dividing by ghost capacity.
-            cap_cpu = 0.0
-            cap_mem = 0.0
-            all_healthy = True
-            for n in nodes:
-                if n.healthy:
-                    cap_cpu += n.vcpu_capacity
-                    cap_mem += n.memory_capacity_mb
-                else:
-                    all_healthy = False
+            if self._used is None:
+                self._used = (
+                    sum(map(attrgetter("vcpu_used"), nodes)),
+                    sum(map(attrgetter("memory_used_mb"), nodes)),
+                )
+            if self._healthy_capacity is None:
+                # Capacity that could actually have hosted work: failed nodes
+                # contribute nothing, so node-storm runs do not deflate
+                # reported utilization by dividing by ghost capacity.
+                cap_cpu = 0.0
+                cap_mem = 0.0
+                all_healthy = True
+                for n in nodes:
+                    if n.healthy:
+                        cap_cpu += n.vcpu_capacity
+                        cap_mem += n.memory_capacity_mb
+                    else:
+                        all_healthy = False
+                self._healthy_capacity = (cap_cpu, cap_mem, all_healthy)
+            used_cpu, used_mem = self._used
+            cap_cpu, cap_mem, all_healthy = self._healthy_capacity
+            self._cpu_area += used_cpu * dt
+            self._mem_area += used_mem * dt
             self._cap_cpu_area += cap_cpu * dt
             self._cap_mem_area += cap_mem * dt
             if not all_healthy:
@@ -405,10 +512,11 @@ class ClusterLedger:
         memo = (id(configuration), cap)
         if self._refused.get(memo) is configuration:
             return None
-        plan = plan_placement(self._nodes, configuration, self.key, cap)
+        plan = plan_placement(self._classes, configuration, self.key, cap)
         if plan is None:
             self._refused[memo] = configuration
             return None
+        # The planner already moved the chosen nodes to their new classes.
         placed: List[Tuple[Node, str]] = []
         node_of: Dict[str, Node] = {}
         for function_name, config, node in plan:
@@ -428,8 +536,10 @@ class ClusterLedger:
         self.active -= 1
         placed = self._placements.pop(request_id, None)
         if placed is not None:
+            moving = self._unindex_all(node for node, _ in placed)
             for node, name in placed:
                 node.remove(name)
+            self._reindex_all(moving)
             self._changed()
 
     # -- node failures ----------------------------------------------------------
@@ -452,12 +562,18 @@ class ClusterLedger:
             for request_id, placed in self._placements.items()
             if any(n is node for n, _ in placed)
         )
+        moving = self._unindex_all(
+            [node]
+            + [n for request_id in affected for n, _ in self._placements[request_id]]
+        )
         for request_id in affected:
             for placed_node, name in self._placements.pop(request_id):
                 if placed_node is not node:
                     placed_node.remove(name)
             self.active -= 1
         self.cluster.fail_node(node_name)
+        self._reindex_all(moving)
+        self._healthy_capacity = None
         self._changed()
         return affected
 
@@ -465,7 +581,11 @@ class ClusterLedger:
         """Bring a failed node back into the placement candidate set."""
         self.advance(now)
         if self.cluster is not None:
-            self.cluster.restore_node(node_name)
+            node = self.cluster.node(node_name)
+            if not node.healthy:
+                self.cluster.restore_node(node_name)
+                self._reindex_all({node_name: node})
+            self._healthy_capacity = None
             self._changed()
 
     @property

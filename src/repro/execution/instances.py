@@ -115,7 +115,7 @@ def build_cluster(spec: Sequence[Tuple[str, int]], spot_spec: Sequence[Tuple[str
     """Build a heterogeneous cluster from ``(instance_type, count)`` pairs.
 
     On-demand nodes are named ``<type>-<i>``; spot nodes ``<type>-spot-<i>``.
-    Node order (and therefore placement tie-breaking) follows the spec order.
+    Node order follows the spec order; placement ties break by node name.
     """
     nodes: List[Node] = []
     for instance_name, count in spec:

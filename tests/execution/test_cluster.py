@@ -2,14 +2,25 @@
 
 import pytest
 
-from repro.execution.cluster import Cluster, Node, PlacementError, affinity_aware_placement
+from repro.execution.cluster import (
+    Cluster,
+    ClusterLedger,
+    Node,
+    PlacementError,
+    affinity_aware_placement,
+    balance_key,
+)
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 
 
 class TestNode:
     def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Node("n", vcpu_capacity=0, memory_capacity_mb=1024)
+        nan, inf = float("nan"), float("inf")
+        for vcpu, memory_mb in [
+            (0, 1024), (4, -1.0), (nan, 1024), (4, nan), (inf, 1024), (4, inf), (-inf, 1024),
+        ]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                Node("n", vcpu_capacity=vcpu, memory_capacity_mb=memory_mb)
 
     def test_can_fit_and_place(self):
         node = Node("n", vcpu_capacity=4, memory_capacity_mb=4096)
@@ -184,3 +195,43 @@ class TestHealthyCapacityNormalisation:
             affinity_aware_placement(
                 cluster, WorkflowConfiguration({"f": ResourceConfig(1, 512)})
             )
+
+
+class CountingOrder:
+    """Wraps a node order and counts node scores, whether a planner
+    evaluates the order whole or one component at a time."""
+
+    def __init__(self, order):
+        self.order = order
+        self.scores = 0
+
+    def __call__(self, node, projected_cpu, projected_mem):
+        self.scores += 1
+        return self.order(node, projected_cpu, projected_mem)
+
+    def first(self, projected_cpu, projected_mem):
+        self.scores += 1
+        return self.order.first(projected_cpu, projected_mem)
+
+    def second(self, projected_cpu, projected_mem):
+        return self.order.second(projected_cpu, projected_mem)
+
+
+class TestClusterLedgerPlanning:
+    def test_planner_scores_one_node_per_class_plus_touched_nodes(self):
+        # 1,000 identical idle nodes form one class.  Function k of the plan
+        # scores that class once plus the at most k - 1 nodes the plan
+        # already touched: at most 1 + 2 + ... + 7 = 28 scores, not 7,000.
+        cluster = Cluster.homogeneous(1000)
+        order = CountingOrder(balance_key)
+        ledger = ClusterLedger(cluster, key=order)
+        configuration = WorkflowConfiguration(
+            {f"f{i}": ResourceConfig(1, 1024) for i in range(7)}
+        )
+        node_of = ledger.try_reserve(0, configuration, 0.0)
+        assert order.scores <= 28
+        # Each function goes to the idle node with the least name, which is
+        # the least name as a string, exactly as a scan of every node picks.
+        assert [node_of[f"f{i}"].name for i in range(7)] == [
+            "node-0", "node-1", "node-10", "node-100", "node-101", "node-102", "node-103",
+        ]

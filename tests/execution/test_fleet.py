@@ -240,6 +240,10 @@ class TestFleetLedger:
         assert ledger.try_reserve(1, too_big, 1.0, cap=1.0) is None
         assert (node.vcpu_used, node.memory_used_mb, list(node.placements)) == before
         assert node.vcpu_used == 0.6
+        # The refused plan's tentative moves were undone too, so the ledger
+        # can still release the first request and grant the refused one.
+        ledger.release(0, 2.0)
+        assert ledger.try_reserve(2, too_big, 3.0, cap=1.0)
 
     def test_refusal_is_remembered_until_capacity_changes(self, monkeypatch):
         import repro.execution.cluster as cluster_module

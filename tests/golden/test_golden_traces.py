@@ -1,4 +1,4 @@
-"""Golden-trace regression fixtures for end-to-end serving and search runs.
+"""Golden-trace regression fixtures for end-to-end serving, fleet and search runs.
 
 Seeded runs are snapshotted to ``tests/data/golden/*.json``; these tests
 compare the current behaviour against the recorded one *exactly* (floats
@@ -21,11 +21,14 @@ import pytest
 
 from repro.control.controller import ControllerOptions
 from repro.execution.faults import ExponentialBackoffRetry, FaultPlan, FixedRetry
+from repro.execution.fleet import FleetOptions, FleetSimulator, Tenant
+from repro.execution.instances import build_cluster
 from repro.execution.protection import ProtectionPolicy
 from repro.experiments.harness import ExperimentSettings, build_objective, make_searcher
 from repro.experiments.serving_experiment import ServingSettings, run_serving_experiment
 from repro.workflow.serialization import configuration_to_dict
 from repro.workloads.arrivals import TrafficPhase, TrafficProfile
+from repro.workloads.registry import get_workload
 
 SERVING_SETTINGS = ServingSettings(
     method="base",
@@ -273,8 +276,6 @@ def search_snapshot():
 
 
 def get_chatbot():
-    from repro.workloads.registry import get_workload
-
     return get_workload("chatbot")
 
 
@@ -426,6 +427,83 @@ class TestAdaptiveGolden:
         check_golden(
             golden_dir, "serving_adaptive_rollback.json", snapshot, update_golden
         )
+
+
+def fleet_snapshot():
+    """Run the pinned fleet and flatten it to JSON-safe data.
+
+    Three tenants queue for a 36-node heterogeneous cluster with spot
+    evictions under priority placement.  Placement shows up in the results
+    twice: each function is billed at its hosting node's price multiplier,
+    and only requests hosted on an evicted spot node restart.
+    """
+    tenants = [
+        Tenant("interactive", get_workload("chatbot"), priority=2,
+               arrival="poisson", rate_rps=0.5),
+        Tenant("pipeline", get_workload("ml-pipeline"), priority=1,
+               arrival="poisson", rate_rps=0.5),
+        Tenant("video", get_workload("video-analysis"), priority=0,
+               arrival="bursty", rate_rps=0.1),
+    ]
+    cluster = build_cluster(
+        [("m5.4xlarge", 12), ("c5.4xlarge", 8), ("m6g.4xlarge", 4)],
+        spot_spec=[("c5a.4xlarge", 8), ("m6g.4xlarge", 4)],
+    )
+    options = FleetOptions(placement="priority", spot_evictions_per_hour=20.0)
+    result = FleetSimulator(tenants, cluster, options=options).run(200.0, seed=717)
+    return {
+        "tenants": {
+            name: {
+                "requests": [
+                    {
+                        "index": outcome.index,
+                        "arrival": outcome.arrival_time,
+                        "dispatch": outcome.dispatch_time,
+                        "completion": outcome.completion_time,
+                        "cost": outcome.cost,
+                        "cold_starts": outcome.cold_start_count,
+                        "restarts": outcome.restarts,
+                        "wasted_seconds": outcome.wasted_seconds,
+                    }
+                    for outcome in tenant.outcomes
+                ],
+                "rejected_by_cause": dict(tenant.rejected_by_cause),
+                "metrics": {
+                    "completed": tenant.metrics.completed,
+                    "latency_p50": tenant.metrics.latency_p50_seconds,
+                    "latency_p99": tenant.metrics.latency_p99_seconds,
+                    "queueing_mean": tenant.metrics.queueing_mean_seconds,
+                    "total_cost": tenant.metrics.total_cost,
+                },
+            }
+            for name, tenant in result.tenants.items()
+        },
+        "total_cost": result.total_cost,
+        "cpu_utilization": result.cpu_utilization,
+        "memory_utilization": result.memory_utilization,
+        "peak_concurrency": result.peak_concurrency,
+        "mean_concurrency": result.mean_concurrency,
+        "spot_evictions": result.spot_evictions,
+        "interference_stretched": result.interference_stretched,
+        "mean_stretch": result.mean_stretch,
+    }
+
+
+class TestFleetGolden:
+    def test_priority_fleet_with_spot_evictions_matches_golden(
+        self, golden_dir, update_golden
+    ):
+        snapshot = fleet_snapshot()
+        # The fixture must pin contended placement under evictions: a
+        # refresh that loses the evictions or the restarts they cause would
+        # no longer cover what the fleet's placement decides.
+        assert snapshot["spot_evictions"] >= 1
+        assert any(
+            request["restarts"]
+            for tenant in snapshot["tenants"].values()
+            for request in tenant["requests"]
+        )
+        check_golden(golden_dir, "fleet_priority_spot.json", snapshot, update_golden)
 
 
 class TestSearchGolden:

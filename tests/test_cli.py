@@ -70,6 +70,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--arrival", "tidal"])
 
+    def test_serve_rejects_negative_nodes(self, capsys):
+        # A negative size used to serve on an uncapped cluster; 0 still
+        # means no cluster limit.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--nodes", "-3"])
+        assert "must be at least 0" in capsys.readouterr().err
+        assert build_parser().parse_args(["serve", "--nodes", "0"]).nodes == 0
+
 
 class TestCommands:
     def test_workloads_lists_benchmarks(self, capsys):
