@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -113,6 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be at least 0")
         return value
 
+    def positive_float(text: str) -> float:
+        value = float(text)
+        if not 0.0 < value < math.inf:
+            raise argparse.ArgumentTypeError("must be positive and finite")
+        return value
+
     def add_backend_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--backend", default="simulator", choices=list(BACKEND_NAMES),
@@ -171,11 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival process (default: the workload's traffic profile)",
     )
     serve.add_argument(
-        "--rate", type=float, default=None,
+        "--rate", type=positive_float, default=None,
         help="mean arrival rate in requests/second (default: workload profile)",
     )
     serve.add_argument(
-        "--duration", type=float, default=300.0,
+        "--duration", type=positive_float, default=300.0,
         help="traffic horizon in simulated seconds (the run drains past it)",
     )
     serve.add_argument(
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="configuration source shared by every scenario",
     )
     scenarios.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=positive_float, default=None,
         help="traffic horizon in simulated seconds per scenario "
              "(default: 200, or each fleet scenario's own horizon)",
     )
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster size every scenario contends for",
     )
     scenarios.add_argument(
-        "--rate", type=float, default=0.15,
+        "--rate", type=positive_float, default=0.15,
         help="shared mean arrival rate in requests/second",
     )
     scenarios.add_argument(
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
              "comparison pair",
     )
     fleet.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=positive_float, default=None,
         help="traffic horizon in simulated seconds (default: the scenario's)",
     )
     fleet.add_argument(

@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import networkx as nx
-
-from repro.workflow.dag import Workflow
+from repro.workflow.dag import Workflow, simple_paths
 
 __all__ = [
     "SubPath",
@@ -147,15 +145,13 @@ def find_detour_subpaths(workflow: Workflow, critical_path: Sequence[str]) -> Li
         raise KeyError(f"critical path references unknown functions: {missing}")
     position = {name: index for index, name in enumerate(critical_list)}
 
-    graph = workflow.subgraph_view()
-    # Remove edges between consecutive critical nodes so simple-path search
-    # only returns genuine detours (paths leaving the critical path).
-    detour_graph = nx.DiGraph()
-    detour_graph.add_nodes_from(graph.nodes())
-    for u, v in graph.edges():
+    # Drop edges between critical nodes so simple-path search only returns
+    # genuine detours (paths leaving the critical path).
+    detour_graph: Dict[str, List[str]] = {name: [] for name in workflow.function_names}
+    for u, v in workflow.edges:
         if u in critical_set and v in critical_set:
             continue
-        detour_graph.add_edge(u, v)
+        detour_graph[u].append(v)
 
     subpaths: List[SubPath] = []
     seen: set = set()
@@ -163,9 +159,7 @@ def find_detour_subpaths(workflow: Workflow, critical_path: Sequence[str]) -> Li
         for end in critical_list:
             if position[end] <= position[start]:
                 continue
-            if not detour_graph.has_node(start) or not detour_graph.has_node(end):
-                continue
-            for path in nx.all_simple_paths(detour_graph, start, end):
+            for path in simple_paths(detour_graph, start, end):
                 interior = path[1:-1]
                 if not interior:
                     continue

@@ -14,6 +14,8 @@ from typing import Callable, List, Optional, Tuple
 
 __all__ = ["EventLoop", "RequestArrival"]
 
+_INF = float("inf")
+
 
 class EventLoop:
     """A minimal discrete-event queue (timestamp-ordered callbacks)."""
@@ -85,10 +87,12 @@ class RequestArrival:
         input_scale: float = 1.0,
         input_class: str = "default",
     ) -> None:
-        if arrival_time < 0:
-            raise ValueError("arrival_time cannot be negative")
-        if input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        # One chained comparison per field (NaN fails both): million-request
+        # streams build one record per arrival.
+        if not 0.0 <= arrival_time < _INF:
+            raise ValueError("arrival_time must be finite and non-negative")
+        if not 0.0 < input_scale < _INF:
+            raise ValueError("input_scale must be positive and finite")
         object.__setattr__(self, "arrival_time", arrival_time)
         object.__setattr__(self, "input_scale", input_scale)
         object.__setattr__(self, "input_class", input_class)

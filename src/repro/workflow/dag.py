@@ -6,20 +6,67 @@ a function starts once all of its predecessors have finished.  The model keeps
 a single virtual entry and exit implicit — a workflow may have multiple source
 or sink functions, and end-to-end latency is defined over the longest weighted
 path from any source to any sink.
+
+The graph is kept as insertion-ordered adjacency dicts (successors and
+predecessors of every function).  :func:`reachable` and :func:`simple_paths`
+work on any such ``node -> successors`` mapping, so the detour search and the
+workload zoo share this module's graph format.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-__all__ = ["FunctionSpec", "Workflow", "WorkflowValidationError"]
+__all__ = ["FunctionSpec", "Workflow", "WorkflowValidationError", "reachable", "simple_paths"]
 
 
 class WorkflowValidationError(ValueError):
     """Raised when a workflow definition is structurally invalid."""
+
+
+def reachable(adjacency: Mapping[str, Iterable[str]], source: str) -> Set[str]:
+    """Every node reachable from ``source`` along the edges of ``adjacency``.
+
+    ``adjacency`` maps each node to its successors.  ``source`` itself is
+    excluded even when a cycle leads back to it.
+    """
+    seen = {source}
+    stack = [source]
+    while stack:
+        for node in adjacency[stack.pop()]:
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    seen.discard(source)
+    return seen
+
+
+def simple_paths(
+    adjacency: Mapping[str, Iterable[str]], source: str, target: str
+) -> Iterator[List[str]]:
+    """Every path from ``source`` to ``target`` that repeats no node.
+
+    The search is depth-first and visits successors in the order
+    ``adjacency`` lists them; a path ends at its first visit of ``target``.
+    When ``source`` is ``target`` the one path is ``[source]``.
+    """
+    if source == target:
+        yield [source]
+        return
+    path = [source]
+    stack = [iter(adjacency[source])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            path.pop()
+        elif node == target:
+            yield path + [node]
+        elif node not in path:
+            path.append(node)
+            stack.append(iter(adjacency[node]))
 
 
 @dataclass(frozen=True)
@@ -81,8 +128,9 @@ class Workflow:
             if spec.name in self._functions:
                 raise WorkflowValidationError(f"duplicate function name {spec.name!r}")
             self._functions[spec.name] = spec
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(self._functions.keys())
+        # Adjacency in insertion order; the inner dicts are ordered sets.
+        self._succ: Dict[str, Dict[str, None]] = {name: {} for name in self._functions}
+        self._pred: Dict[str, Dict[str, None]] = {name: {} for name in self._functions}
         # Topology caches, filled on first query and dropped by add_edge.
         self._order: Optional[List[str]] = None
         self._preds: Optional[Dict[str, List[str]]] = None
@@ -92,7 +140,10 @@ class Workflow:
 
     # -- construction ------------------------------------------------------
     def add_edge(self, upstream: str, downstream: str) -> None:
-        """Add a dependency edge ``upstream -> downstream``."""
+        """Add a dependency edge ``upstream -> downstream``.
+
+        Adding an edge that already exists changes nothing.
+        """
         for endpoint in (upstream, downstream):
             if endpoint not in self._functions:
                 raise WorkflowValidationError(
@@ -100,24 +151,29 @@ class Workflow:
                 )
         if upstream == downstream:
             raise WorkflowValidationError(f"self-loop on {upstream!r} is not allowed")
-        self._order = None
-        self._preds = None
-        self._graph.add_edge(upstream, downstream)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(upstream, downstream)
+        if downstream in self._succ[upstream]:
+            return
+        if upstream in reachable(self._succ, downstream):
             raise WorkflowValidationError(
                 f"edge {upstream!r} -> {downstream!r} would create a cycle"
             )
+        self._order = None
+        self._preds = None
+        self._succ[upstream][downstream] = None
+        self._pred[downstream][upstream] = None
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`WorkflowValidationError`."""
         if len(self._functions) == 0:
             raise WorkflowValidationError("workflow must contain at least one function")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise WorkflowValidationError("workflow graph contains a cycle")
-        if self._graph.number_of_edges() > 0:
-            undirected = self._graph.to_undirected()
-            if nx.number_connected_components(undirected) > 1:
+        self._topological_order()  # raises on a cycle
+        if self.n_edges > 0:
+            neighbours = {
+                name: list(self._succ[name]) + list(self._pred[name])
+                for name in self._functions
+            }
+            first = next(iter(self._functions))
+            if len(reachable(neighbours, first)) + 1 < len(self._functions):
                 raise WorkflowValidationError(
                     "workflow graph must be weakly connected (got disconnected components)"
                 )
@@ -141,12 +197,12 @@ class Workflow:
     @property
     def n_edges(self) -> int:
         """Number of dependency edges."""
-        return self._graph.number_of_edges()
+        return sum(len(successors) for successors in self._succ.values())
 
     @property
     def edges(self) -> List[Tuple[str, str]]:
-        """All dependency edges."""
-        return list(self._graph.edges())
+        """All dependency edges, by upstream function then insertion order."""
+        return [(u, v) for u, successors in self._succ.items() for v in successors]
 
     def function(self, name: str) -> FunctionSpec:
         """Look up one function spec by name."""
@@ -170,15 +226,15 @@ class Workflow:
     def successors(self, name: str) -> List[str]:
         """Direct downstream dependents of a function."""
         self.function(name)
-        return sorted(self._graph.successors(name))
+        return sorted(self._succ[name])
 
     def sources(self) -> List[str]:
         """Functions with no predecessors (workflow entry points)."""
-        return [n for n in self._functions if self._graph.in_degree(n) == 0]
+        return [n for n in self._functions if not self._pred[n]]
 
     def sinks(self) -> List[str]:
         """Functions with no successors (workflow exit points)."""
-        return [n for n in self._functions if self._graph.out_degree(n) == 0]
+        return [n for n in self._functions if not self._succ[n]]
 
     def topological_order(self) -> List[str]:
         """A deterministic topological ordering of the functions.
@@ -189,50 +245,56 @@ class Workflow:
         return list(self._topological_order())
 
     def _topological_order(self) -> List[str]:
-        """The cached topological order (callers must not mutate it)."""
+        """The cached topological order (callers must not mutate it).
+
+        Kahn's algorithm that always emits the ready function inserted
+        first, so it equals networkx's ``lexicographical_topological_sort``
+        keyed by insertion rank.
+        """
         if self._order is None:
-            insertion_rank = {name: i for i, name in enumerate(self._functions)}
-            self._order = list(
-                nx.lexicographical_topological_sort(
-                    self._graph, key=lambda n: insertion_rank[n]
-                )
-            )
+            names = list(self._functions)
+            rank = {name: i for i, name in enumerate(names)}
+            waiting = {name: len(preds) for name, preds in self._pred.items()}
+            # Ascending ranks, so the list is already a heap.
+            ready = [rank[name] for name in names if waiting[name] == 0]
+            order: List[str] = []
+            while ready:
+                node = names[heapq.heappop(ready)]
+                order.append(node)
+                for child in self._succ[node]:
+                    waiting[child] -= 1
+                    if waiting[child] == 0:
+                        heapq.heappush(ready, rank[child])
+            if len(order) < len(names):
+                raise WorkflowValidationError("workflow graph contains a cycle")
+            self._order = order
         return self._order
 
     def _sorted_predecessors(self) -> Dict[str, List[str]]:
         """The cached name-sorted predecessor lists (callers must not mutate them)."""
         if self._preds is None:
-            self._preds = {
-                name: sorted(self._graph.predecessors(name)) for name in self._functions
-            }
+            self._preds = {name: sorted(preds) for name, preds in self._pred.items()}
         return self._preds
 
     def ancestors(self, name: str) -> Set[str]:
         """All transitive predecessors of a function."""
         self.function(name)
-        return set(nx.ancestors(self._graph, name))
+        return reachable(self._pred, name)
 
     def descendants(self, name: str) -> Set[str]:
         """All transitive successors of a function."""
         self.function(name)
-        return set(nx.descendants(self._graph, name))
+        return reachable(self._succ, name)
 
     def all_paths(self) -> List[List[str]]:
         """All source-to-sink paths (exponential in the worst case; the
         workflows in this reproduction are small)."""
-        paths: List[List[str]] = []
-        for source in self.sources():
-            for sink in self.sinks():
-                if source == sink:
-                    paths.append([source])
-                    continue
-                for path in nx.all_simple_paths(self._graph, source, sink):
-                    paths.append(list(path))
-        return paths
-
-    def subgraph_view(self) -> nx.DiGraph:
-        """A read-only copy of the underlying networkx graph."""
-        return self._graph.copy(as_view=False)
+        return [
+            path
+            for source in self.sources()
+            for sink in self.sinks()
+            for path in simple_paths(self._succ, source, sink)
+        ]
 
     # -- weighted-path analysis ----------------------------------------------
     def longest_path(self, weights: Mapping[str, float]) -> Tuple[List[str], float]:
@@ -309,8 +371,7 @@ class Workflow:
         """Finish time of every function under the dependency semantics."""
         finish: Dict[str, float] = {}
         for node in self._topological_order():
-            preds = list(self._graph.predecessors(node))
-            start = max((finish[p] for p in preds), default=0.0)
+            start = max((finish[p] for p in self._pred[node]), default=0.0)
             finish[node] = start + float(runtimes[node])
         return finish
 
@@ -326,7 +387,7 @@ class Workflow:
         """
         if self.n_edges == 0:
             return "chain" if self.n_functions == 1 else "mixed"
-        out_degrees = {n: self._graph.out_degree(n) for n in self._functions}
+        out_degrees = {n: len(self._succ[n]) for n in self._functions}
         max_out = max(out_degrees.values())
         if max_out <= 1:
             return "chain"

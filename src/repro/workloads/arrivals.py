@@ -112,6 +112,13 @@ def _exponential_run(
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
+def _positive_finite(value: float, name: str) -> float:
+    """``value`` as a float; NaN, infinities and values <= 0 raise."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 class ArrivalProcess(abc.ABC):
     """Generates request arrival timestamps over a time horizon."""
 
@@ -140,9 +147,7 @@ class ArrivalProcess(abc.ABC):
 
     @staticmethod
     def _check_duration(duration_seconds: float) -> float:
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
-        return float(duration_seconds)
+        return _positive_finite(duration_seconds, "duration_seconds")
 
     @staticmethod
     def _require_rng(rng: Optional[RngStream], name: str) -> RngStream:
@@ -161,9 +166,7 @@ class ConstantRateArrivals(ArrivalProcess):
     name = "constant"
 
     def __init__(self, rate_rps: float) -> None:
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
-        self.rate_rps = float(rate_rps)
+        self.rate_rps = _positive_finite(rate_rps, "rate_rps")
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
@@ -201,9 +204,7 @@ class PoissonArrivals(ArrivalProcess):
     name = "poisson"
 
     def __init__(self, rate_rps: float) -> None:
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
-        self.rate_rps = float(rate_rps)
+        self.rate_rps = _positive_finite(rate_rps, "rate_rps")
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
@@ -248,16 +249,12 @@ class BurstyArrivals(ArrivalProcess):
         mean_calm_seconds: float = 120.0,
         mean_burst_seconds: float = 30.0,
     ) -> None:
-        if base_rate_rps <= 0:
-            raise ValueError("base_rate_rps must be positive")
-        if burst_multiplier < 1:
-            raise ValueError("burst_multiplier must be at least 1")
-        if mean_calm_seconds <= 0 or mean_burst_seconds <= 0:
-            raise ValueError("state holding times must be positive")
-        self.base_rate_rps = float(base_rate_rps)
+        self.base_rate_rps = _positive_finite(base_rate_rps, "base_rate_rps")
+        if not 1.0 <= burst_multiplier < math.inf:
+            raise ValueError("burst_multiplier must be at least 1 and finite")
         self.burst_multiplier = float(burst_multiplier)
-        self.mean_calm_seconds = float(mean_calm_seconds)
-        self.mean_burst_seconds = float(mean_burst_seconds)
+        self.mean_calm_seconds = _positive_finite(mean_calm_seconds, "mean_calm_seconds")
+        self.mean_burst_seconds = _positive_finite(mean_burst_seconds, "mean_burst_seconds")
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
@@ -334,15 +331,13 @@ class DiurnalArrivals(ArrivalProcess):
         period_seconds: float = 86400.0,
         phase_seconds: float = 0.0,
     ) -> None:
-        if mean_rate_rps <= 0:
-            raise ValueError("mean_rate_rps must be positive")
+        self.mean_rate_rps = _positive_finite(mean_rate_rps, "mean_rate_rps")
         if not 0 <= amplitude < 1:
             raise ValueError("amplitude must be in [0, 1)")
-        if period_seconds <= 0:
-            raise ValueError("period_seconds must be positive")
-        self.mean_rate_rps = float(mean_rate_rps)
         self.amplitude = float(amplitude)
-        self.period_seconds = float(period_seconds)
+        self.period_seconds = _positive_finite(period_seconds, "period_seconds")
+        if not math.isfinite(phase_seconds):
+            raise ValueError("phase_seconds must be finite")
         self.phase_seconds = float(phase_seconds)
 
     def rate_at(self, t: float) -> float:
@@ -470,8 +465,7 @@ class ReplayArrivals(ArrivalProcess):
     name = "replay"
 
     def __init__(self, counts: Sequence[float], bin_seconds: float = 60.0) -> None:
-        if bin_seconds <= 0:
-            raise ValueError("bin_seconds must be positive")
+        _positive_finite(bin_seconds, "bin_seconds")
         cleaned: List[int] = []
         for index, raw in enumerate(counts):
             value = float(raw)
@@ -946,8 +940,7 @@ class DriftingTrafficModel:
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> List[RequestArrival]:
         """Generate the full request stream across every phase segment."""
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
+        _positive_finite(duration_seconds, "duration_seconds")
         requests: List[RequestArrival] = []
         for index, (phase, start, end) in enumerate(
             self.phase_bounds(duration_seconds)
@@ -977,8 +970,7 @@ class DriftingTrafficModel:
         per-element addition — so the concatenated batch is element-wise
         identical to the scalar stream, including across phase boundaries.
         """
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
+        _positive_finite(duration_seconds, "duration_seconds")
         times_parts: List[np.ndarray] = []
         scales_parts: List[np.ndarray] = []
         ids_parts: List[np.ndarray] = []

@@ -4,7 +4,7 @@ The three paper applications exercise exactly three DAG shapes, which caps
 how many serving / drift / fault / fleet scenarios the reproduction can
 explore.  This module turns workflow construction into a *generator*: four
 parameterized families of DAGs (layered, fan-out/fan-in, pipeline and
-random-DAG, à la the networkx DAG-of-functions builders used by serverless
+random-DAG, à la the DAG-of-functions builders used by serverless
 simulators), each function carrying a procedurally drawn analytic
 performance profile, bundled into a full :class:`~repro.workloads.base.
 WorkloadSpec` — SLO, base configuration and traffic profile included — so a
@@ -19,9 +19,9 @@ workload can be reconstructed from its canonical *name* alone —
 processes rebuild generated workloads from a plain string.
 
 Structural invariants are enforced by construction and re-checked by
-:class:`~repro.workflow.dag.Workflow` (networkx-backed acyclicity and weak
-connectivity); the generator additionally guarantees every DAG has a single
-source layer reaching every sink.
+:class:`~repro.workflow.dag.Workflow` (acyclicity and weak connectivity); the
+generator additionally guarantees every DAG has a single source layer
+reaching every sink.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.execution.executor import WorkflowExecutor
 from repro.perfmodel.analytic import FunctionProfile
@@ -43,7 +41,7 @@ from repro.perfmodel.profiles import (
 )
 from repro.perfmodel.registry import PerformanceModelRegistry
 from repro.utils.rng import RngStream
-from repro.workflow.dag import FunctionSpec, Workflow
+from repro.workflow.dag import FunctionSpec, Workflow, reachable
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 from repro.workflow.slo import SLO
 from repro.workloads.arrivals import TrafficProfile
@@ -180,33 +178,40 @@ def _layered_edges(
     names = [node for layer in layers for node in layer]
     order = {node: i for i, node in enumerate(names)}
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(names)
+    successors: Dict[str, List[str]] = {node: [] for node in names}
+    # Both directions of every edge, for the weakly-connected components.
+    neighbours: Dict[str, List[str]] = {node: [] for node in names}
+
+    def add_edge(parent: str, child: str) -> None:
+        successors[parent].append(child)
+        neighbours[parent].append(child)
+        neighbours[child].append(parent)
+
     for level in range(1, config.depth):
         above, layer = layers[level - 1], layers[level]
         # Every node gets one upstream parent; every parent-layer node gets
         # at least one downstream child, so no stage dangles.
         for node in layer:
-            graph.add_edge(above[rng.integers(0, len(above))], node)
+            add_edge(above[rng.integers(0, len(above))], node)
         for parent in above:
-            if graph.out_degree(parent) == 0:
-                graph.add_edge(parent, layer[rng.integers(0, len(layer))])
+            if not successors[parent]:
+                add_edge(parent, layer[rng.integers(0, len(layer))])
         for parent in above:
             for node in layer:
-                if not graph.has_edge(parent, node) and rng.uniform() < config.edge_density:
-                    graph.add_edge(parent, node)
+                if node not in successors[parent] and rng.uniform() < config.edge_density:
+                    add_edge(parent, node)
 
     # The random wiring can still split into parallel strands; stitch the
     # weakly-connected components together with forward (layer-increasing)
     # edges, which preserves acyclicity.
     while True:
-        components = sorted(
-            nx.weakly_connected_components(graph),
-            key=lambda comp: min(order[n] for n in comp),
-        )
-        if len(components) == 1:
+        # The component of the first node, then that of the first node
+        # outside it: the two components whose least nodes come first.
+        first = {names[0]} | reachable(neighbours, names[0])
+        rest = next((node for node in names if node not in first), None)
+        if rest is None:
             break
-        first, second = components[0], components[1]
+        second = {rest} | reachable(neighbours, rest)
         # One of the two components reaches strictly deeper layers than the
         # other starts at, because every node touches an adjacent layer.
         la = min(layer_of[n] for n in first)
@@ -227,8 +232,9 @@ def _layered_edges(
         sources = sorted(
             (n for n in upstream if layer_of[n] < layer_of[target]), key=order.get
         )
-        graph.add_edge(sources[rng.integers(0, len(sources))], target)
-    return names, sorted(graph.edges(), key=lambda e: (order[e[0]], order[e[1]]))
+        add_edge(sources[rng.integers(0, len(sources))], target)
+    edges = [(parent, child) for parent in names for child in successors[parent]]
+    return names, sorted(edges, key=lambda e: (order[e[0]], order[e[1]]))
 
 
 def _fanout_edges(config: ZooConfig) -> Tuple[List[str], List[Tuple[str, str]]]:
@@ -276,8 +282,8 @@ def generate_workflow(config: ZooConfig) -> Workflow:
     """Generate the workflow DAG a :class:`ZooConfig` describes.
 
     The returned :class:`~repro.workflow.dag.Workflow` re-validates
-    acyclicity and weak connectivity on a networkx graph, so a generator
-    regression cannot silently ship a broken DAG.
+    acyclicity and weak connectivity, so a generator regression cannot
+    silently ship a broken DAG.
     """
     rng = RngStream(config.seed, f"zoo/{config.family}").child("graph")
     if config.family == "layered":

@@ -50,9 +50,22 @@ class TestEventLoop:
         assert seen == [2.0]
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 class TestRequestArrival:
     def test_validation(self):
         with pytest.raises(ValueError):
             RequestArrival(arrival_time=-1.0)
         with pytest.raises(ValueError):
             RequestArrival(arrival_time=0.0, input_scale=0.0)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_arrival_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="arrival_time"):
+            RequestArrival(bad)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_non_finite_input_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="input_scale"):
+            RequestArrival(1.0, bad)

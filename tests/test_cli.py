@@ -70,6 +70,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--arrival", "tidal"])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--rate"],
+            ["serve", "--duration"],
+            ["scenarios", "--rate"],
+            ["scenarios", "--duration"],
+            ["fleet", "--duration"],
+        ],
+        ids=" ".join,
+    )
+    def test_rate_and_duration_must_be_positive_and_finite(self, argv, bad, capsys):
+        # `serve --duration nan` used to print a report of 0 offered
+        # requests, and `serve --rate inf` died in the Poisson generator.
+        verb, flag = argv
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb, f"{flag}={bad}"])
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert getattr(build_parser().parse_args([verb, flag, "2.5"]), flag[2:]) == 2.5
+
     def test_serve_rejects_negative_nodes(self, capsys):
         # A negative size used to serve on an uncapped cluster; 0 still
         # means no cluster limit.

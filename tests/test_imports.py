@@ -1,11 +1,12 @@
-"""Import guard: ``import repro`` and the model-free CLI verbs load no heavy scipy.
+"""Import guard: ``import repro`` and the CLI verbs load no heavy dependency.
 
 AARC searches without a surrogate, so only the BO baseline needs scipy: its
 GP imports ``scipy.linalg`` on the first fit and its acquisition scores
 import ``scipy.special``.  A module-level scipy import anywhere on the
-``import repro`` path would cost every process about a second of start-up,
-so this test imports the package in a fresh interpreter and checks
-``sys.modules`` after each step.
+``import repro`` path would cost every process about a second of start-up.
+networkx is a test-only dependency (the reference for the workflow DAG), so
+no step may load it, BO included.  This test imports the package in a fresh
+interpreter and checks ``sys.modules`` after each step.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("scipy.optimize", "scipy.stats", "scipy.linalg", "scipy.special")
+HEAVY = ("scipy.optimize", "scipy.stats", "scipy.linalg", "scipy.special", "networkx")
 
 #: (label, CLI arguments), run in order in one interpreter; BO comes last
 #: because it is the one step that is meant to load scipy.

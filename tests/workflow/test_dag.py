@@ -238,9 +238,3 @@ class TestPatternsAndDescribe:
         text = build_diamond().describe()
         for name in ("a", "b", "c", "d"):
             assert name in text
-
-    def test_subgraph_view_is_a_copy(self):
-        workflow = build_diamond()
-        view = workflow.subgraph_view()
-        view.remove_node("a")
-        assert "a" in workflow

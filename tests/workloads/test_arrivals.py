@@ -336,6 +336,78 @@ class TestNonFiniteTraceValidation:
                 load_trace_times(str(path))
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [NAN, INF, -INF]
+
+#: Every process that draws its timestamps from a rate, by constructor.
+RATE_PROCESSES = [
+    ConstantRateArrivals,
+    PoissonArrivals,
+    BurstyArrivals,
+    DiurnalArrivals,
+]
+
+
+class TestNonFiniteProcessValidation:
+    """NaN fails every comparison, so `rate <= 0` style checks let it
+    through; NaN and the infinities must be rejected where they enter."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("process", RATE_PROCESSES)
+    def test_rate_rejected(self, process, bad):
+        with pytest.raises(ValueError, match="rate_rps"):
+            process(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize(
+        "field", ["burst_multiplier", "mean_calm_seconds", "mean_burst_seconds"]
+    )
+    def test_bursty_multiplier_and_holding_times_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            BurstyArrivals(1.0, **{field: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["period_seconds", "phase_seconds"])
+    def test_diurnal_period_and_phase_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            DiurnalArrivals(1.0, **{field: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_replay_bin_width_rejected(self, bad):
+        with pytest.raises(ValueError, match="bin_seconds"):
+            ReplayArrivals([1, 2], bin_seconds=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize(
+        "process",
+        [
+            ConstantRateArrivals(1.0),
+            PoissonArrivals(1.0),
+            BurstyArrivals(1.0),
+            DiurnalArrivals(1.0),
+            TraceArrivals([0.0, 1.0]),
+            ReplayArrivals([1, 2], bin_seconds=10.0),
+        ],
+        ids=lambda process: process.name,
+    )
+    def test_duration_rejected(self, process, bad):
+        rng = RngStream(7)
+        with pytest.raises(ValueError, match="duration_seconds"):
+            process.arrival_times(bad, rng)
+        with pytest.raises(ValueError, match="duration_seconds"):
+            process.arrival_times_array(bad, rng)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_drifting_model_duration_rejected(self, bad):
+        model = DriftingTrafficModel(
+            [TrafficPhase("calm", 0.0, TrafficProfile(arrival="poisson", rate_rps=1.0))]
+        )
+        with pytest.raises(ValueError, match="duration_seconds"):
+            model.generate(bad, RngStream(7))
+        with pytest.raises(ValueError, match="duration_seconds"):
+            model.generate_batch(bad, RngStream(7))
+
+
 class TestClassWeightValidation:
     def test_unknown_weight_keys_rejected(self):
         with pytest.raises(ValueError) as excinfo:
