@@ -120,6 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be positive and finite")
         return value
 
+    def non_negative_float(text: str) -> float:
+        value = float(text)
+        if not 0.0 <= value < math.inf:
+            raise argparse.ArgumentTypeError("must be non-negative and finite")
+        return value
+
     def add_backend_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--backend", default="simulator", choices=list(BACKEND_NAMES),
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize deterministic service traces (--no-cache disables)",
     )
     serve.add_argument(
-        "--noise", type=float, default=0.0, metavar="CV",
+        "--noise", type=non_negative_float, default=0.0, metavar="CV",
         help="lognormal execution-noise coefficient of variation (0 = off)",
     )
     serve.add_argument(

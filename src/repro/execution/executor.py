@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import List, Optional, Tuple
 
 from repro.execution.container import ContainerPool
 from repro.execution.trace import ExecutionStatus, ExecutionTrace, FunctionExecution
@@ -110,18 +110,18 @@ class WorkflowExecutor:
             raise KeyError(f"configuration is missing functions: {missing}")
 
         trace = ExecutionTrace(workflow_name=workflow.name, input_scale=input_scale)
-        finish_times: Dict[str, float] = {}
-        failed: Dict[str, bool] = {}
+        # Indexed by position in the plan's topological order.
+        finish_times: List[float] = []
+        failed: List[bool] = []
 
-        for function_name in workflow.topological_order():
+        for function_name, predecessors in zip(workflow.plan.names, workflow.plan.preds):
             spec = workflow.function(function_name)
             config = configuration[function_name]
-            predecessors = workflow.predecessors(function_name)
             start_time = max(
                 (finish_times[p] for p in predecessors), default=float(trigger_time)
             )
 
-            if any(failed.get(p, False) for p in predecessors):
+            if any(failed[p] for p in predecessors):
                 trace.add(
                     FunctionExecution(
                         function_name=function_name,
@@ -134,8 +134,8 @@ class WorkflowExecutor:
                         input_scale=input_scale,
                     )
                 )
-                finish_times[function_name] = start_time
-                failed[function_name] = True
+                finish_times.append(start_time)
+                failed.append(True)
                 continue
 
             record = self._invoke(
@@ -147,8 +147,8 @@ class WorkflowExecutor:
                 rng.child(function_name) if rng is not None else None,
             )
             trace.add(record)
-            finish_times[function_name] = record.finish_time
-            failed[function_name] = not record.succeeded
+            finish_times.append(record.finish_time)
+            failed.append(not record.succeeded)
 
         with self._lock:
             self._executions += 1
@@ -174,7 +174,7 @@ class WorkflowExecutor:
                     function_name, config, start_time
                 )
             if cold_start:
-                cold_start_seconds = self._cold_start_latency(profile_name)
+                cold_start_seconds = self.cold_start_latency(profile_name)
         else:
             container = None
 
@@ -240,5 +240,9 @@ class WorkflowExecutor:
             return float(getattr(profile, "cold_start_seconds", 0.0))
         return 0.0
 
-    # Backwards-compatible alias (pre-serving-layer name).
-    _cold_start_latency = cold_start_latency
+    def cold_latencies(self, workflow: Workflow) -> Tuple[float, ...]:
+        """Cold-start latency of every function, aligned with ``workflow.plan.names``."""
+        return tuple(
+            self.cold_start_latency(workflow.function(name).profile_name)
+            for name in workflow.plan.names
+        )

@@ -203,20 +203,9 @@ class _TenantRuntime:
         self.pricing = self.executor.pricing
         self.slo = tenant.effective_slo()
         self.configuration = tenant.effective_configuration()
-        workflow = tenant.workload.workflow
-        self.workflow = workflow
-        self.cold_latency = {
-            spec.name: self.executor.cold_start_latency(spec.profile_name)
-            for spec in workflow.functions
-        }
-        self.topo_order: List[str] = list(workflow.topological_order())
-        self.predecessors: Dict[str, List[str]] = {
-            name: list(workflow.predecessors(name)) for name in self.topo_order
-        }
-        self.successors: Dict[str, List[str]] = {name: [] for name in self.topo_order}
-        for name, preds in self.predecessors.items():
-            for pred in preds:
-                self.successors[pred].append(name)
+        self.workflow = tenant.workload.workflow
+        #: Aligned with ``workflow.plan.names``.
+        self.cold_latency = self.executor.cold_latencies(self.workflow)
 
 
 class _NamespacedPool:
@@ -323,16 +312,14 @@ class FleetSimulator:
             rng=rng,
         )
         pool = self.container_pool if self.options.simulate_cold_starts else None
+        plan = runtime.workflow.plan
         records = trace.records
-        finish: Dict[str, float] = {}
-        waiting = {
-            name: sum(1 for p in runtime.predecessors[name] if p in records)
-            for name in runtime.topo_order
-            if name in records
-        }
+        # Indexed by position in the plan's topological order.
+        finish = [0.0] * len(plan.names)
+        waiting = [len(preds) for preds in plan.preds]
         running: Dict[str, object] = {}
         state = {
-            "remaining": len(waiting),
+            "remaining": len(plan.names),
             "completion": dispatch_time,
             "cold_count": 0,
             "cold_seconds": 0.0,
@@ -372,30 +359,27 @@ class FleetSimulator:
             )
             on_complete(outcome)
 
-        def finish_function(name: str, end: float) -> None:
-            finish[name] = end
+        def finish_function(k: int, end: float) -> None:
+            finish[k] = end
             state["completion"] = max(state["completion"], end)
             state["remaining"] -= 1
             if state["remaining"] == 0:
                 complete()
                 return
-            for successor in runtime.successors[name]:
-                if successor not in waiting:
-                    continue
+            for successor in plan.succs[k]:
                 waiting[successor] -= 1
                 if waiting[successor] == 0:
-                    start = max(
-                        finish[p] for p in runtime.predecessors[successor] if p in finish
-                    )
+                    start = max(finish[p] for p in plan.preds[successor])
                     loop.schedule(start, run_function(successor, start))
 
-        def run_function(name: str, start: float) -> Callable[[], None]:
+        def run_function(k: int, start: float) -> Callable[[], None]:
             def fire() -> None:
                 if state["dead"]:
                     return
+                name = plan.names[k]
                 record = records[name]
                 if record.status is ExecutionStatus.SKIPPED:
-                    finish_function(name, start)
+                    finish_function(k, start)
                     return
                 node = node_of.get(name)
                 multiplier = node.price_multiplier if node is not None else 1.0
@@ -407,7 +391,7 @@ class FleetSimulator:
                     )
                     container.node_name = node.name if node is not None else None
                     if cold:
-                        penalty = runtime.cold_latency[name]
+                        penalty = runtime.cold_latency[k]
                         state["cold_count"] += 1
                         state["cold_seconds"] += penalty
                 runtime_seconds = record.runtime_seconds * stretch
@@ -429,18 +413,14 @@ class FleetSimulator:
                         if record.status is not ExecutionStatus.OOM:
                             pool.release(container, end)
                     state["billed"] += cost
-                    finish_function(name, end)
+                    finish_function(k, end)
 
                 loop.schedule(end, settle)
 
             return fire
 
-        roots = [name for name, pending in waiting.items() if pending == 0]
-        if not roots:
-            loop.schedule(dispatch_time, complete)
-            return
-        for name in roots:
-            loop.schedule(dispatch_time, run_function(name, dispatch_time))
+        for k in plan.roots:
+            loop.schedule(dispatch_time, run_function(k, dispatch_time))
 
     # -- the run -------------------------------------------------------------------
     def run(self, duration_seconds: float, seed: int = 2025) -> FleetResult:
@@ -471,7 +451,7 @@ class FleetSimulator:
                 self.protection.with_priorities(
                     {tenant.name: tenant.priority for tenant in self.tenants}
                 ),
-                function_names=[],
+                None,
             )
 
         streams = {

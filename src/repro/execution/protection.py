@@ -42,6 +42,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.faults import FaultKind, InvocationOutcome
 from repro.utils.stats import nearest_rank
+from repro.workflow.dag import WorkflowPlan
 
 __all__ = [
     "REJECTION_CAUSES",
@@ -343,9 +344,8 @@ class ProtectionPolicy:
 def split_deadline(
     total_budget_seconds: float,
     runtimes: Mapping[str, float],
-    predecessors: Mapping[str, Sequence[str]],
-    topo_order: Sequence[str],
-    cold_latency: Optional[Mapping[str, float]] = None,
+    plan: WorkflowPlan,
+    cold_latency: Optional[Sequence[float]] = None,
     stage_slack: float = 1.0,
 ) -> Dict[str, float]:
     """Split an end-to-end budget into per-stage budgets along the critical path.
@@ -354,27 +354,28 @@ def split_deadline(
     ``total_budget / critical_path_length`` (so the budgets of any path
     through the DAG sum to at most the total, and the critical path sums to
     exactly it), plus its cold-start latency — a cold start must never eat
-    a stage's whole budget — times ``stage_slack``.  Functions absent from
-    ``runtimes`` (skipped stages) get no budget.
+    a stage's whole budget — times ``stage_slack``.  ``cold_latency`` is
+    aligned with ``plan.names``.  Functions absent from ``runtimes``
+    (skipped stages) get no budget.
     """
     if total_budget_seconds <= 0:
         raise ValueError("total_budget_seconds must be positive")
-    cold = cold_latency or {}
-    longest: Dict[str, float] = {}
-    for name in topo_order:
+    names = plan.names
+    cold = cold_latency if cold_latency is not None else (0.0,) * len(names)
+    longest: Dict[int, float] = {}
+    for k, name in enumerate(names):
         if name not in runtimes:
             continue
         upstream = max(
-            (longest[p] for p in predecessors.get(name, ()) if p in longest),
+            (longest[p] for p in plan.preds[k] if p in longest),
             default=0.0,
         )
-        longest[name] = upstream + max(0.0, float(runtimes[name]))
+        longest[k] = upstream + max(0.0, float(runtimes[name]))
     critical = max(longest.values(), default=0.0)
     scale = total_budget_seconds / critical if critical > 0 else 1.0
     return {
-        name: (cold.get(name, 0.0) + max(0.0, float(runtimes[name])) * scale)
-        * stage_slack
-        for name in longest
+        names[k]: (cold[k] + max(0.0, float(runtimes[names[k]])) * scale) * stage_slack
+        for k in longest
     }
 
 
@@ -507,27 +508,27 @@ class ProtectionGuard:
     (:meth:`cap_stage`), decide hedges (:meth:`hedge_delay`), and feeds it
     every finished attempt and completed request.  All state is derived
     from event times — the guard draws no randomness of its own.
+
+    ``plan`` is the served workflow's topology; breakers and stage budgets
+    need it, so a guard built with ``None`` (the fleet's) only vets
+    arrivals.  ``cold_latency`` is aligned with ``plan.names``.
     """
 
     def __init__(
         self,
         policy: ProtectionPolicy,
-        function_names: Sequence[str],
+        plan: Optional[WorkflowPlan],
         slo_limit_seconds: Optional[float] = None,
-        cold_latency: Optional[Mapping[str, float]] = None,
-        topo_order: Optional[Sequence[str]] = None,
-        predecessors: Optional[Mapping[str, Sequence[str]]] = None,
+        cold_latency: Optional[Sequence[float]] = None,
     ) -> None:
         self.policy = policy
         self.slo_limit_seconds = slo_limit_seconds
-        self._cold_latency = dict(cold_latency or {})
-        self._topo_order = list(topo_order or function_names)
-        self._predecessors = {
-            name: list(preds) for name, preds in (predecessors or {}).items()
-        }
+        self._plan = plan
+        self._cold_latency = cold_latency
+        # In topological order, so admission probes the breakers in that order.
         self._breakers: Dict[str, _Breaker] = (
-            {name: _Breaker(policy.breaker) for name in function_names}
-            if policy.breaker is not None
+            {name: _Breaker(policy.breaker) for name in plan.names}
+            if policy.breaker is not None and plan is not None
             else {}
         )
         shed = policy.shedding
@@ -623,9 +624,8 @@ class ProtectionGuard:
     ) -> Optional[str]:
         """Vet one arrival; returns the rejection cause, or ``None`` to admit."""
         self._observe_queue(now, queue_len)
-        for name in self._topo_order:
-            breaker = self._breakers.get(name)
-            if breaker is not None and not breaker.allow(now):
+        for breaker in self._breakers.values():
+            if not breaker.allow(now):
                 return "breaker"
         if self.shed_level > 0 and (
             self._priorities.get(input_class, 0) < self.shed_level
@@ -707,8 +707,7 @@ class ProtectionGuard:
         return split_deadline(
             total,
             runtimes,
-            self._predecessors,
-            self._topo_order,
+            self._plan,
             cold_latency=self._cold_latency,
             stage_slack=deadline.stage_slack,
         )

@@ -482,21 +482,9 @@ class ServingSimulator:
         self.options = options if options is not None else ServingOptions()
         self.faults = faults
         self.protection = protection
-        # The workflow is fixed for the simulator's lifetime: resolve the
-        # per-function cold-start latencies, topological order and adjacency
-        # once instead of on the per-request hot path.
-        self._cold_latency = {
-            spec.name: executor.cold_start_latency(spec.profile_name)
-            for spec in workflow.functions
-        }
-        self._topo_order: List[str] = list(workflow.topological_order())
-        self._predecessors: Dict[str, List[str]] = {
-            name: list(workflow.predecessors(name)) for name in self._topo_order
-        }
-        self._successors: Dict[str, List[str]] = {name: [] for name in self._topo_order}
-        for name, preds in self._predecessors.items():
-            for pred in preds:
-                self._successors[pred].append(name)
+        # Aligned with ``workflow.plan.names``, resolved once instead of on
+        # the per-request hot path.
+        self._cold_latency = executor.cold_latencies(workflow)
 
     # -- service-time reconstruction ---------------------------------------------
     def _launch(
@@ -525,23 +513,21 @@ class ServingSimulator:
             rng=rng,
         )
         pool = self.container_pool if self.options.simulate_cold_starts else None
+        plan = self.workflow.plan
         records = trace.records
-        finish: Dict[str, float] = {}
-        waiting = {
-            name: sum(1 for p in self._predecessors[name] if p in records)
-            for name in self._topo_order
-            if name in records
-        }
+        # Indexed by position in the plan's topological order.
+        finish = [0.0] * len(plan.names)
+        waiting = [len(preds) for preds in plan.preds]
         state = {
-            "remaining": len(waiting),
+            "remaining": len(plan.names),
             "completion": dispatch_time,
             "cold_count": 0,
             "cold_seconds": 0.0,
             "extra_cost": 0.0,
         }
 
-        def finish_function(name: str, end: float) -> None:
-            finish[name] = end
+        def finish_function(k: int, end: float) -> None:
+            finish[k] = end
             state["completion"] = max(state["completion"], end)
             state["remaining"] -= 1
             if state["remaining"] == 0:
@@ -559,28 +545,25 @@ class ServingSimulator:
                 )
                 loop.schedule(state["completion"], lambda: on_complete(outcome))
                 return
-            for successor in self._successors[name]:
-                if successor not in waiting:
-                    continue
+            for successor in plan.succs[k]:
                 waiting[successor] -= 1
                 if waiting[successor] == 0:
-                    start = max(
-                        finish[p] for p in self._predecessors[successor] if p in finish
-                    )
+                    start = max(finish[p] for p in plan.preds[successor])
                     loop.schedule(start, run_function(successor, start))
 
-        def run_function(name: str, start: float) -> Callable[[], None]:
+        def run_function(k: int, start: float) -> Callable[[], None]:
             def fire() -> None:
+                name = plan.names[k]
                 record = records[name]
                 if record.status is ExecutionStatus.SKIPPED:
-                    finish_function(name, start)
+                    finish_function(k, start)
                     return
                 penalty = 0.0
                 container = None
                 if pool is not None:
                     container, cold = pool.acquire(name, record.config, start)
                     if cold:
-                        penalty = self._cold_latency[name]
+                        penalty = self._cold_latency[k]
                         state["cold_count"] += 1
                         state["cold_seconds"] += penalty
                 end = start + penalty + record.runtime_seconds
@@ -602,31 +585,12 @@ class ServingSimulator:
                     ) - self.executor.pricing.invocation_cost(
                         record.runtime_seconds, record.config
                     )
-                finish_function(name, end)
+                finish_function(k, end)
 
             return fire
 
-        roots = [name for name, pending in waiting.items() if pending == 0]
-        if not roots:
-            # Degenerate empty trace: complete immediately with zero work.
-            loop.schedule(
-                dispatch_time,
-                lambda: on_complete(
-                    ServedRequest(
-                        index=index,
-                        request=request,
-                        configuration=configuration,
-                        dispatch_time=dispatch_time,
-                        completion_time=dispatch_time,
-                        cost=trace.total_cost,
-                        succeeded=trace.succeeded,
-                        service_trace=trace,
-                    )
-                ),
-            )
-            return
-        for name in roots:
-            loop.schedule(dispatch_time, run_function(name, dispatch_time))
+        for k in plan.roots:
+            loop.schedule(dispatch_time, run_function(k, dispatch_time))
 
     # -- fault-injecting service replay --------------------------------------------
     def _launch_faulty(
@@ -678,6 +642,7 @@ class ServingSimulator:
         )
         pool = self.container_pool if self.options.simulate_cold_starts else None
         pricing = self.executor.pricing
+        plan = self.workflow.plan
         records = trace.records
         incarnation = carry.restarts
         row = carry.row
@@ -695,15 +660,12 @@ class ServingSimulator:
         base_invocations = sum(
             1 for r in records.values() if r.status is not ExecutionStatus.SKIPPED
         )
-        finish: Dict[str, float] = {}
-        waiting = {
-            name: sum(1 for p in self._predecessors[name] if p in records)
-            for name in self._topo_order
-            if name in records
-        }
+        # Indexed by position in the plan's topological order.
+        finish = [0.0] * len(plan.names)
+        waiting = [len(preds) for preds in plan.preds]
         state = {
             "dead": False,
-            "remaining": len(waiting),
+            "remaining": len(plan.names),
             "completion": dispatch_time,
         }
         # Attempts currently in flight (with or without a container) and the
@@ -751,21 +713,20 @@ class ServingSimulator:
             )
 
         def finish_function(name: str, end: float) -> None:
-            finish[name] = end
+            k = plan.index[name]
+            finish[k] = end
             state["completion"] = max(state["completion"], end)
             state["remaining"] -= 1
             if state["remaining"] == 0:
                 complete_request()
                 return
-            for successor in self._successors[name]:
-                if successor not in waiting:
-                    continue
+            for successor in plan.succs[k]:
                 waiting[successor] -= 1
                 if waiting[successor] == 0:
-                    start = max(
-                        finish[p] for p in self._predecessors[successor] if p in finish
+                    start = max(finish[p] for p in plan.preds[successor])
+                    loop.schedule(
+                        start, start_function(plan.names[successor], start, 1)
                     )
-                    loop.schedule(start, start_function(successor, start, 1))
 
         def settle_completed(
             name: str, end: float, outcome: InvocationOutcome, record,
@@ -862,7 +823,7 @@ class ServingSimulator:
                 if pool is not None:
                     h_container, cold = pool.acquire(name, record.config, h_start)
                     if cold:
-                        penalty = self._cold_latency[name]
+                        penalty = self._cold_latency[plan.index[name]]
                         carry.cold_count += 1
                         carry.cold_seconds += penalty
                 carry.attempts += 1
@@ -1023,7 +984,7 @@ class ServingSimulator:
                 if record.status is ExecutionStatus.SKIPPED:
                     finish_function(name, start)
                     return
-                if any(p in failed for p in self._predecessors[name]):
+                if any(plan.names[p] in failed for p in plan.preds[plan.index[name]]):
                     # Upstream terminal (injected) failure: skip this work too.
                     failed.add(name)
                     finish_function(name, start)
@@ -1033,7 +994,7 @@ class ServingSimulator:
                 if pool is not None:
                     container, cold = pool.acquire(name, record.config, start)
                     if cold:
-                        penalty = self._cold_latency[name]
+                        penalty = self._cold_latency[plan.index[name]]
                         carry.cold_count += 1
                         carry.cold_seconds += penalty
                 carry.attempts += 1
@@ -1122,12 +1083,8 @@ class ServingSimulator:
 
         register_abort(index, abort)
 
-        roots = [name for name, pending in waiting.items() if pending == 0]
-        if not roots:
-            complete_request()
-            return
-        for name in roots:
-            loop.schedule(dispatch_time, start_function(name, dispatch_time, 1))
+        for k in plan.roots:
+            loop.schedule(dispatch_time, start_function(plan.names[k], dispatch_time, 1))
 
     # -- the event-driven run ------------------------------------------------------
     def run(
@@ -1190,13 +1147,11 @@ class ServingSimulator:
         guard = (
             ProtectionGuard(
                 policy,
-                function_names=self._topo_order,
+                self.workflow.plan,
                 slo_limit_seconds=(
                     self.slo.latency_limit if self.slo is not None else None
                 ),
                 cold_latency=self._cold_latency,
-                topo_order=self._topo_order,
-                predecessors=self._predecessors,
             )
             if policy is not None and not policy.is_empty
             else None
@@ -1206,7 +1161,7 @@ class ServingSimulator:
             injector = FaultInjector(
                 plan,
                 fault_rng,
-                function_names=self._topo_order,
+                function_names=self.workflow.plan.names,
                 hedging=guard is not None and policy.hedging is not None,
             )
         elif guard is not None:

@@ -83,62 +83,37 @@ _COMPLETE = 3
 class _Template:
     """Per-(configuration, input-scale) service-trace template.
 
-    Everything the scalar engine derives per request from the evaluated
-    trace — topological function order, per-function runtimes/configs/
-    predecessor sets, cold-start penalty and its billing delta — resolved
-    once per cohort.  Function identity is a dense index into ``names``
-    (topologically ordered, filtered to the trace's records), matching the
-    scalar engine's ``waiting`` dict iteration order exactly.
+    The per-function values the scalar engine reads from the evaluated
+    trace — status, runtime, config and cold-start billing delta — resolved
+    once per cohort.  Each list is aligned with the workflow plan's
+    ``names``, so a function's position is its index in the topological
+    order, exactly as in the scalar engine's launch path.
     """
 
     __slots__ = (
         "trace",
-        "names",
-        "index",
         "statuses",
         "runtimes",
         "configs",
-        "penalties",
         "deltas",
-        "preds",
-        "succs",
-        "waiting0",
-        "roots",
         "base_cost",
         "succeeded",
     )
 
     def __init__(self, simulator: ServingSimulator, trace) -> None:
-        records = trace.records
-        names = [name for name in simulator._topo_order if name in records]
-        index = {name: position for position, name in enumerate(names)}
-        preds = [
-            [index[p] for p in simulator._predecessors[name] if p in records]
-            for name in names
-        ]
-        succs: List[List[int]] = [[] for _ in names]
-        for position, plist in enumerate(preds):
-            for p in plist:
-                succs[p].append(position)
+        records = [trace.records[name] for name in simulator.workflow.plan.names]
         pricing = simulator.executor.pricing
         self.trace = trace
-        self.names = names
-        self.index = index
-        self.preds = preds
-        self.succs = succs
-        self.waiting0 = [len(plist) for plist in preds]
-        self.roots = [k for k, w in enumerate(self.waiting0) if w == 0]
-        self.statuses = [records[name].status for name in names]
-        self.runtimes = [records[name].runtime_seconds for name in names]
-        self.configs = [records[name].config for name in names]
-        self.penalties = [simulator._cold_latency[name] for name in names]
+        self.statuses = [record.status for record in records]
+        self.runtimes = [record.runtime_seconds for record in records]
+        self.configs = [record.config for record in records]
         # Cold-start billing is deterministic per (runtime, penalty, config):
         # precompute the scalar engine's invocation-cost difference once.
         self.deltas = [
             pricing.invocation_cost(runtime + penalty, config)
             - pricing.invocation_cost(runtime, config)
             for runtime, penalty, config in zip(
-                self.runtimes, self.penalties, self.configs
+                self.runtimes, simulator._cold_latency, self.configs
             )
         ]
         self.base_cost = trace.total_cost
@@ -150,7 +125,7 @@ class BatchedServingSimulator:
 
     Accepts the same construction arguments as :class:`ServingSimulator`
     and wraps one internally — both for the fallback paths (faults, noise,
-    adaptive control, autoscaling) and to reuse its precomputed topology.
+    adaptive control, autoscaling) and to reuse its cold-start latencies.
     """
 
     def __init__(
@@ -333,8 +308,9 @@ class BatchedServingSimulator:
             np.nonzero(template_of == t)[0] for t in range(len(templates))
         ]
         arrivals_of = [arrivals[idx] for idx in requests_of]
+        plan = scalar.workflow.plan
         finishes: List[List[Optional[np.ndarray]]] = [
-            [None] * len(tpl.names) for tpl in templates
+            [None] * len(plan.names) for _ in templates
         ]
         cold_count = np.zeros(n, dtype=np.int64)
         cold_seconds = np.zeros(n, dtype=np.float64)
@@ -344,21 +320,17 @@ class BatchedServingSimulator:
         cold_batches: List[Tuple[np.ndarray, np.ndarray, float, float, int]] = []
         pool_cold = pool_warm = pool_evicted = 0
 
-        for topo_position, name in enumerate(scalar._topo_order):
-            # One participant per template containing this function, with the
-            # cohort's start times (arrival for roots, max of predecessor
-            # finishes otherwise — max is order-free, so elementwise works).
+        for k, preds in enumerate(plan.preds):
+            # One participant per template, with the cohort's start times
+            # (arrival for roots, max of predecessor finishes otherwise — max
+            # is order-free, so elementwise works).
             participants = []
             for t, tpl in enumerate(templates):
-                k = tpl.index.get(name)
-                if k is None or requests_of[t].size == 0:
-                    continue
-                plist = tpl.preds[k]
-                if not plist:
+                if not preds:
                     starts = arrivals_of[t]
                 else:
-                    starts = finishes[t][plist[0]]
-                    for p in plist[1:]:
+                    starts = finishes[t][preds[0]]
+                    for p in preds[1:]:
                         starts = np.maximum(starts, finishes[t][p])
                 if tpl.statuses[k] is ExecutionStatus.SKIPPED:
                     finishes[t][k] = starts
@@ -366,21 +338,19 @@ class BatchedServingSimulator:
                 if pool is None:
                     finishes[t][k] = starts + tpl.runtimes[k]
                     continue
-                participants.append(
-                    (t, k, starts, tpl.statuses[k] is ExecutionStatus.OOM)
-                )
+                participants.append((t, starts, tpl.statuses[k] is ExecutionStatus.OOM))
             if not participants:
                 continue
             cold, evicted, warm, flags_of = self._sweep_function(
-                name, templates, participants, finishes, pool
+                k, templates, participants, finishes, pool
             )
             pool_cold += cold
             pool_evicted += evicted
             pool_warm += warm
-            for (t, k, starts, _), flags in zip(participants, flags_of):
+            penalty = scalar._cold_latency[k]
+            for (t, starts, _), flags in zip(participants, flags_of):
                 if flags.any():
                     indices = requests_of[t][flags]
-                    penalty = templates[t].penalties[k]
                     delta = templates[t].deltas[k]
                     # One event per request per function: fancy-index adds
                     # are duplicate-free (2-term float sums are commutative;
@@ -388,21 +358,16 @@ class BatchedServingSimulator:
                     cold_count[indices] += 1
                     cold_seconds[indices] += penalty
                     extra_cost[indices] += delta
-                    cold_batches.append(
-                        (indices, starts[flags], penalty, delta, topo_position)
-                    )
+                    cold_batches.append((indices, starts[flags], penalty, delta, k))
 
         self._fix_multi_cold(cold_count, cold_seconds, extra_cost, cold_batches)
 
         completion = arrivals.copy()
-        for t, tpl in enumerate(templates):
-            idx = requests_of[t]
-            if idx.size == 0 or not tpl.names:
-                continue
+        for t, cohort_finishes in enumerate(finishes):
             cohort_completion = arrivals_of[t]
-            for k in range(len(tpl.names)):
-                cohort_completion = np.maximum(cohort_completion, finishes[t][k])
-            completion[idx] = cohort_completion
+            for finish in cohort_finishes:
+                cohort_completion = np.maximum(cohort_completion, finish)
+            completion[requests_of[t]] = cohort_completion
 
         base_cost = np.asarray(
             [tpl.base_cost for tpl in templates], dtype=np.float64
@@ -446,15 +411,17 @@ class BatchedServingSimulator:
 
     def _sweep_function(
         self,
-        name: str,
+        k: int,
         templates: List[_Template],
-        participants: List[Tuple[int, int, np.ndarray, bool]],
+        participants: List[Tuple[int, np.ndarray, bool]],
         finishes: List[List[Optional[np.ndarray]]],
         pool: ContainerPool,
     ) -> Tuple[int, int, int, List[np.ndarray]]:
         """Replay one function's pool bucket over all cohorts' start events.
 
-        Stores the per-participant finish arrays in ``finishes`` and
+        ``k`` is the function's position in the workflow plan and each
+        participant is ``(template, start times, OOM-killed)``.  Stores the
+        per-participant finish arrays in ``finishes`` and
         returns ``(cold_starts, evictions, warm_hits, cold_flags)`` with
         one boolean flag array per participant.  Single-configuration
         buckets (the common case) reduce to an exact LIFO deque of
@@ -462,7 +429,7 @@ class BatchedServingSimulator:
         :class:`ContainerPool`, keeping the MRU/expiry/capacity contract by
         construction.
         """
-        start_arrays = [p[2] for p in participants]
+        start_arrays = [p[1] for p in participants]
         sizes = [s.size for s in start_arrays]
         merged = (
             np.concatenate(start_arrays) if len(start_arrays) > 1 else start_arrays[0]
@@ -474,10 +441,10 @@ class BatchedServingSimulator:
         order = np.argsort(merged, kind="stable")
         start_sorted = merged[order].tolist()
         owner_sorted = owner[order].tolist()
-        runtime_of = [templates[t].runtimes[k] for t, k, _, _ in participants]
-        config_of = [templates[t].configs[k] for t, k, _, _ in participants]
-        oom_of = [oom for _, _, _, oom in participants]
-        penalty = templates[participants[0][0]].penalties[participants[0][1]]
+        runtime_of = [templates[t].runtimes[k] for t, _, _ in participants]
+        config_of = [templates[t].configs[k] for t, _, _ in participants]
+        oom_of = [oom for _, _, oom in participants]
+        penalty = self._scalar._cold_latency[k]
         total = merged.size
         cold_flags = [False] * total
         end_sorted = [0.0] * total
@@ -524,6 +491,7 @@ class BatchedServingSimulator:
         else:
             # Mixed configurations (input-aware cohorts): drive a real pool
             # replica so exact-config matching keeps ContainerPool semantics.
+            name = self.workflow.plan.names[k]
             replica = ContainerPool(keep_alive, capacity)
             tie = itertools.count()
             releases: List[Tuple[float, int, object]] = []
@@ -553,7 +521,7 @@ class BatchedServingSimulator:
         flags[order] = np.asarray(cold_flags, dtype=bool)
         flags_of: List[np.ndarray] = []
         offset = 0
-        for (t, k, _, _), size in zip(participants, sizes):
+        for (t, _, _), size in zip(participants, sizes):
             finishes[t][k] = ends[offset : offset + size]
             flags_of.append(flags[offset : offset + size])
             offset += size
@@ -654,6 +622,10 @@ class BatchedServingSimulator:
             [r.arrival_time for r in request_list], _ARRIVAL
         )
         release_slots: List[Tuple[object, float]] = []
+        plan = scalar.workflow.plan
+        names, preds_of, succs_of = plan.names, plan.preds, plan.succs
+        penalties = scalar._cold_latency
+        in_degree = [len(preds) for preds in preds_of]
         # Per-request launch state, indexed by request.
         dispatch_at = [0.0] * n
         completion_at = [0.0] * n
@@ -665,16 +637,12 @@ class BatchedServingSimulator:
         remaining = [0] * n
 
         def launch(i: int, dispatch_time: float) -> None:
-            tpl = templates[template_of[i]]
             dispatch_at[i] = dispatch_time
             completion_at[i] = dispatch_time
-            if not tpl.roots:
-                calendar.push(dispatch_time, _COMPLETE, i)
-                return
-            finish_of[i] = [0.0] * len(tpl.names)
-            waiting_of[i] = tpl.waiting0.copy()
-            remaining[i] = len(tpl.names)
-            for k in tpl.roots:
+            finish_of[i] = [0.0] * len(names)
+            waiting_of[i] = in_degree.copy()
+            remaining[i] = len(names)
+            for k in plan.roots:
                 calendar.push(dispatch_time, _START, i, k)
 
         def try_dispatch() -> None:
@@ -701,10 +669,10 @@ class BatchedServingSimulator:
                     container = None
                     if pool is not None:
                         container, is_cold = pool.acquire(
-                            tpl.names[b], tpl.configs[b], now
+                            names[b], tpl.configs[b], now
                         )
                         if is_cold:
-                            penalty = tpl.penalties[b]
+                            penalty = penalties[b]
                             colds[a] += 1
                             cold_secs[a] += penalty
                     end = now + penalty + tpl.runtimes[b]
@@ -723,10 +691,10 @@ class BatchedServingSimulator:
                     calendar.push(completion_at[a], _COMPLETE, a)
                 else:
                     waiting = waiting_of[a]
-                    for s in tpl.succs[b]:
+                    for s in succs_of[b]:
                         waiting[s] -= 1
                         if waiting[s] == 0:
-                            plist = tpl.preds[s]
+                            plist = preds_of[s]
                             start = finish[plist[0]]
                             for p in plist[1:]:
                                 value = finish[p]

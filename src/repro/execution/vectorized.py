@@ -1,8 +1,8 @@
 """Vectorized execution substrate: whole batches in one array pass.
 
 The scalar :class:`~repro.execution.executor.WorkflowExecutor` walks the DAG
-once per configuration; a 4 096-point grid sweep therefore re-sorts the DAG,
-re-resolves predecessors and re-estimates every function 4 096 times.  The
+once per configuration; a 4 096-point grid sweep therefore walks the DAG and
+re-estimates every function 4 096 times.  The
 :class:`VectorizedBackend` here replays the exact same simulation semantics —
 dependency-ordered start times, OOM kills, downstream skips, failed-invocation
 billing and decoupled pricing — but over *all* submitted configurations at
@@ -66,15 +66,11 @@ _STATUS_BY_CODE = {
 
 @dataclass(frozen=True)
 class _WorkflowPlan:
-    """Pre-resolved DAG structure shared by every batch of one workflow."""
+    """A workflow with the batch kernels of its functions."""
 
     workflow: Workflow
-    #: Function names in the executor's deterministic topological order.
-    names: Tuple[str, ...]
-    #: Batch kernel of each function, aligned with ``names``.
+    #: Batch kernel of each function, aligned with ``workflow.plan.names``.
     kernels: Tuple[VectorizedFunctionKernel, ...]
-    #: Predecessor positions (indices into ``names``) of each function.
-    predecessors: Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -200,10 +196,8 @@ class VectorizedWorkflowEngine:
         return plan
 
     def _build_plan(self, workflow: Workflow) -> Optional[_WorkflowPlan]:
-        names = tuple(workflow.topological_order())
-        position = {name: index for index, name in enumerate(names)}
         kernels: List[VectorizedFunctionKernel] = []
-        for name in names:
+        for name in workflow.plan.names:
             spec = workflow.function(name)
             try:
                 model = self.executor.performance_model.function_model(spec.profile_name)
@@ -213,15 +207,7 @@ class VectorizedWorkflowEngine:
             if kernel is None:
                 return None
             kernels.append(kernel)
-        predecessors = tuple(
-            tuple(position[p] for p in workflow.predecessors(name)) for name in names
-        )
-        return _WorkflowPlan(
-            workflow=workflow,
-            names=names,
-            kernels=tuple(kernels),
-            predecessors=predecessors,
-        )
+        return _WorkflowPlan(workflow=workflow, kernels=tuple(kernels))
 
     # -- batch evaluation -------------------------------------------------------
     def evaluate_allocations(
@@ -242,6 +228,7 @@ class VectorizedWorkflowEngine:
         n_configs, n_functions = allocations.shape[0], allocations.shape[1]
         pricing = self.executor.pricing
         charge_failed = self.executor.options.charge_failed_invocations
+        predecessors = plan.workflow.plan.preds
 
         start = np.zeros((n_configs, n_functions))
         finish = np.zeros((n_configs, n_functions))
@@ -261,7 +248,7 @@ class VectorizedWorkflowEngine:
                 + pricing.price_per_mb_second * memory
             )
 
-            preds = plan.predecessors[j]
+            preds = predecessors[j]
             if preds:
                 start_j = finish[:, preds[0]].copy()
                 for p in preds[1:]:
@@ -315,12 +302,13 @@ class VectorizedWorkflowEngine:
         plan: _WorkflowPlan, configurations: Sequence[WorkflowConfiguration]
     ) -> np.ndarray:
         """Stack configurations into the ``(N, F, 2)`` kernel input layout."""
-        allocations = np.empty((len(configurations), len(plan.names), 2))
+        names = plan.workflow.plan.names
+        allocations = np.empty((len(configurations), len(names), 2))
         try:
             # Column-wise fill with flat attribute comprehensions: this runs
             # N·F times per batch, and avoiding per-pair tuple allocation
             # measurably speeds up large sweeps.
-            for j, name in enumerate(plan.names):
+            for j, name in enumerate(names):
                 column = [configuration[name] for configuration in configurations]
                 allocations[:, j, 0] = [config.vcpu for config in column]
                 allocations[:, j, 1] = [config.memory_mb for config in column]
@@ -359,7 +347,7 @@ class VectorizedWorkflowEngine:
             LazyExecutionTrace(
                 workflow_name=workflow_name,
                 input_scale=input_scale,
-                names=plan.names,
+                names=plan.workflow.plan.names,
                 configuration=configuration,
                 start_row=start[i],
                 finish_row=finish[i],

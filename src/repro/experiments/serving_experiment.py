@@ -15,6 +15,7 @@ per request and cluster utilization.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -183,6 +184,12 @@ class ServingSettings:
     rollout: str = "canary"
     rollout_options: Optional[Mapping[str, object]] = None
     controller: Optional[ControllerOptions] = None
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.noise_cv < math.inf:
+            raise ValueError(
+                f"noise_cv must be non-negative and finite, got {self.noise_cv}"
+            )
 
 
 @dataclass

@@ -9,6 +9,7 @@ for searches) or with calibrated noise (for the Table II robustness study).
 from __future__ import annotations
 
 import abc
+import math
 from typing import Optional
 
 from repro.utils.rng import RngStream
@@ -42,8 +43,11 @@ class LognormalNoise(NoiseModel):
     """
 
     def __init__(self, coefficient_of_variation: float = 0.02) -> None:
-        if coefficient_of_variation < 0:
-            raise ValueError("coefficient_of_variation must be non-negative")
+        if not 0 <= coefficient_of_variation < math.inf:
+            raise ValueError(
+                "coefficient_of_variation must be non-negative and finite, "
+                f"got {coefficient_of_variation}"
+            )
         self.coefficient_of_variation = float(coefficient_of_variation)
 
     def sample(self, rng: Optional[RngStream]) -> float:
@@ -63,8 +67,8 @@ class GaussianNoise(NoiseModel):
     """
 
     def __init__(self, std: float = 0.02, min_factor: float = 0.5) -> None:
-        if std < 0:
-            raise ValueError("std must be non-negative")
+        if not 0 <= std < math.inf:
+            raise ValueError(f"std must be non-negative and finite, got {std}")
         if not 0 < min_factor <= 1:
             raise ValueError("min_factor must lie in (0, 1]")
         self.std = float(std)

@@ -1,11 +1,11 @@
 """Serverless workflow DAG substrate.
 
 A workflow is a directed acyclic graph of serverless functions.  This package
-provides the data model (:class:`FunctionSpec`, :class:`Workflow`), resource
-configuration containers (:class:`ResourceConfig`,
-:class:`WorkflowConfiguration`), SLO objects, pattern builders for the DAG
-shapes used in the paper (chain / scatter / broadcast) and JSON
-(de)serialization.
+provides the data model (:class:`FunctionSpec`, :class:`Workflow` and its
+:class:`WorkflowPlan`), resource configuration containers
+(:class:`ResourceConfig`, :class:`WorkflowConfiguration`), SLO objects,
+pattern builders for the DAG shapes used in the paper (chain / scatter /
+broadcast) and JSON (de)serialization.
 """
 
 from repro.workflow.resources import (
@@ -13,7 +13,7 @@ from repro.workflow.resources import (
     WorkflowConfiguration,
     coupled_cpu_for_memory,
 )
-from repro.workflow.dag import FunctionSpec, Workflow, WorkflowValidationError
+from repro.workflow.dag import FunctionSpec, Workflow, WorkflowPlan, WorkflowValidationError
 from repro.workflow.slo import SLO, SLOViolation
 from repro.workflow.patterns import (
     chain_workflow,
@@ -36,6 +36,7 @@ __all__ = [
     "coupled_cpu_for_memory",
     "FunctionSpec",
     "Workflow",
+    "WorkflowPlan",
     "WorkflowValidationError",
     "SLO",
     "SLOViolation",

@@ -11,6 +11,10 @@ The graph is kept as insertion-ordered adjacency dicts (successors and
 predecessors of every function).  :func:`reachable` and :func:`simple_paths`
 work on any such ``node -> successors`` mapping, so the detour search and the
 workload zoo share this module's graph format.
+
+A workflow is immutable: its constructor checks the graph once and resolves
+the topology into a :class:`WorkflowPlan`, which every execution engine reads
+instead of re-deriving the order and adjacency itself.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-__all__ = ["FunctionSpec", "Workflow", "WorkflowValidationError", "reachable", "simple_paths"]
+__all__ = [
+    "FunctionSpec",
+    "Workflow",
+    "WorkflowPlan",
+    "WorkflowValidationError",
+    "reachable",
+    "simple_paths",
+]
 
 
 class WorkflowValidationError(ValueError):
@@ -101,8 +112,31 @@ class FunctionSpec:
         return self.profile if self.profile is not None else self.name
 
 
+@dataclass(frozen=True)
+class WorkflowPlan:
+    """A workflow's topology as positions in its topological order.
+
+    Built once by the :class:`Workflow` constructor.  A function's position
+    is its index in ``names``; ``preds``, ``succs`` and ``roots`` hold
+    positions.
+    """
+
+    #: Function names in the deterministic topological order.
+    names: Tuple[str, ...]
+    #: Name to position (inverts ``names``).
+    index: Mapping[str, int]
+    #: Positions of each function's predecessors, in name order of the
+    #: predecessors (the order :meth:`Workflow.longest_path` breaks ties in).
+    preds: Tuple[Tuple[int, ...], ...]
+    #: Positions of each function's successors, ascending (the order the
+    #: serving engines schedule successors that become ready together).
+    succs: Tuple[Tuple[int, ...], ...]
+    #: Ascending positions of the functions without predecessors.
+    roots: Tuple[int, ...]
+
+
 class Workflow:
-    """A DAG of serverless functions.
+    """An immutable DAG of serverless functions.
 
     Parameters
     ----------
@@ -111,7 +145,12 @@ class Workflow:
     functions:
         The function specifications (order is preserved for reporting).
     edges:
-        ``(upstream, downstream)`` pairs referencing function names.
+        ``(upstream, downstream)`` pairs referencing function names; a
+        repeated edge changes nothing.
+
+    The constructor rejects self-loops, cycles and disconnected graphs, and
+    builds :attr:`plan`.  There is no way to add an edge afterwards: build a
+    new workflow instead.
     """
 
     def __init__(
@@ -131,15 +170,14 @@ class Workflow:
         # Adjacency in insertion order; the inner dicts are ordered sets.
         self._succ: Dict[str, Dict[str, None]] = {name: {} for name in self._functions}
         self._pred: Dict[str, Dict[str, None]] = {name: {} for name in self._functions}
-        # Topology caches, filled on first query and dropped by add_edge.
-        self._order: Optional[List[str]] = None
-        self._preds: Optional[Dict[str, List[str]]] = None
         for upstream, downstream in edges:
-            self.add_edge(upstream, downstream)
-        self.validate()
+            self._add_edge(upstream, downstream)
+        self._validate()
+        #: The topology every engine reads; the workflow never changes after this.
+        self.plan = self._build_plan()
 
     # -- construction ------------------------------------------------------
-    def add_edge(self, upstream: str, downstream: str) -> None:
+    def _add_edge(self, upstream: str, downstream: str) -> None:
         """Add a dependency edge ``upstream -> downstream``.
 
         Adding an edge that already exists changes nothing.
@@ -157,16 +195,13 @@ class Workflow:
             raise WorkflowValidationError(
                 f"edge {upstream!r} -> {downstream!r} would create a cycle"
             )
-        self._order = None
-        self._preds = None
         self._succ[upstream][downstream] = None
         self._pred[downstream][upstream] = None
 
-    def validate(self) -> None:
-        """Check structural invariants; raise :class:`WorkflowValidationError`."""
+    def _validate(self) -> None:
+        """Check that the graph is non-empty and weakly connected."""
         if len(self._functions) == 0:
             raise WorkflowValidationError("workflow must contain at least one function")
-        self._topological_order()  # raises on a cycle
         if self.n_edges > 0:
             neighbours = {
                 name: list(self._succ[name]) + list(self._pred[name])
@@ -177,6 +212,37 @@ class Workflow:
                 raise WorkflowValidationError(
                     "workflow graph must be weakly connected (got disconnected components)"
                 )
+
+    def _build_plan(self) -> WorkflowPlan:
+        """Resolve the topology to positions in the topological order.
+
+        Kahn's algorithm that always emits the ready function inserted
+        first, so the order equals networkx's
+        ``lexicographical_topological_sort`` keyed by insertion rank.  It
+        reaches every function because :meth:`_add_edge` refuses cycles.
+        """
+        names = list(self._functions)
+        rank = {name: i for i, name in enumerate(names)}
+        waiting = {name: len(preds) for name, preds in self._pred.items()}
+        # Ascending ranks, so the list is already a heap.
+        ready = [rank[name] for name in names if waiting[name] == 0]
+        order: List[str] = []
+        while ready:
+            node = names[heapq.heappop(ready)]
+            order.append(node)
+            for child in self._succ[node]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    heapq.heappush(ready, rank[child])
+        index = {name: k for k, name in enumerate(order)}
+        preds = tuple(tuple(index[p] for p in sorted(self._pred[name])) for name in order)
+        return WorkflowPlan(
+            names=tuple(order),
+            index=index,
+            preds=preds,
+            succs=tuple(tuple(sorted(index[s] for s in self._succ[name])) for name in order),
+            roots=tuple(k for k, upstream in enumerate(preds) if not upstream),
+        )
 
     # -- basic accessors -----------------------------------------------------
     @property
@@ -221,10 +287,11 @@ class Workflow:
     def predecessors(self, name: str) -> List[str]:
         """Direct upstream dependencies of a function, sorted by name."""
         self.function(name)
-        return list(self._sorted_predecessors()[name])
+        names = self.plan.names
+        return [names[p] for p in self.plan.preds[self.plan.index[name]]]
 
     def successors(self, name: str) -> List[str]:
-        """Direct downstream dependents of a function."""
+        """Direct downstream dependents of a function, sorted by name."""
         self.function(name)
         return sorted(self._succ[name])
 
@@ -242,39 +309,7 @@ class Workflow:
         Ties are broken by insertion order so repeated calls always return the
         same ordering, which keeps simulation traces stable.
         """
-        return list(self._topological_order())
-
-    def _topological_order(self) -> List[str]:
-        """The cached topological order (callers must not mutate it).
-
-        Kahn's algorithm that always emits the ready function inserted
-        first, so it equals networkx's ``lexicographical_topological_sort``
-        keyed by insertion rank.
-        """
-        if self._order is None:
-            names = list(self._functions)
-            rank = {name: i for i, name in enumerate(names)}
-            waiting = {name: len(preds) for name, preds in self._pred.items()}
-            # Ascending ranks, so the list is already a heap.
-            ready = [rank[name] for name in names if waiting[name] == 0]
-            order: List[str] = []
-            while ready:
-                node = names[heapq.heappop(ready)]
-                order.append(node)
-                for child in self._succ[node]:
-                    waiting[child] -= 1
-                    if waiting[child] == 0:
-                        heapq.heappush(ready, rank[child])
-            if len(order) < len(names):
-                raise WorkflowValidationError("workflow graph contains a cycle")
-            self._order = order
-        return self._order
-
-    def _sorted_predecessors(self) -> Dict[str, List[str]]:
-        """The cached name-sorted predecessor lists (callers must not mutate them)."""
-        if self._preds is None:
-            self._preds = {name: sorted(preds) for name, preds in self._pred.items()}
-        return self._preds
+        return list(self.plan.names)
 
     def ancestors(self, name: str) -> Set[str]:
         """All transitive predecessors of a function."""
@@ -320,15 +355,16 @@ class Workflow:
             if name in self._functions and value < 0:
                 raise ValueError(f"weight of {name!r} must be non-negative, got {value}")
 
-        best_total: Dict[str, float] = {}
-        best_pred: Dict[str, Optional[str]] = {}
-        sorted_preds = self._sorted_predecessors()
-        for node in self._topological_order():
-            node_weight = float(weights[node])
-            preds = sorted_preds[node]
+        plan = self.plan
+        # Per position: heaviest total of a path ending there, and the
+        # position it came from.
+        best_total: List[float] = []
+        best_pred: List[Optional[int]] = []
+        for name, preds in zip(plan.names, plan.preds):
+            node_weight = float(weights[name])
             if not preds:
-                best_total[node] = node_weight
-                best_pred[node] = None
+                best_total.append(node_weight)
+                best_pred.append(None)
                 continue
             # Deterministic tie-break: highest total first, then name order.
             best_upstream = None
@@ -338,20 +374,21 @@ class Workflow:
                 if total > best_upstream_total + 1e-12:
                     best_upstream_total = total
                     best_upstream = pred
-            best_total[node] = best_upstream_total + node_weight
-            best_pred[node] = best_upstream
+            best_total.append(best_upstream_total + node_weight)
+            best_pred.append(best_upstream)
 
         end_node = None
         end_total = float("-inf")
         for sink in sorted(self.sinks()):
-            if best_total[sink] > end_total + 1e-12:
-                end_total = best_total[sink]
-                end_node = sink
+            k = plan.index[sink]
+            if best_total[k] > end_total + 1e-12:
+                end_total = best_total[k]
+                end_node = k
         assert end_node is not None
         path: List[str] = []
-        cursor: Optional[str] = end_node
+        cursor: Optional[int] = end_node
         while cursor is not None:
-            path.append(cursor)
+            path.append(plan.names[cursor])
             cursor = best_pred[cursor]
         path.reverse()
         return path, end_total
@@ -369,11 +406,12 @@ class Workflow:
 
     def completion_times(self, runtimes: Mapping[str, float]) -> Dict[str, float]:
         """Finish time of every function under the dependency semantics."""
-        finish: Dict[str, float] = {}
-        for node in self._topological_order():
-            start = max((finish[p] for p in self._pred[node]), default=0.0)
-            finish[node] = start + float(runtimes[node])
-        return finish
+        plan = self.plan
+        finish: List[float] = []
+        for name, preds in zip(plan.names, plan.preds):
+            start = max((finish[p] for p in preds), default=0.0)
+            finish.append(start + float(runtimes[name]))
+        return dict(zip(plan.names, finish))
 
     # -- structural summaries --------------------------------------------------
     def communication_pattern(self) -> str:
@@ -391,10 +429,8 @@ class Workflow:
         max_out = max(out_degrees.values())
         if max_out <= 1:
             return "chain"
-        order = self.topological_order()
-        position = {name: i for i, name in enumerate(order)}
         fanout_nodes = [n for n, d in out_degrees.items() if d == max_out]
-        earliest_fanout = min(position[n] for n in fanout_nodes)
+        earliest_fanout = min(self.plan.index[n] for n in fanout_nodes)
         if earliest_fanout == 0:
             return "broadcast"
         return "scatter"
@@ -405,7 +441,7 @@ class Workflow:
             f"Workflow {self.name!r}: {self.n_functions} functions, "
             f"{self.n_edges} edges, pattern={self.communication_pattern()}"
         ]
-        for name in self.topological_order():
+        for name in self.plan.names:
             succ = ", ".join(self.successors(name)) or "(sink)"
             lines.append(f"  {name} -> {succ}")
         return "\n".join(lines)

@@ -875,8 +875,10 @@ class TrafficPhase:
     profile: TrafficProfile
 
     def __post_init__(self) -> None:
-        if self.start_seconds < 0:
-            raise ValueError("start_seconds cannot be negative")
+        if not 0 <= self.start_seconds < math.inf:
+            raise ValueError(
+                f"start_seconds must be non-negative and finite, got {self.start_seconds!r}"
+            )
 
 
 class DriftingTrafficModel:

@@ -202,6 +202,28 @@ class TestQuickDifferential:
         assert batched.result.fallback_reason == "protection"
 
 
+class TestZooDifferential:
+    """Zoo workflows on both engines, uncapped (cohort path) and on 8 nodes
+    (calendar path).  No other case here serves a zoo DAG, and the layered
+    family's several roots exist in no paper workload."""
+
+    @pytest.mark.parametrize("nodes", [0, 8])
+    @pytest.mark.parametrize(
+        "workload", ["zoo-layered", "zoo-fanout", "zoo-pipeline", "zoo-random"]
+    )
+    def test_zoo_workflow(self, workload, nodes):
+        settings = ServingSettings(
+            method="base",
+            arrival="poisson",
+            rate_rps=5.0,
+            duration_seconds=200.0,
+            nodes=nodes,
+        )
+        reference, batched = run_pair(workload, settings)
+        assert_equivalent(reference, batched)
+        assert batched.result.fallback_reason == ""
+
+
 class TestEngineFactory:
     """build_serving_engine routing and the explicit fallback conditions."""
 

@@ -21,6 +21,12 @@ from repro.execution.protection import (
 )
 from repro.execution.protection import _Breaker
 from repro.utils.stats import percentile
+from repro.workflow.dag import FunctionSpec, Workflow
+
+
+def plan_of(names, edges=()):
+    """The plan of a workflow over ``names`` with the given edges."""
+    return Workflow("guarded", [FunctionSpec(name) for name in names], edges).plan
 
 
 class TestConfigValidation:
@@ -131,12 +137,11 @@ class TestProfiles:
 
 
 class TestSplitDeadline:
-    TOPO = ("a", "b", "c", "d")
-    PREDS = {"b": ["a"], "c": ["a"], "d": ["b", "c"]}
+    DIAMOND = plan_of("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
     def test_critical_path_budgets_sum_to_total(self):
         runtimes = {"a": 10.0, "b": 30.0, "c": 20.0, "d": 40.0}
-        budgets = split_deadline(160.0, runtimes, self.PREDS, self.TOPO)
+        budgets = split_deadline(160.0, runtimes, self.DIAMOND)
         # Critical path a -> b -> d = 80s, scale = 2: its budgets sum to 160.
         assert budgets["a"] + budgets["b"] + budgets["d"] == pytest.approx(160.0)
         # The off-critical branch gets proportionally less.
@@ -145,19 +150,17 @@ class TestSplitDeadline:
     def test_cold_latency_and_slack_are_added(self):
         runtimes = {"a": 10.0}
         budgets = split_deadline(
-            20.0, runtimes, {}, ("a",), cold_latency={"a": 3.0}, stage_slack=1.5
+            20.0, runtimes, plan_of("a"), cold_latency=(3.0,), stage_slack=1.5
         )
         assert budgets["a"] == pytest.approx((3.0 + 20.0) * 1.5)
 
     def test_skipped_stages_get_no_budget(self):
-        budgets = split_deadline(
-            100.0, {"a": 10.0, "d": 10.0}, self.PREDS, self.TOPO
-        )
+        budgets = split_deadline(100.0, {"a": 10.0, "d": 10.0}, self.DIAMOND)
         assert set(budgets) == {"a", "d"}
 
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError):
-            split_deadline(0.0, {"a": 1.0}, {}, ("a",))
+            split_deadline(0.0, {"a": 1.0}, plan_of("a"))
 
 
 class TestBreaker:
@@ -272,9 +275,11 @@ class TestBreaker:
         ]
 
 
-def make_guard(policy, names=("f", "g"), slo=100.0, **kwargs):
-    return ProtectionGuard(policy, function_names=names,
-                           slo_limit_seconds=slo, **kwargs)
+def make_guard(policy, names=("f", "g"), slo=100.0):
+    """A guard over the chain ``names[0] -> names[1] -> ...``."""
+    return ProtectionGuard(
+        policy, plan_of(names, zip(names, names[1:])), slo_limit_seconds=slo
+    )
 
 
 class TestGuardAdmission:
@@ -385,10 +390,7 @@ class TestGuardShedding:
 class TestGuardDeadlines:
     def test_stage_budgets_from_slo_fraction(self):
         policy = ProtectionPolicy(deadline=DeadlineConfig(slo_fraction=0.5))
-        guard = make_guard(
-            policy, names=("f", "g"), slo=100.0,
-            topo_order=("f", "g"), predecessors={"g": ["f"]},
-        )
+        guard = make_guard(policy, names=("f", "g"), slo=100.0)
         budgets = guard.stage_budgets({"f": 10.0, "g": 40.0})
         # Critical path 50s scaled to the 50s budget: shares are 10/40.
         assert budgets["f"] == pytest.approx(10.0)
@@ -401,7 +403,7 @@ class TestGuardDeadlines:
 
     def test_cap_stage_kills_like_a_timeout(self):
         policy = ProtectionPolicy(deadline=DeadlineConfig(total_budget_seconds=50.0))
-        guard = make_guard(policy, names=("f",), topo_order=("f",))
+        guard = make_guard(policy, names=("f",))
         budgets = guard.stage_budgets({"f": 10.0})
         slow = InvocationOutcome(
             fault=None, elapsed_seconds=budgets["f"] + 1.0, completed=True

@@ -93,6 +93,12 @@ class TestRunServingExperiment:
         latencies = [o.latency_seconds for o in a.result.outcomes]
         assert len(set(latencies)) > 1  # noise actually applied
 
+    @pytest.mark.parametrize("cv", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_noise_must_be_non_negative_and_finite(self, cv):
+        # A NaN or negative level used to run noise-free without a word.
+        with pytest.raises(ValueError, match="noise_cv"):
+            ServingSettings(noise_cv=cv)
+
 
 class TestRenderServingReport:
     def test_mentions_every_headline_metric(self, base_report):

@@ -19,6 +19,11 @@ class TestLognormalNoise:
         with pytest.raises(ValueError):
             LognormalNoise(-0.1)
 
+    @pytest.mark.parametrize("cv", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cv_rejected(self, cv):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            LognormalNoise(cv)
+
     def test_without_rng_returns_one(self):
         assert LognormalNoise(0.1).sample(None) == 1.0
 
@@ -45,6 +50,11 @@ class TestGaussianNoise:
             GaussianNoise(min_factor=0.0)
         with pytest.raises(ValueError):
             GaussianNoise(min_factor=1.5)
+
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_std_rejected(self, std):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            GaussianNoise(std=std)
 
     def test_without_rng_returns_one(self):
         assert GaussianNoise(0.1).sample(None) == 1.0

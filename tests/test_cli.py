@@ -99,6 +99,16 @@ class TestParser:
         assert "must be at least 0" in capsys.readouterr().err
         assert build_parser().parse_args(["serve", "--nodes", "0"]).nodes == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+    def test_serve_noise_must_be_non_negative_and_finite(self, bad, capsys):
+        # `--noise nan` and `--noise -1` used to serve noise-free, and
+        # `--noise inf` reported a cost per request of nan.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", f"--noise={bad}"])
+        assert "must be non-negative and finite" in capsys.readouterr().err
+        assert build_parser().parse_args(["serve", "--noise", "0"]).noise == 0.0
+        assert build_parser().parse_args(["serve", "--noise", "0.05"]).noise == 0.05
+
 
 class TestCommands:
     def test_workloads_lists_benchmarks(self, capsys):

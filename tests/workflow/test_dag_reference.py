@@ -6,7 +6,8 @@ dicts and walks it with :func:`~repro.workflow.dag.reachable` and
 networkx, which is a test dependency only: the same accept or reject verdict
 on arbitrary edge lists, and the same orders on every valid DAG (the orders
 reach ``workflow_to_json`` and the simulators, so they are part of the
-byte-identical contract).
+byte-identical contract).  The same checks pin ``workflow.plan``, the
+integer topology every engine reads.
 """
 
 import networkx as nx
@@ -84,7 +85,24 @@ def reference_detours(graph, critical):
     return sorted(found, key=lambda nodes: (position[nodes[0]], position[nodes[-1]], nodes))
 
 
+def assert_plan_matches_networkx(workflow: Workflow, graph: nx.DiGraph) -> None:
+    # plan.names is topological_order(), which assert_matches_networkx checks.
+    plan = workflow.plan
+    assert len(plan.index) == len(plan.names)
+    assert all(plan.names[plan.index[name]] == name for name in graph)
+    position = plan.index
+    for k, name in enumerate(plan.names):
+        # Predecessors in name order (longest_path's tie-break), successors
+        # in position order (the engines' scheduling order).
+        assert plan.preds[k] == tuple(position[p] for p in sorted(graph.predecessors(name)))
+        assert plan.succs[k] == tuple(sorted(position[s] for s in graph.successors(name)))
+    assert plan.roots == tuple(
+        k for k, name in enumerate(plan.names) if graph.in_degree(name) == 0
+    )
+
+
 def assert_matches_networkx(workflow: Workflow, graph: nx.DiGraph, weights) -> None:
+    assert_plan_matches_networkx(workflow, graph)
     rank = {name: i for i, name in enumerate(workflow.function_names)}
     assert workflow.topological_order() == list(
         nx.lexicographical_topological_sort(graph, key=rank.get)
@@ -140,6 +158,22 @@ def test_zoo_workflows_match_networkx(family, seed, width, depth, edge_density, 
     assert_matches_networkx(
         workflow, reference_graph(workflow.function_names, workflow.edges), weights
     )
+
+
+def test_plan_orders_successors_by_position_and_predecessors_by_name():
+    # Insertion order r, y, x, j puts y before x, against name order.
+    workflow = Workflow(
+        "w",
+        [FunctionSpec(name) for name in ("r", "y", "x", "j")],
+        [("r", "y"), ("r", "x"), ("y", "j"), ("x", "j")],
+    )
+    plan = workflow.plan
+    assert plan.names == ("r", "y", "x", "j")
+    assert [plan.names[s] for s in plan.succs[plan.index["r"]]] == ["y", "x"]
+    assert workflow.successors("r") == ["x", "y"]
+    assert [plan.names[p] for p in plan.preds[plan.index["j"]]] == ["x", "y"]
+    assert workflow.predecessors("j") == ["x", "y"]
+    assert plan.roots == (0,)
 
 
 @given(case=edge_lists(max_functions=7, dag_half=False))

@@ -238,6 +238,13 @@ class TestDriftingTrafficModel:
                 ]
             )
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_phase_start_must_be_non_negative_and_finite(self, start):
+        # A NaN start used to build, and passed the model's increasing-starts
+        # check (every comparison with NaN is False).
+        with pytest.raises(ValueError, match="start_seconds"):
+            TrafficPhase("b", start, TrafficProfile())
+
     def test_phase_at_and_bounds(self):
         model = DriftingTrafficModel(self.phases())
         assert model.phase_at(0.0).name == "morning"
