@@ -2,9 +2,10 @@
 
 The heavyweight artefact — the full configuration-search comparison of AARC,
 BO and MAFF over the three workloads — is produced once per session and shared
-by the Fig. 5 / Fig. 6 / Fig. 7 / Table II benchmarks.  Every benchmark writes
-the numeric rendering of its figure to ``benchmarks/results/`` so the numbers
-behind EXPERIMENTS.md can be regenerated with one command.
+by the Fig. 5 / Fig. 6 / Fig. 7 / Table II benchmarks.  Every benchmark prints
+the numeric rendering of its figure; ``pytest benchmarks --update-results``
+also writes it to ``benchmarks/results/``, so a plain run leaves the committed
+files untouched.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ from repro.experiments.search_experiment import run_search_comparison  # noqa: E
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--update-results",
+        action="store_true",
+        default=False,
+        help="rewrite benchmarks/results/ from this run instead of only "
+        "printing what each benchmark measured",
+    )
+
+
 def pytest_collection_modifyitems(items) -> None:
     """Every benchmark is part of the slow lane (`-m "not slow"` skips them).
 
@@ -41,14 +52,20 @@ def pytest_collection_modifyitems(items) -> None:
 BENCH_SETTINGS = ExperimentSettings(seed=2025, bo_samples=100, maff_samples=100)
 
 
-def record_result(name: str, text: str) -> str:
-    """Write a figure/table rendering under benchmarks/results/ and echo it."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    print("\n" + text)
-    return path
+@pytest.fixture(scope="session")
+def record_result(request):
+    """``record_result(filename, text)`` echoes a rendering; with
+    ``--update-results`` it also writes it under benchmarks/results/."""
+    update = bool(request.config.getoption("--update-results"))
+
+    def record(filename: str, text: str) -> None:
+        print("\n" + text)
+        if update:
+            os.makedirs(RESULTS_DIR, exist_ok=True)
+            with open(os.path.join(RESULTS_DIR, filename), "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+
+    return record
 
 
 @pytest.fixture(scope="session")

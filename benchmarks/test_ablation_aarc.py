@@ -16,7 +16,6 @@ Three ablations of the Priority Configurator / Graph-Centric Scheduler:
 
 import pytest
 
-from conftest import record_result
 from repro.core.aarc import AARC, AARCOptions
 from repro.core.configurator import PriorityConfiguratorOptions
 from repro.core.scheduler import SchedulerOptions
@@ -42,7 +41,7 @@ def _search(configurator_options=None, scheduler_overrides=None):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_ablation_backoff_and_subpaths(benchmark):
+def test_ablation_backoff_and_subpaths(benchmark, record_result):
     full = benchmark.pedantic(_search, rounds=1, iterations=1)
 
     # Disable the exponential back-off (decay ~1 keeps the step size fixed).
@@ -65,7 +64,7 @@ def test_ablation_backoff_and_subpaths(benchmark):
         ("critical path only", critical_only),
     ):
         table.add_row(name, result.sample_count, result.best_cost, result.best_runtime_seconds)
-    record_result("ablation_aarc", table.render())
+    record_result("ablation_aarc.txt", table.render())
 
     workload = get_workload(WORKLOAD)
     for result in (full, no_backoff, critical_only):
@@ -81,7 +80,7 @@ def test_ablation_backoff_and_subpaths(benchmark):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_ablation_func_trial_budget(benchmark):
+def test_ablation_func_trial_budget(benchmark, record_result):
     def sweep():
         results = {}
         for func_trial in (1, 3, 6):
@@ -99,7 +98,7 @@ def test_ablation_func_trial_budget(benchmark):
     )
     for func_trial, result in sorted(results.items()):
         table.add_row(func_trial, result.sample_count, result.best_cost)
-    record_result("ablation_func_trial", table.render())
+    record_result("ablation_func_trial.txt", table.render())
 
     # More per-operation trials means at least as many samples...
     assert results[1].sample_count <= results[6].sample_count

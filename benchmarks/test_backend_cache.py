@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from conftest import record_result
 from repro.core.objective import WorkflowObjective
 from repro.execution.backend import CachingBackend, SimulatorBackend
 from repro.optimizers.grid import GridSearchOptimizer
@@ -43,7 +42,7 @@ def _run_sweeps(workload, backend=None):
 
 
 @pytest.mark.benchmark(group="backend")
-def test_backend_cache_throughput(benchmark):
+def test_backend_cache_throughput(benchmark, record_result):
     workload = get_workload("chatbot")
 
     uncached_results, uncached_elapsed, uncached_evals = _run_sweeps(workload)
@@ -83,4 +82,4 @@ def test_backend_cache_throughput(benchmark):
         cached_evals / cached_elapsed if cached_elapsed > 0 else float("inf"),
         stats.cache_hits, f"{stats.cache_hit_rate * 100:.1f}%",
     )
-    record_result("backend_cache", table.render())
+    record_result("backend_cache.txt", table.render())

@@ -13,18 +13,17 @@ paper's qualitative observations:
 
 import pytest
 
-from conftest import record_result
 from repro.experiments.motivation import decoupling_heatmap
 from repro.experiments.reporting import render_heatmap
 
 
 @pytest.mark.benchmark(group="fig2")
 @pytest.mark.parametrize("workload", ["chatbot", "ml-pipeline", "video-analysis"])
-def test_fig2_decoupling_heatmap(benchmark, workload):
+def test_fig2_decoupling_heatmap(benchmark, workload, record_result):
     heatmap = benchmark.pedantic(
         decoupling_heatmap, args=(workload,), rounds=1, iterations=1
     )
-    record_result(f"fig2_{workload}", render_heatmap(heatmap))
+    record_result(f"fig2_{workload}.txt", render_heatmap(heatmap))
 
     assert len(heatmap.runtime_seconds) == len(heatmap.vcpu_values) * len(
         heatmap.memory_values_mb

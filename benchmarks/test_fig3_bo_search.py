@@ -9,20 +9,20 @@ of workflow execution.
 
 import pytest
 
-from conftest import BENCH_SETTINGS, record_result
+from conftest import BENCH_SETTINGS
 from repro.experiments.motivation import bo_search_study
 from repro.experiments.reporting import render_bo_study
 
 
 @pytest.mark.benchmark(group="fig3")
-def test_fig3_bo_search_on_chatbot(benchmark):
+def test_fig3_bo_search_on_chatbot(benchmark, record_result):
     study = benchmark.pedantic(
         bo_search_study,
         kwargs={"workload_name": "chatbot", "n_samples": 100, "settings": BENCH_SETTINGS},
         rounds=1,
         iterations=1,
     )
-    record_result("fig3_bo_chatbot", render_bo_study(study))
+    record_result("fig3_bo_chatbot.txt", render_bo_study(study))
 
     assert study.sample_count == 100
     # The search does find cheaper configurations than its starting point...

@@ -9,7 +9,7 @@ fewest samples (it converges early into coupled local optima).
 
 import pytest
 
-from conftest import BENCH_SETTINGS, record_result
+from conftest import BENCH_SETTINGS
 from repro.experiments.reporting import render_search_totals
 from repro.experiments.search_experiment import run_search_comparison
 from repro.workloads.registry import get_workload
@@ -23,11 +23,11 @@ def _aarc_search_on_chatbot():
 
 
 @pytest.mark.benchmark(group="fig5")
-def test_fig5_search_totals(benchmark, comparison):
+def test_fig5_search_totals(benchmark, comparison, record_result):
     # Benchmark the representative unit of work (one full AARC search); the
     # totals table itself comes from the session-wide comparison fixture.
     benchmark.pedantic(_aarc_search_on_chatbot, rounds=1, iterations=1)
-    record_result("fig5_search_totals", render_search_totals(comparison))
+    record_result("fig5_search_totals.txt", render_search_totals(comparison))
 
     for workload in comparison.workloads:
         aarc = comparison.run(workload, "AARC")

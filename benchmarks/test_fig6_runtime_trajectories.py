@@ -10,17 +10,16 @@ erratic across the enlarged decoupled space.
 import numpy as np
 import pytest
 
-from conftest import record_result
 from repro.experiments.reporting import render_trajectories
 from repro.workloads.registry import get_workload
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6_runtime_trajectories(benchmark, comparison):
+def test_fig6_runtime_trajectories(benchmark, comparison, record_result):
     text = benchmark.pedantic(
         render_trajectories, args=(comparison, "runtime"), rounds=1, iterations=1
     )
-    record_result("fig6_runtime_trajectories", text)
+    record_result("fig6_runtime_trajectories.txt", text)
 
     for workload_name in comparison.workloads:
         slo = get_workload(workload_name).slo

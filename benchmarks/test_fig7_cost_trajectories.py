@@ -9,16 +9,15 @@ expensive coupled configuration (most visibly on the ML Pipeline).
 import numpy as np
 import pytest
 
-from conftest import record_result
 from repro.experiments.reporting import render_trajectories
 
 
 @pytest.mark.benchmark(group="fig7")
-def test_fig7_cost_trajectories(benchmark, comparison):
+def test_fig7_cost_trajectories(benchmark, comparison, record_result):
     text = benchmark.pedantic(
         render_trajectories, args=(comparison, "cost"), rounds=1, iterations=1
     )
-    record_result("fig7_cost_trajectories", text)
+    record_result("fig7_cost_trajectories.txt", text)
 
     for workload_name in comparison.workloads:
         aarc = comparison.run(workload_name, "AARC")

@@ -11,13 +11,13 @@ cheaper on light inputs.
 
 import pytest
 
-from conftest import BENCH_SETTINGS, record_result
+from conftest import BENCH_SETTINGS
 from repro.experiments.input_aware_experiment import run_input_aware_experiment
 from repro.experiments.reporting import render_input_aware
 
 
 @pytest.mark.benchmark(group="fig8")
-def test_fig8_input_aware_video_analysis(benchmark):
+def test_fig8_input_aware_video_analysis(benchmark, record_result):
     comparison = benchmark.pedantic(
         run_input_aware_experiment,
         kwargs={
@@ -30,7 +30,7 @@ def test_fig8_input_aware_video_analysis(benchmark):
         rounds=1,
         iterations=1,
     )
-    record_result("fig8_input_aware", render_input_aware(comparison))
+    record_result("fig8_input_aware.txt", render_input_aware(comparison))
 
     aarc = comparison.outcome("AARC")
     maff = comparison.outcome("MAFF")

@@ -12,9 +12,10 @@ Two studies share this module:
   serving engine (ISSUE 6): a million-request Poisson trace served by the
   scalar event loop and by the cohort-vectorized batched engine, which must
   clear a ≥10× requests/sec speedup while reporting bit-identical metrics.
-  Results land in ``benchmarks/results/`` as a human-readable table plus
-  machine-readable ``BENCH_serving.json`` (requests/sec for both engines,
-  request counts, p99, and ``__slots__`` memory notes).  The trace length
+  With ``--update-results``, results land in ``benchmarks/results/`` as a
+  human-readable table plus machine-readable ``BENCH_serving.json``
+  (requests/sec for both engines, request counts, p99, and ``__slots__``
+  memory notes).  The trace length
   honours ``REPRO_SERVING_BENCH_REQUESTS`` so CI can gate on a shorter
   stream while the committed artefact records the full 10⁶-request run.
 """
@@ -28,7 +29,6 @@ import tracemalloc
 
 import pytest
 
-from conftest import RESULTS_DIR, record_result
 from repro.execution.backend import build_backend
 from repro.execution.events import RequestArrival
 from repro.execution.serving import ServingOptions
@@ -61,7 +61,7 @@ def _run_at(rate_rps: float):
 
 
 @pytest.mark.benchmark(group="serving")
-def test_serving_throughput_vs_arrival_rate(benchmark):
+def test_serving_throughput_vs_arrival_rate(benchmark, record_result):
     reports = {rate: _run_at(rate) for rate in RATES_RPS}
 
     # Benchmark the representative unit of work: one full serving run at the
@@ -95,7 +95,7 @@ def test_serving_throughput_vs_arrival_rate(benchmark):
             f"{metrics.cold_start_request_rate * 100:.1f}%",
             wall,
         )
-    record_result("serving_throughput", table.render())
+    record_result("serving_throughput.txt", table.render())
 
     # Queueing is actually modelled: at the saturating rate the reported p99
     # strictly exceeds the uncontended single-request latency, and the queue
@@ -194,7 +194,7 @@ def _bytes_per_instance(factory, count=100_000):
 
 
 @pytest.mark.benchmark(group="serving")
-def test_batched_engine_speedup(benchmark):
+def test_batched_engine_speedup(benchmark, record_result):
     workload = get_workload(WORKLOAD)
     configuration = workload.base_configuration()
     duration = ENGINE_REQUESTS / ENGINE_RATE_RPS
@@ -246,7 +246,7 @@ def test_batched_engine_speedup(benchmark):
         f"\nslots RequestArrival: {slots_bytes:.1f} B/request vs "
         f"{dict_bytes:.1f} B dict-backed ({dict_bytes / slots_bytes:.1f}x)"
     )
-    record_result("serving_engine_speedup", rendering)
+    record_result("serving_engine_speedup.txt", rendering)
 
     metrics = event_result.metrics
     payload = {
@@ -290,11 +290,7 @@ def test_batched_engine_speedup(benchmark):
             ),
         },
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    json_path = os.path.join(RESULTS_DIR, "BENCH_serving.json")
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    record_result("BENCH_serving.json", json.dumps(payload, indent=2, sort_keys=True))
 
     # Benchmark the representative unit of work: one batched serve of the
     # already-generated stream.

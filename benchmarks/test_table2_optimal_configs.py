@@ -9,7 +9,6 @@ MAFF baseline on the CPU-hungry ML Pipeline.
 
 import pytest
 
-from conftest import record_result
 from repro.experiments.optimal_experiment import (
     evaluate_optimal_configurations,
     stats_by_workload,
@@ -18,7 +17,7 @@ from repro.experiments.reporting import render_table2
 
 
 @pytest.mark.benchmark(group="table2")
-def test_table2_optimal_configurations(benchmark, comparison, settings):
+def test_table2_optimal_configurations(benchmark, comparison, settings, record_result):
     stats = benchmark.pedantic(
         evaluate_optimal_configurations,
         args=(comparison,),
@@ -26,7 +25,7 @@ def test_table2_optimal_configurations(benchmark, comparison, settings):
         rounds=1,
         iterations=1,
     )
-    record_result("table2_optimal_configs", render_table2(stats))
+    record_result("table2_optimal_configs.txt", render_table2(stats))
 
     indexed = stats_by_workload(stats)
     assert set(indexed.keys()) == {"chatbot", "ml-pipeline", "video-analysis"}

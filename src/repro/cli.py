@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -81,6 +80,7 @@ from repro.experiments.serving_experiment import (
     run_serving_experiment,
 )
 from repro.workloads.arrivals import ARRIVAL_NAMES
+from repro.utils.ranges import AT_LEAST_0, AT_LEAST_1, NON_NEGATIVE, POSITIVE
 from repro.utils.tables import Table
 from repro.workflow.serialization import configuration_to_dict
 from repro.workloads.registry import get_workload, list_workloads
@@ -102,30 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     describe = subparsers.add_parser("describe", help="describe one workload")
     describe.add_argument("workload", help="workload name (see 'workloads')")
 
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be at least 1")
-        return value
-
-    def non_negative_int(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError("must be at least 0")
-        return value
-
-    def positive_float(text: str) -> float:
-        value = float(text)
-        if not 0.0 < value < math.inf:
-            raise argparse.ArgumentTypeError("must be positive and finite")
-        return value
-
-    def non_negative_float(text: str) -> float:
-        value = float(text)
-        if not 0.0 <= value < math.inf:
-            raise argparse.ArgumentTypeError("must be non-negative and finite")
-        return value
-
     def add_backend_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--backend", default="simulator", choices=list(BACKEND_NAMES),
@@ -144,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="search method to run",
     )
     search.add_argument(
-        "--bo-samples", type=int, default=100, help="sample budget for BO/Random"
+        "--bo-samples", type=AT_LEAST_1.parse, default=100,
+        help="sample budget for BO/Random",
     )
     search.add_argument(
         "--json", action="store_true", help="print the configuration as JSON"
@@ -153,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="compare AARC, BO and MAFF on one workload")
     compare.add_argument("workload")
-    compare.add_argument("--bo-samples", type=int, default=60)
+    compare.add_argument("--bo-samples", type=AT_LEAST_1.parse, default=60)
     add_backend_arguments(compare)
 
     heatmap = subparsers.add_parser("heatmap", help="decoupled (vCPU, memory) sweep (Fig. 2)")
@@ -184,15 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival process (default: the workload's traffic profile)",
     )
     serve.add_argument(
-        "--rate", type=positive_float, default=None,
+        "--rate", type=POSITIVE.parse, default=None,
         help="mean arrival rate in requests/second (default: workload profile)",
     )
     serve.add_argument(
-        "--duration", type=positive_float, default=300.0,
+        "--duration", type=POSITIVE.parse, default=300.0,
         help="traffic horizon in simulated seconds (the run drains past it)",
     )
     serve.add_argument(
-        "--nodes", type=non_negative_int, default=8,
+        "--nodes", type=AT_LEAST_0.parse, default=8,
         help="cluster size requests contend for (0 = unlimited capacity)",
     )
     serve.add_argument(
@@ -204,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize deterministic service traces (--no-cache disables)",
     )
     serve.add_argument(
-        "--noise", type=non_negative_float, default=0.0, metavar="CV",
+        "--noise", type=NON_NEGATIVE.parse, default=0.0, metavar="CV",
         help="lognormal execution-noise coefficient of variation (0 = off)",
     )
     serve.add_argument(
@@ -264,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--workers and the seed only)",
     )
     scenarios.add_argument(
-        "--budget", type=positive_int, default=25,
+        "--budget", type=AT_LEAST_1.parse, default=25,
         help="number of generated scenarios for --suite fuzz",
     )
     scenarios.add_argument(
@@ -277,20 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="configuration source shared by every scenario",
     )
     scenarios.add_argument(
-        "--duration", type=positive_float, default=None,
+        "--duration", type=POSITIVE.parse, default=None,
         help="traffic horizon in simulated seconds per scenario "
              "(default: 200, or each fleet scenario's own horizon)",
     )
     scenarios.add_argument(
-        "--nodes", type=positive_int, default=4,
+        "--nodes", type=AT_LEAST_1.parse, default=4,
         help="cluster size every scenario contends for",
     )
     scenarios.add_argument(
-        "--rate", type=positive_float, default=0.15,
+        "--rate", type=POSITIVE.parse, default=0.15,
         help="shared mean arrival rate in requests/second",
     )
     scenarios.add_argument(
-        "--workers", type=positive_int, default=None,
+        "--workers", type=AT_LEAST_1.parse, default=None,
         help="run the resilience matrix cells in N parallel processes "
              "(per-scenario seed isolation keeps reports byte-identical)",
     )
@@ -313,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
              "comparison pair",
     )
     fleet.add_argument(
-        "--duration", type=positive_float, default=None,
+        "--duration", type=POSITIVE.parse, default=None,
         help="traffic horizon in simulated seconds (default: the scenario's)",
     )
     fleet.add_argument(
@@ -328,11 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
              "protection x controller)",
     )
     fuzz.add_argument(
-        "--budget", type=positive_int, default=25,
+        "--budget", type=AT_LEAST_1.parse, default=25,
         help="number of generated scenarios to run",
     )
     fuzz.add_argument(
-        "--workers", type=positive_int, default=None,
+        "--workers", type=AT_LEAST_1.parse, default=None,
         help="run scenarios in N parallel processes (reports stay "
              "byte-identical; only wall-clock time changes)",
     )

@@ -43,6 +43,14 @@ from repro.optimizers.bayesian import (
     BayesianOptimizerOptions,
     SurrogateState,
 )
+from repro.utils.ranges import (
+    AT_LEAST_0,
+    AT_LEAST_1,
+    NON_NEGATIVE,
+    POSITIVE,
+    Range,
+    check_fields,
+)
 from repro.utils.rng import derive_seed
 from repro.workflow.dag import Workflow
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
@@ -56,6 +64,10 @@ __all__ = [
     "MixtureObjective",
     "ReconfigurationController",
 ]
+
+
+#: A non-empty share of a whole, such as an SLO fraction or an attainment target.
+_SHARE = Range(0.0, 1.0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -110,35 +122,22 @@ class ControllerOptions:
         Optional hard cap on re-tunes per run.
     """
 
-    window_seconds: float = 60.0
-    min_window_completions: int = 8
-    min_retune_interval_seconds: float = 30.0
-    check_interval_seconds: Optional[float] = None
+    window_seconds: float = POSITIVE.field(60.0)
+    min_window_completions: int = AT_LEAST_1.field(8)
+    min_retune_interval_seconds: float = NON_NEGATIVE.field(30.0)
+    check_interval_seconds: Optional[float] = NON_NEGATIVE.field(None)
     retune_method: str = "AARC"
-    retune_samples: int = 16
+    retune_samples: int = Range(2, math.inf, hi_open=True, integer=True).field(16)
     warm_start: bool = True
     queueing_headroom: bool = True
-    min_slo_fraction: float = 0.5
-    attainment_target: float = 1.0
-    max_retunes: Optional[int] = None
+    min_slo_fraction: float = _SHARE.field(0.5)
+    attainment_target: float = _SHARE.field(1.0)
+    max_retunes: Optional[int] = AT_LEAST_0.field(None)
 
     def __post_init__(self) -> None:
-        if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        if self.min_window_completions < 1:
-            raise ValueError("min_window_completions must be at least 1")
-        if self.min_retune_interval_seconds < 0:
-            raise ValueError("min_retune_interval_seconds must be non-negative")
-        if self.check_interval_seconds is not None and self.check_interval_seconds < 0:
-            raise ValueError("check_interval_seconds must be non-negative")
+        check_fields(self)
         if self.retune_method.strip().upper() not in {"AARC", "BO"}:
             raise ValueError("retune_method must be 'AARC' or 'BO'")
-        if self.retune_samples < 2:
-            raise ValueError("retune_samples must be at least 2")
-        if not 0 < self.min_slo_fraction <= 1:
-            raise ValueError("min_slo_fraction must be in (0, 1]")
-        if not 0 < self.attainment_target <= 1:
-            raise ValueError("attainment_target must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -230,9 +229,7 @@ class MixtureObjective(WorkflowObjective):
         if total <= 0:
             raise ValueError("mixture weights must sum to a positive value")
         self.mixture = sorted((s, w / total) for s, w in components if w > 0)
-        if not 0 < attainment_target <= 1:
-            raise ValueError("attainment_target must be in (0, 1]")
-        self.attainment_target = float(attainment_target)
+        self.attainment_target = float(_SHARE.check(attainment_target, "attainment_target"))
         # Dominant component: highest weight, heaviest scale on ties.
         self._dominant = max(range(len(self.mixture)),
                              key=lambda i: (self.mixture[i][1], self.mixture[i][0]))

@@ -27,6 +27,7 @@ import abc
 from typing import Dict, Optional, Tuple
 
 from repro.control.monitor import WindowSnapshot
+from repro.utils.ranges import AT_LEAST_1, NON_NEGATIVE, POSITIVE
 
 __all__ = [
     "DRIFT_DETECTOR_NAMES",
@@ -140,13 +141,9 @@ class ThresholdDriftDetector(DriftDetector):
                     f"unknown drift metric {metric!r}; "
                     f"expected one of {', '.join(_METRIC_NAMES)}"
                 )
-        if relative_threshold <= 0:
-            raise ValueError("relative_threshold must be positive")
-        if attainment_drop <= 0:
-            raise ValueError("attainment_drop must be positive")
         self.metrics = tuple(metrics)
-        self.relative_threshold = float(relative_threshold)
-        self.attainment_drop = float(attainment_drop)
+        self.relative_threshold = float(POSITIVE.check(relative_threshold, "relative_threshold"))
+        self.attainment_drop = float(POSITIVE.check(attainment_drop, "attainment_drop"))
         self._baseline: Dict[str, float] = {}
 
     def rebaseline(self, snapshot: WindowSnapshot) -> None:
@@ -214,16 +211,10 @@ class PageHinkleyDetector(DriftDetector):
                 f"unknown drift metric {metric!r}; "
                 f"expected one of {', '.join(_METRIC_NAMES)}"
             )
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if min_observations < 1:
-            raise ValueError("min_observations must be at least 1")
         self.metric = metric
-        self.delta = float(delta)
-        self.threshold = float(threshold)
-        self.min_observations = int(min_observations)
+        self.delta = float(NON_NEGATIVE.check(delta, "delta"))
+        self.threshold = float(POSITIVE.check(threshold, "threshold"))
+        self.min_observations = int(AT_LEAST_1.check(min_observations, "min_observations"))
         self._reset()
 
     def _reset(self) -> None:
@@ -273,9 +264,7 @@ class ScheduledDriftDetector(DriftDetector):
     name = "scheduled"
 
     def __init__(self, interval_seconds: float = 120.0) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        self.interval_seconds = float(interval_seconds)
+        self.interval_seconds = float(POSITIVE.check(interval_seconds, "interval_seconds"))
         self._next_fire = self.interval_seconds
 
     def rebaseline(self, snapshot: WindowSnapshot) -> None:

@@ -23,6 +23,7 @@ from collections import deque
 
 from repro.execution.events import RequestArrival
 from repro.execution.serving import ServedRequest
+from repro.utils.ranges import POSITIVE
 from repro.utils.stats import percentile
 from repro.workflow.slo import SLO
 
@@ -139,9 +140,7 @@ class SlidingWindowMonitor:
     """
 
     def __init__(self, window_seconds: float = 60.0, slo: Optional[SLO] = None) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        self.window_seconds = float(window_seconds)
+        self.window_seconds = float(POSITIVE.check(window_seconds, "window_seconds"))
         self.slo = slo
         self._arrivals: Deque[Tuple[float, str, float]] = deque()
         self._completions: Deque[CompletionRecord] = deque()

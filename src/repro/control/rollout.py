@@ -27,6 +27,7 @@ import enum
 from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.control.monitor import CompletionRecord, WindowSnapshot
+from repro.utils.ranges import AT_LEAST_1, NON_NEGATIVE, Range
 from repro.workflow.slo import SLO
 
 __all__ = [
@@ -219,23 +220,17 @@ class CanaryRollout(RolloutPolicy):
         min_stable: int = 4,
     ) -> None:
         super().__init__()
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        if evaluation_requests < 1:
-            raise ValueError("evaluation_requests must be at least 1")
-        if latency_tolerance is not None and latency_tolerance < 0:
-            raise ValueError("latency_tolerance must be non-negative")
-        if attainment_tolerance < 0:
-            raise ValueError("tolerances must be non-negative")
-        if min_stable < 1:
-            raise ValueError("min_stable must be at least 1")
-        self.fraction = float(fraction)
-        self.evaluation_requests = int(evaluation_requests)
+        self.fraction = float(Range(0.0, 1.0, lo_open=True).check(fraction, "fraction"))
+        self.evaluation_requests = int(AT_LEAST_1.check(evaluation_requests, "evaluation_requests"))
         self.latency_tolerance = (
-            float(latency_tolerance) if latency_tolerance is not None else None
+            float(NON_NEGATIVE.check(latency_tolerance, "latency_tolerance"))
+            if latency_tolerance is not None
+            else None
         )
-        self.attainment_tolerance = float(attainment_tolerance)
-        self.min_stable = int(min_stable)
+        self.attainment_tolerance = float(
+            NON_NEGATIVE.check(attainment_tolerance, "attainment_tolerance")
+        )
+        self.min_stable = int(AT_LEAST_1.check(min_stable, "min_stable"))
         self._reset()
 
     def _reset(self) -> None:

@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.utils.ranges import POSITIVE, check_fields
 from repro.utils.rng import RngStream
 from repro.workflow.resources import (
     DEFAULT_COUPLING_MB_PER_VCPU,
@@ -41,23 +42,20 @@ class ConfigurationSpace:
         platforms, e.g. for the MAFF baseline.
     """
 
-    memory_min_mb: float = 128.0
-    memory_max_mb: float = 10240.0
-    memory_step_mb: float = 64.0
-    vcpu_min: float = 0.1
-    vcpu_max: float = 10.0
-    vcpu_step: float = 0.1
-    coupling_mb_per_vcpu: float = DEFAULT_COUPLING_MB_PER_VCPU
+    memory_min_mb: float = POSITIVE.field(128.0)
+    memory_max_mb: float = POSITIVE.field(10240.0)
+    memory_step_mb: float = POSITIVE.field(64.0)
+    vcpu_min: float = POSITIVE.field(0.1)
+    vcpu_max: float = POSITIVE.field(10.0)
+    vcpu_step: float = POSITIVE.field(0.1)
+    coupling_mb_per_vcpu: float = POSITIVE.field(DEFAULT_COUPLING_MB_PER_VCPU)
 
     def __post_init__(self) -> None:
-        if self.memory_min_mb <= 0 or self.vcpu_min <= 0:
-            raise ValueError("minimum memory and vCPU must be positive")
+        check_fields(self)
         if self.memory_max_mb < self.memory_min_mb:
             raise ValueError("memory_max_mb must be >= memory_min_mb")
         if self.vcpu_max < self.vcpu_min:
             raise ValueError("vcpu_max must be >= vcpu_min")
-        if self.memory_step_mb <= 0 or self.vcpu_step <= 0:
-            raise ValueError("grid steps must be positive")
 
     # -- grid values -------------------------------------------------------------
     def memory_values(self) -> List[float]:

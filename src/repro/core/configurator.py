@@ -29,6 +29,7 @@ from repro.core.config_space import ConfigurationSpace
 from repro.core.objective import EvaluationResult, WorkflowObjective
 from repro.core.operations import AdjustmentOperation, OperationQueue, ResourceType
 from repro.utils.logging import get_logger
+from repro.utils.ranges import AT_LEAST_1, NON_NEGATIVE, Range, check_fields
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 from repro.workflow.slo import SLO
 
@@ -67,12 +68,12 @@ class PriorityConfiguratorOptions:
         as ``None``) so ``dataclasses.replace`` round-trips cleanly.
     """
 
-    initial_step_fraction: float = 0.5
-    func_trial: int = 3
-    max_trials: int = 64
-    backoff_decay: float = 0.5
-    min_cost_improvement: float = 1e-9
-    slo_safety_margin: float = 0.08
+    initial_step_fraction: float = Range(0.0, 1.0, lo_open=True).field(0.5)
+    func_trial: int = AT_LEAST_1.field(3)
+    max_trials: int = AT_LEAST_1.field(64)
+    backoff_decay: float = Range(0.0, 1.0, True, True).field(0.5)
+    min_cost_improvement: float = NON_NEGATIVE.field(1e-9)
+    slo_safety_margin: float = Range(0.0, 1.0, hi_open=True).field(0.08)
     max_trail: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -87,18 +88,7 @@ class PriorityConfiguratorOptions:
             # Reset the alias once consumed: a lingering value would override
             # max_trials again on every dataclasses.replace() round-trip.
             object.__setattr__(self, "max_trail", None)
-        if not 0 < self.initial_step_fraction <= 1:
-            raise ValueError("initial_step_fraction must lie in (0, 1]")
-        if self.func_trial < 1:
-            raise ValueError("func_trial must be at least 1")
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be at least 1")
-        if not 0 < self.backoff_decay < 1:
-            raise ValueError("backoff_decay must lie in (0, 1)")
-        if self.min_cost_improvement < 0:
-            raise ValueError("min_cost_improvement must be non-negative")
-        if not 0 <= self.slo_safety_margin < 1:
-            raise ValueError("slo_safety_margin must lie in [0, 1)")
+        check_fields(self)
 
 
 class PriorityConfigurator:

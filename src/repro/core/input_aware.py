@@ -9,6 +9,7 @@ request time dispatches the request to the configuration of its class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -16,6 +17,7 @@ from repro.core.objective import ConfigurationSearcher, SearchResult, WorkflowOb
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
 from repro.execution.events import RequestArrival
 from repro.execution.executor import WorkflowExecutor
+from repro.utils.ranges import POSITIVE, Range, check_fields
 from repro.utils.rng import RngStream
 from repro.workflow.dag import Workflow
 from repro.workflow.resources import WorkflowConfiguration
@@ -42,12 +44,11 @@ class InputClassRule:
     """
 
     name: str
-    max_scale: float
-    representative_scale: float
+    max_scale: float = Range(0.0, math.inf, lo_open=True).field()
+    representative_scale: float = POSITIVE.field()
 
     def __post_init__(self) -> None:
-        if self.max_scale <= 0 or self.representative_scale <= 0:
-            raise ValueError("scales must be positive")
+        check_fields(self)
 
 
 def default_input_classes() -> List[InputClassRule]:

@@ -15,6 +15,7 @@ The scheduler orchestrates the whole configuration search for a workflow:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -23,6 +24,7 @@ from repro.core.configurator import PriorityConfigurator, PriorityConfiguratorOp
 from repro.core.critical_path import find_critical_path, find_detour_subpaths, runtime_sum
 from repro.core.objective import EvaluationResult, SearchResult, WorkflowObjective
 from repro.utils.logging import get_logger
+from repro.utils.ranges import Range, check_fields
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 from repro.workflow.slo import SLO
 
@@ -47,12 +49,16 @@ class SchedulerOptions:
     minimum_subpath_budget_seconds:
         Detour sub-paths whose derived budget falls below this value are left
         at the base configuration rather than squeezed (a degenerate budget
-        means the detour runs in parallel with almost nothing).
+        means the detour runs in parallel with almost nothing).  ``math.inf``
+        configures the critical path only.
     """
 
     base_config: Optional[ResourceConfig] = None
     base_configuration: Optional[WorkflowConfiguration] = None
-    minimum_subpath_budget_seconds: float = 1e-3
+    minimum_subpath_budget_seconds: float = Range(0.0, math.inf, lo_open=True).field(1e-3)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 class GraphCentricScheduler:

@@ -13,12 +13,12 @@ simulators.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.utils.ranges import AT_LEAST_1, NON_NEGATIVE, POSITIVE, check_fields
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 
 __all__ = [
@@ -49,20 +49,18 @@ class Node:
     """
 
     name: str
-    vcpu_capacity: float
-    memory_capacity_mb: float
+    vcpu_capacity: float = POSITIVE.field()
+    memory_capacity_mb: float = POSITIVE.field()
     vcpu_used: float = 0.0
     memory_used_mb: float = 0.0
     placements: List[Tuple[str, ResourceConfig]] = field(default_factory=list)
     healthy: bool = True
     instance_type: Optional[str] = None
-    price_multiplier: float = 1.0
+    price_multiplier: float = NON_NEGATIVE.field(1.0)
     spot: bool = False
 
     def __post_init__(self) -> None:
-        for capacity in (self.vcpu_capacity, self.memory_capacity_mb):
-            if not (0 < capacity < math.inf):
-                raise ValueError(f"node capacities must be positive and finite, got {capacity}")
+        check_fields(self)
 
     # -- capacity queries -------------------------------------------------------
     def can_fit(self, config: ResourceConfig) -> bool:
@@ -130,8 +128,7 @@ class Cluster:
         cls, n_nodes: int, vcpu_per_node: float = 16.0, memory_per_node_mb: float = 65536.0
     ) -> "Cluster":
         """Build a cluster of identical nodes."""
-        if n_nodes < 1:
-            raise ValueError("n_nodes must be at least 1")
+        AT_LEAST_1.check(n_nodes, "n_nodes")
         nodes = [
             Node(name=f"node-{i}", vcpu_capacity=vcpu_per_node, memory_capacity_mb=memory_per_node_mb)
             for i in range(n_nodes)

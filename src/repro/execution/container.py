@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.utils.ranges import AT_LEAST_1, Range
 from repro.workflow.resources import ResourceConfig
 
 __all__ = ["Container", "ContainerPool"]
@@ -82,10 +84,8 @@ class ContainerPool:
         keep_alive_seconds: float = 600.0,
         max_containers_per_function: int = 16,
     ) -> None:
-        if keep_alive_seconds < 0:
-            raise ValueError("keep_alive_seconds must be non-negative")
-        if max_containers_per_function < 1:
-            raise ValueError("max_containers_per_function must be at least 1")
+        Range(0.0, math.inf).check(keep_alive_seconds, "keep_alive_seconds")
+        AT_LEAST_1.check(max_containers_per_function, "max_containers_per_function")
         self.keep_alive_seconds = float(keep_alive_seconds)
         self.max_containers_per_function = int(max_containers_per_function)
         self._containers: Dict[str, Dict[int, Container]] = {}
@@ -267,8 +267,7 @@ class ContainerPool:
         containers are unaffected either way.  Returns the number of
         containers evicted by the shrink.
         """
-        if max_containers_per_function < 1:
-            raise ValueError("max_containers_per_function must be at least 1")
+        AT_LEAST_1.check(max_containers_per_function, "max_containers_per_function")
         before = self._stats.evictions
         self.max_containers_per_function = int(max_containers_per_function)
         for function_name in list(self._containers):

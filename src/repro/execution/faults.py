@@ -33,12 +33,20 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.utils.ranges import (
+    AT_LEAST_1,
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    UNIT,
+    Range,
+    check_fields,
+)
 from repro.utils.rng import RngStream, first_randoms
 
 __all__ = [
@@ -74,12 +82,6 @@ class FaultKind(enum.Enum):
 HEDGE_ATTEMPT_OFFSET = 1000
 
 
-def _require_finite(name: str, value: float) -> None:
-    # NaN and ±inf slip through the range comparisons the validators make.
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 # -- retry policies ---------------------------------------------------------------
 
 
@@ -91,12 +93,10 @@ class RetryPolicy:
     of attempts, so a policy with ``max_attempts=3`` retries at most twice.
     """
 
-    max_attempts: int = 1
+    max_attempts: int = AT_LEAST_1.field(1)
 
     def __post_init__(self) -> None:
-        _require_finite("max_attempts", self.max_attempts)
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        check_fields(self)
 
     @property
     def draws(self) -> bool:
@@ -124,9 +124,9 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class NoRetry(RetryPolicy):
-    """Fail terminally on the first kill (``max_attempts`` is forced to 1)."""
+    """Fail terminally on the first kill (``max_attempts`` must be 1)."""
 
-    max_attempts: int = 1
+    max_attempts: int = Range(1, 1, integer=True).field(1)
 
     def _delay(self, attempt: int, rng: Optional[RngStream]) -> float:
         raise AssertionError("NoRetry never grants a retry")  # pragma: no cover
@@ -139,14 +139,8 @@ class NoRetry(RetryPolicy):
 class FixedRetry(RetryPolicy):
     """Retry after a constant delay, up to ``max_attempts`` total attempts."""
 
-    max_attempts: int = 3
-    delay_seconds: float = 1.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require_finite("delay_seconds", self.delay_seconds)
-        if self.delay_seconds < 0:
-            raise ValueError("delay_seconds must be non-negative")
+    max_attempts: int = AT_LEAST_1.field(3)
+    delay_seconds: float = NON_NEGATIVE.field(1.0)
 
     def _delay(self, attempt: int, rng: Optional[RngStream]) -> float:
         return self.delay_seconds
@@ -166,22 +160,11 @@ class ExponentialBackoffRetry(RetryPolicy):
     jittered schedules stay bit-reproducible under a fixed seed.
     """
 
-    max_attempts: int = 4
-    base_delay_seconds: float = 0.5
-    multiplier: float = 2.0
-    max_delay_seconds: float = 30.0
-    jitter: float = 0.2
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for name in ("base_delay_seconds", "multiplier", "max_delay_seconds"):
-            _require_finite(name, getattr(self, name))
-        if self.base_delay_seconds < 0 or self.max_delay_seconds < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1:
-            raise ValueError("multiplier must be at least 1")
-        if not 0 <= self.jitter < 1:
-            raise ValueError("jitter must be in [0, 1)")
+    max_attempts: int = AT_LEAST_1.field(4)
+    base_delay_seconds: float = NON_NEGATIVE.field(0.5)
+    multiplier: float = AT_LEAST_1.field(2.0)
+    max_delay_seconds: float = NON_NEGATIVE.field(30.0)
+    jitter: float = Range(0.0, 1.0, hi_open=True).field(0.2)
 
     @property
     def draws(self) -> bool:
@@ -241,45 +224,27 @@ class FaultPlan:
         the same schedule.
     """
 
-    crash_probability: float = 0.0
+    crash_probability: float = UNIT.field(0.0)
     crash_fraction_range: Tuple[float, float] = (0.1, 0.9)
-    oom_probability: float = 0.0
-    straggler_probability: float = 0.0
-    straggler_slowdown: float = 4.0
-    timeout_seconds: Optional[float] = None
+    oom_probability: float = UNIT.field(0.0)
+    straggler_probability: float = UNIT.field(0.0)
+    straggler_slowdown: float = AT_LEAST_1.field(4.0)
+    timeout_seconds: Optional[float] = POSITIVE.field(None)
     timeout_overrides: Optional[Mapping[str, float]] = None
-    node_failures_per_hour: float = 0.0
-    node_recovery_seconds: float = 120.0
+    node_failures_per_hour: float = NON_NEGATIVE.field(0.0)
+    node_recovery_seconds: float = POSITIVE.field(120.0)
     retry: RetryPolicy = field(default_factory=NoRetry)
-    seed: int = 2025
+    seed: int = FINITE.field(2025)
 
     def __post_init__(self) -> None:
-        for name in ("crash_probability", "oom_probability", "straggler_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        check_fields(self)
         if self.crash_probability + self.oom_probability + self.straggler_probability > 1.0:
             raise ValueError("fault probabilities cannot sum above 1")
         low, high = self.crash_fraction_range
         if not 0.0 <= low <= high <= 1.0:
             raise ValueError("crash_fraction_range must satisfy 0 <= low <= high <= 1")
-        for name in ("straggler_slowdown", "node_failures_per_hour", "node_recovery_seconds"):
-            _require_finite(name, getattr(self, name))
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be at least 1")
-        if self.timeout_seconds is not None:
-            _require_finite("timeout_seconds", self.timeout_seconds)
-            if self.timeout_seconds <= 0:
-                raise ValueError("timeout_seconds must be positive (or None)")
-        if self.timeout_overrides is not None:
-            for name, value in self.timeout_overrides.items():
-                _require_finite(f"timeout override for {name!r}", value)
-                if value <= 0:
-                    raise ValueError(f"timeout override for {name!r} must be positive")
-        if self.node_failures_per_hour < 0:
-            raise ValueError("node_failures_per_hour must be non-negative")
-        if self.node_recovery_seconds <= 0:
-            raise ValueError("node_recovery_seconds must be positive")
+        for name, value in (self.timeout_overrides or {}).items():
+            POSITIVE.check(value, f"timeout override for {name!r}")
 
     @classmethod
     def none(cls, seed: int = 2025) -> "FaultPlan":

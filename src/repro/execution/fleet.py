@@ -43,6 +43,7 @@ from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
 from repro.execution.serving import ServedRequest, ServingMetrics, summarize_outcomes
 from repro.execution.trace import ExecutionStatus
+from repro.utils.ranges import AT_LEAST_0, NON_NEGATIVE, POSITIVE, UNIT, Range, check_fields
 from repro.utils.rng import RngStream, derive_seed
 from repro.workloads.arrivals import merge_request_streams
 from repro.workloads.base import WorkloadSpec
@@ -102,17 +103,17 @@ class FleetOptions:
     """Tunable behaviour of the fleet simulator."""
 
     placement: str = "fair-share"
-    queue_capacity: Optional[int] = None
+    queue_capacity: Optional[int] = AT_LEAST_0.field(None)
     simulate_cold_starts: bool = True
-    keep_alive_seconds: float = 600.0
-    max_warm_per_function: int = 16
-    interference_threshold: float = 0.6
-    interference_alpha: float = 0.8
-    priority_reserve_fraction: float = 0.25
-    node_failures_per_hour: float = 0.0
-    node_recovery_seconds: float = 60.0
-    spot_evictions_per_hour: float = 0.0
-    spot_recovery_seconds: float = 90.0
+    keep_alive_seconds: float = Range(0.0, math.inf).field(600.0)
+    max_warm_per_function: int = Range(1, math.inf, integer=True).field(16)
+    interference_threshold: float = UNIT.field(0.6)
+    interference_alpha: float = NON_NEGATIVE.field(0.8)
+    priority_reserve_fraction: float = Range(0.0, 1.0, hi_open=True).field(0.25)
+    node_failures_per_hour: float = NON_NEGATIVE.field(0.0)
+    node_recovery_seconds: float = POSITIVE.field(60.0)
+    spot_evictions_per_hour: float = NON_NEGATIVE.field(0.0)
+    spot_recovery_seconds: float = POSITIVE.field(90.0)
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENT_POLICIES:
@@ -120,25 +121,7 @@ class FleetOptions:
                 f"unknown placement policy {self.placement!r}; "
                 f"choose from {', '.join(PLACEMENT_POLICIES)}"
             )
-        # Comparisons are written so that NaN fails them.
-        if self.queue_capacity is not None and not self.queue_capacity >= 0:
-            raise ValueError("queue_capacity must be non-negative (or None)")
-        if not self.keep_alive_seconds >= 0:
-            raise ValueError("keep_alive_seconds must be non-negative")
-        if not self.max_warm_per_function >= 1:
-            raise ValueError("max_warm_per_function must be at least 1")
-        if not 0 <= self.interference_threshold <= 1:
-            raise ValueError("interference_threshold must be in [0, 1]")
-        if not 0 <= self.interference_alpha < math.inf:
-            raise ValueError("interference_alpha must be finite and non-negative")
-        if not 0 <= self.priority_reserve_fraction < 1:
-            raise ValueError("priority_reserve_fraction must be in [0, 1)")
-        for name in ("node_failures_per_hour", "spot_evictions_per_hour"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
-        for name in ("node_recovery_seconds", "spot_recovery_seconds"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        check_fields(self)
 
 
 @dataclass
@@ -243,7 +226,9 @@ class FleetSimulator:
         Optional fleet-level :class:`ProtectionPolicy`; the guard sees the
         *tenant name* as the input class, so
         :meth:`ProtectionPolicy.for_tenants` sheds low-priority tenants
-        first under queue pressure.
+        first under queue pressure.  Fleets run admission control and
+        shedding only; a policy with a breaker, hedging or deadline is
+        rejected, since the fleet's launch loop would ignore them.
     controllers:
         Optional tenant name → :class:`ReconfigurationController` mapping;
         each controller observes only its tenant's traffic and re-tunes that
@@ -264,6 +249,16 @@ class FleetSimulator:
         names = [tenant.name for tenant in tenants]
         if len(set(names)) != len(names):
             raise ValueError("tenant names must be unique")
+        unsupported = [
+            mechanism
+            for mechanism in ("breaker", "hedging", "deadline")
+            if protection is not None and getattr(protection, mechanism) is not None
+        ]
+        if unsupported:
+            raise ValueError(
+                "fleet serving runs only admission control and shedding; "
+                f"the protection policy also sets {', '.join(unsupported)}"
+            )
         self.tenants = list(tenants)
         self.cluster = cluster
         self.options = options if options is not None else FleetOptions()
@@ -425,8 +420,7 @@ class FleetSimulator:
     # -- the run -------------------------------------------------------------------
     def run(self, duration_seconds: float, seed: int = 2025) -> FleetResult:
         """Serve every tenant's stream for ``duration_seconds`` at ``seed``."""
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
+        POSITIVE.check(duration_seconds, "duration_seconds")
         options = self.options
         rng = RngStream(derive_seed(seed, "fleet"))
         loop = EventLoop()

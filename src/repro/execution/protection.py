@@ -41,6 +41,15 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.faults import FaultKind, InvocationOutcome
+from repro.utils.ranges import (
+    AT_LEAST_0,
+    AT_LEAST_1,
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    Range,
+    check_fields,
+)
 from repro.utils.stats import nearest_rank
 from repro.workflow.dag import WorkflowPlan
 
@@ -96,20 +105,12 @@ class AdmissionControlConfig:
         (service times longer than the arrival horizon) are still caught.
     """
 
-    max_inflight_requests: Optional[int] = None
-    max_estimated_wait_seconds: Optional[float] = None
-    deadline_headroom: Optional[float] = None
+    max_inflight_requests: Optional[int] = AT_LEAST_1.field(None)
+    max_estimated_wait_seconds: Optional[float] = NON_NEGATIVE.field(None)
+    deadline_headroom: Optional[float] = POSITIVE.field(None)
 
     def __post_init__(self) -> None:
-        if self.max_inflight_requests is not None and self.max_inflight_requests < 1:
-            raise ValueError("max_inflight_requests must be at least 1")
-        if (
-            self.max_estimated_wait_seconds is not None
-            and self.max_estimated_wait_seconds < 0
-        ):
-            raise ValueError("max_estimated_wait_seconds must be non-negative")
-        if self.deadline_headroom is not None and self.deadline_headroom <= 0:
-            raise ValueError("deadline_headroom must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,14 @@ class CircuitBreakerConfig:
     probe failing re-opens it.
     """
 
-    window_seconds: float = 30.0
-    failure_threshold: float = 0.5
-    min_attempts: int = 5
-    open_seconds: float = 30.0
-    half_open_probes: int = 2
+    window_seconds: float = POSITIVE.field(30.0)
+    failure_threshold: float = Range(0.0, 1.0, lo_open=True).field(0.5)
+    min_attempts: int = AT_LEAST_1.field(5)
+    open_seconds: float = POSITIVE.field(30.0)
+    half_open_probes: int = AT_LEAST_1.field(2)
 
     def __post_init__(self) -> None:
-        if self.window_seconds <= 0 or self.open_seconds <= 0:
-            raise ValueError("breaker windows must be positive")
-        if not 0 < self.failure_threshold <= 1:
-            raise ValueError("failure_threshold must be in (0, 1]")
-        if self.min_attempts < 1:
-            raise ValueError("min_attempts must be at least 1")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be at least 1")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -156,19 +150,16 @@ class LoadSheddingConfig:
     the current level is rejected with cause ``shed``.
     """
 
-    queue_high: int = 8
-    queue_low: int = 2
-    sustain_seconds: float = 5.0
-    restore_seconds: float = 15.0
+    queue_high: int = AT_LEAST_1.field(8)
+    queue_low: int = AT_LEAST_0.field(2)
+    sustain_seconds: float = NON_NEGATIVE.field(5.0)
+    restore_seconds: float = NON_NEGATIVE.field(15.0)
     priorities: Optional[Mapping[str, int]] = None
 
     def __post_init__(self) -> None:
-        if self.queue_high < 1:
-            raise ValueError("queue_high must be at least 1")
-        if not 0 <= self.queue_low < self.queue_high:
+        check_fields(self)
+        if self.queue_low >= self.queue_high:
             raise ValueError("need 0 <= queue_low < queue_high")
-        if self.sustain_seconds < 0 or self.restore_seconds < 0:
-            raise ValueError("dwell times must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -182,18 +173,13 @@ class HedgingConfig:
     cancelled and billed as wasted work.
     """
 
-    straggler_percentile: float = 95.0
-    min_observations: int = 20
-    max_hedges_per_request: int = 1
-    history: int = 256
+    straggler_percentile: float = Range(0.0, 100.0, True, True).field(95.0)
+    min_observations: int = AT_LEAST_1.field(20)
+    max_hedges_per_request: int = AT_LEAST_1.field(1)
+    history: int = AT_LEAST_1.field(256)
 
     def __post_init__(self) -> None:
-        if not 0 < self.straggler_percentile < 100:
-            raise ValueError("straggler_percentile must be in (0, 100)")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be at least 1")
-        if self.max_hedges_per_request < 1:
-            raise ValueError("max_hedges_per_request must be at least 1")
+        check_fields(self)
         if self.history < self.min_observations:
             raise ValueError("history must be at least min_observations")
 
@@ -210,17 +196,12 @@ class DeadlineConfig:
     retried under the plan's retry policy.
     """
 
-    total_budget_seconds: Optional[float] = None
-    slo_fraction: float = 1.0
-    stage_slack: float = 1.0
+    total_budget_seconds: Optional[float] = POSITIVE.field(None)
+    slo_fraction: float = POSITIVE.field(1.0)
+    stage_slack: float = POSITIVE.field(1.0)
 
     def __post_init__(self) -> None:
-        if self.total_budget_seconds is not None and self.total_budget_seconds <= 0:
-            raise ValueError("total_budget_seconds must be positive (or None)")
-        if self.slo_fraction <= 0:
-            raise ValueError("slo_fraction must be positive")
-        if self.stage_slack <= 0:
-            raise ValueError("stage_slack must be positive")
+        check_fields(self)
 
 
 # -- the policy --------------------------------------------------------------------
@@ -242,7 +223,10 @@ class ProtectionPolicy:
     shedding: Optional[LoadSheddingConfig] = None
     hedging: Optional[HedgingConfig] = None
     deadline: Optional[DeadlineConfig] = None
-    seed: int = 2025
+    seed: int = FINITE.field(2025)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @classmethod
     def none(cls, seed: int = 2025) -> "ProtectionPolicy":
@@ -358,8 +342,7 @@ def split_deadline(
     aligned with ``plan.names``.  Functions absent from ``runtimes``
     (skipped stages) get no budget.
     """
-    if total_budget_seconds <= 0:
-        raise ValueError("total_budget_seconds must be positive")
+    POSITIVE.check(total_budget_seconds, "total_budget_seconds")
     names = plan.names
     cold = cold_latency if cold_latency is not None else (0.0,) * len(names)
     longest: Dict[int, float] = {}

@@ -51,6 +51,7 @@ from repro.execution.faults import (
 )
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
 from repro.execution.trace import ExecutionStatus, ExecutionTrace
+from repro.utils.ranges import AT_LEAST_0, AT_LEAST_1, POSITIVE, check_fields
 from repro.utils.rng import RngStream
 from repro.utils.stats import nearest_rank, percentile
 from repro.workflow.dag import Workflow
@@ -80,18 +81,15 @@ class AutoscalerOptions:
     completes there is no service-time observation and the cap is left alone.
     """
 
-    interval_seconds: float = 30.0
-    window_seconds: float = 60.0
-    headroom: float = 1.25
-    min_containers: int = 1
-    max_containers: int = 256
+    interval_seconds: float = POSITIVE.field(30.0)
+    window_seconds: float = POSITIVE.field(60.0)
+    headroom: float = POSITIVE.field(1.25)
+    min_containers: int = AT_LEAST_1.field(1)
+    max_containers: int = AT_LEAST_1.field(256)
 
     def __post_init__(self) -> None:
-        if self.interval_seconds <= 0 or self.window_seconds <= 0:
-            raise ValueError("autoscaler intervals must be positive")
-        if self.headroom <= 0:
-            raise ValueError("headroom must be positive")
-        if not 1 <= self.min_containers <= self.max_containers:
+        check_fields(self)
+        if self.min_containers > self.max_containers:
             raise ValueError("need 1 <= min_containers <= max_containers")
 
 
@@ -114,9 +112,12 @@ class ServingOptions:
     """
 
     simulate_cold_starts: bool = True
-    queue_capacity: Optional[int] = None
+    queue_capacity: Optional[int] = AT_LEAST_0.field(None)
     autoscale: bool = False
     autoscaler: AutoscalerOptions = field(default_factory=AutoscalerOptions)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 class ServedRequest:

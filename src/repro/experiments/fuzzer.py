@@ -53,6 +53,7 @@ from repro.experiments.serving_experiment import (
     run_scenario_matrix,
     run_serving_experiment,
 )
+from repro.utils.ranges import AT_LEAST_1
 from repro.utils.rng import RngStream
 from repro.workloads.arrivals import TrafficPhase, TrafficProfile
 from repro.workloads.zoo import ZOO_FAMILIES, ZooConfig
@@ -514,8 +515,7 @@ def run_fuzz(
     campaign surfaces a failure and ``shrink`` is true, the first failing
     gene is reduced to a minimal reproducer before returning.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    AT_LEAST_1.check(budget, "budget")
     genes = [sample_gene(index, seed) for index in range(budget)]
     specs = [gene_spec(gene) for gene in genes]
     matrix = run_scenario_matrix(

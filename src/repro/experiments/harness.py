@@ -20,6 +20,7 @@ from repro.optimizers.bayesian import BayesianOptimizer, BayesianOptimizerOption
 from repro.optimizers.grid import GridSearchOptimizer
 from repro.optimizers.maff import MAFFOptimizer, MAFFOptions
 from repro.optimizers.random_search import RandomSearchOptimizer, RandomSearchOptions
+from repro.utils.ranges import AT_LEAST_1, FINITE, check_fields
 from repro.utils.rng import RngStream
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.registry import get_workload
@@ -70,15 +71,18 @@ class ExperimentSettings:
         bypass the cache automatically.
     """
 
-    seed: int = 2025
-    bo_samples: int = 100
-    maff_samples: int = 100
+    seed: int = FINITE.field(2025)
+    bo_samples: int = AT_LEAST_1.field(100)
+    maff_samples: int = AT_LEAST_1.field(100)
     aarc_configurator: PriorityConfiguratorOptions = field(
         default_factory=PriorityConfiguratorOptions
     )
     search_noise: bool = False
     backend: str = "simulator"
     cache: bool = False
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def make_searcher(

@@ -15,7 +15,6 @@ per request and cluster utilization.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -46,6 +45,14 @@ from repro.execution.serving import (
 )
 from repro.execution.serving_vectorized import build_serving_engine
 from repro.experiments.harness import ExperimentSettings, build_objective, make_searcher
+from repro.utils.ranges import (
+    AT_LEAST_0,
+    AT_LEAST_1,
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    check_fields,
+)
 from repro.utils.rng import RngStream
 from repro.workflow.resources import WorkflowConfiguration
 from repro.workloads.arrivals import DriftingTrafficModel, TrafficPhase
@@ -158,20 +165,20 @@ class ServingSettings:
     method: str = "AARC"
     input_aware: bool = False
     arrival: Optional[str] = None
-    rate_rps: Optional[float] = None
-    duration_seconds: float = 300.0
-    seed: int = 2025
-    nodes: int = 8
-    vcpu_per_node: float = 16.0
-    memory_per_node_mb: float = 65536.0
-    keep_alive_seconds: float = 600.0
-    max_containers_per_function: int = 16
+    rate_rps: Optional[float] = POSITIVE.field(None)
+    duration_seconds: float = POSITIVE.field(300.0)
+    seed: int = FINITE.field(2025)
+    nodes: int = AT_LEAST_0.field(8)
+    vcpu_per_node: float = POSITIVE.field(16.0)
+    memory_per_node_mb: float = POSITIVE.field(65536.0)
+    keep_alive_seconds: float = NON_NEGATIVE.field(600.0)
+    max_containers_per_function: int = AT_LEAST_1.field(16)
     autoscale: bool = False
     autoscaler: AutoscalerOptions = field(default_factory=AutoscalerOptions)
     cache: bool = True
-    noise_cv: float = 0.0
-    queue_capacity: Optional[int] = None
-    slo_scale: float = 1.0
+    noise_cv: float = NON_NEGATIVE.field(0.0)
+    queue_capacity: Optional[int] = AT_LEAST_0.field(None)
+    slo_scale: float = POSITIVE.field(1.0)
     faults: Optional[Union[str, FaultPlan]] = None
     protection: Optional[Union[str, ProtectionPolicy]] = None
     backend: str = "simulator"
@@ -186,10 +193,7 @@ class ServingSettings:
     controller: Optional[ControllerOptions] = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.noise_cv < math.inf:
-            raise ValueError(
-                f"noise_cv must be non-negative and finite, got {self.noise_cv}"
-            )
+        check_fields(self)
 
 
 @dataclass

@@ -17,6 +17,7 @@ import abc
 import numpy as np
 
 from repro.optimizers.gp import GaussianProcessRegressor
+from repro.utils.ranges import NON_NEGATIVE
 
 __all__ = [
     "AcquisitionFunction",
@@ -40,9 +41,7 @@ class ExpectedImprovement(AcquisitionFunction):
     """Expected improvement over the incumbent for a minimisation problem."""
 
     def __init__(self, xi: float = 0.01) -> None:
-        if xi < 0:
-            raise ValueError("xi must be non-negative")
-        self.xi = float(xi)
+        self.xi = float(NON_NEGATIVE.check(xi, "xi"))
 
     def score(
         self, model: GaussianProcessRegressor, candidates: np.ndarray, best_observed: float
@@ -65,9 +64,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
     """Probability of improving on the incumbent (minimisation)."""
 
     def __init__(self, xi: float = 0.01) -> None:
-        if xi < 0:
-            raise ValueError("xi must be non-negative")
-        self.xi = float(xi)
+        self.xi = float(NON_NEGATIVE.check(xi, "xi"))
 
     def score(
         self, model: GaussianProcessRegressor, candidates: np.ndarray, best_observed: float
@@ -87,9 +84,7 @@ class LowerConfidenceBound(AcquisitionFunction):
     """Negative lower confidence bound (minimisation): ``-(mean - κ·std)``."""
 
     def __init__(self, kappa: float = 2.0) -> None:
-        if kappa < 0:
-            raise ValueError("kappa must be non-negative")
-        self.kappa = float(kappa)
+        self.kappa = float(NON_NEGATIVE.check(kappa, "kappa"))
 
     def score(
         self, model: GaussianProcessRegressor, candidates: np.ndarray, best_observed: float

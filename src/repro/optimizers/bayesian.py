@@ -25,6 +25,7 @@ from repro.core.objective import (
 )
 from repro.optimizers.acquisition import AcquisitionFunction, ExpectedImprovement
 from repro.optimizers.gp import GaussianProcessRegressor, Matern52Kernel
+from repro.utils.ranges import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, check_fields
 from repro.utils.rng import RngStream
 from repro.workflow.resources import WorkflowConfiguration
 
@@ -102,28 +103,19 @@ class BayesianOptimizerOptions:
         paper's adapted BO starts from a known-feasible configuration.
     """
 
-    max_samples: int = 100
-    n_initial_samples: int = 8
-    n_candidates: int = 512
-    kernel_length_scale: float = 0.25
-    slo_penalty_factor: float = 10.0
-    seed: int = 0
+    max_samples: int = AT_LEAST_1.field(100)
+    n_initial_samples: int = AT_LEAST_1.field(8)
+    n_candidates: int = AT_LEAST_1.field(512)
+    kernel_length_scale: float = POSITIVE.field(0.25)
+    slo_penalty_factor: float = NON_NEGATIVE.field(10.0)
+    seed: int = FINITE.field(0)
     surrogate_updates: bool = True
     include_generous_initial: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be at least 1")
-        if self.n_initial_samples < 1:
-            raise ValueError("n_initial_samples must be at least 1")
+        check_fields(self)
         if self.n_initial_samples > self.max_samples:
             raise ValueError("n_initial_samples cannot exceed max_samples")
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be at least 1")
-        if self.kernel_length_scale <= 0:
-            raise ValueError("kernel_length_scale must be positive")
-        if self.slo_penalty_factor < 0:
-            raise ValueError("slo_penalty_factor must be non-negative")
 
 
 class BayesianOptimizer(ConfigurationSearcher):

@@ -17,6 +17,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.utils.ranges import NON_NEGATIVE, POSITIVE
+
 __all__ = ["RBFKernel", "Matern52Kernel", "GaussianProcessRegressor"]
 
 
@@ -51,10 +53,8 @@ class RBFKernel(Kernel):
     """Squared-exponential kernel ``σ² · exp(-d² / 2ℓ²)``."""
 
     def __init__(self, length_scale: float = 0.2, signal_variance: float = 1.0) -> None:
-        if length_scale <= 0 or signal_variance <= 0:
-            raise ValueError("length_scale and signal_variance must be positive")
-        self.length_scale = float(length_scale)
-        self.signal_variance = float(signal_variance)
+        self.length_scale = float(POSITIVE.check(length_scale, "length_scale"))
+        self.signal_variance = float(POSITIVE.check(signal_variance, "signal_variance"))
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sq = _pairwise_sq_dists(a, b)
@@ -71,10 +71,8 @@ class Matern52Kernel(Kernel):
     """Matérn 5/2 kernel, a common default for noisy black-box optimisation."""
 
     def __init__(self, length_scale: float = 0.2, signal_variance: float = 1.0) -> None:
-        if length_scale <= 0 or signal_variance <= 0:
-            raise ValueError("length_scale and signal_variance must be positive")
-        self.length_scale = float(length_scale)
-        self.signal_variance = float(signal_variance)
+        self.length_scale = float(POSITIVE.check(length_scale, "length_scale"))
+        self.signal_variance = float(POSITIVE.check(signal_variance, "signal_variance"))
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         dists = np.sqrt(_pairwise_sq_dists(a, b))
@@ -100,10 +98,8 @@ class GaussianProcessRegressor:
         noise_variance: float = 1e-6,
         normalize_y: bool = True,
     ) -> None:
-        if noise_variance < 0:
-            raise ValueError("noise_variance must be non-negative")
         self.kernel = kernel if kernel is not None else Matern52Kernel()
-        self.noise_variance = float(noise_variance)
+        self.noise_variance = float(NON_NEGATIVE.check(noise_variance, "noise_variance"))
         self.normalize_y = bool(normalize_y)
         self._x_train: Optional[np.ndarray] = None
         self._y_train: Optional[np.ndarray] = None

@@ -23,6 +23,7 @@ from repro.core.objective import (
     SearchResult,
     WorkflowObjective,
 )
+from repro.utils.ranges import AT_LEAST_1, POSITIVE, Range, check_fields
 from repro.workflow.resources import WorkflowConfiguration
 
 __all__ = ["MAFFOptions", "MAFFOptimizer"]
@@ -53,24 +54,15 @@ class MAFFOptions:
         step, guarding the deployed configuration against run-to-run jitter.
     """
 
-    initial_memory_mb: float = 4096.0
-    memory_step_fraction: float = 0.25
-    min_step_mb: float = 128.0
-    max_samples: int = 100
+    initial_memory_mb: float = POSITIVE.field(4096.0)
+    memory_step_fraction: float = Range(0.0, 1.0, True, True).field(0.25)
+    min_step_mb: float = POSITIVE.field(128.0)
+    max_samples: int = AT_LEAST_1.field(100)
     stop_on_slo_violation: bool = False
-    slo_safety_margin: float = 0.05
+    slo_safety_margin: float = Range(0.0, 1.0, hi_open=True).field(0.05)
 
     def __post_init__(self) -> None:
-        if self.initial_memory_mb <= 0:
-            raise ValueError("initial_memory_mb must be positive")
-        if not 0 < self.memory_step_fraction < 1:
-            raise ValueError("memory_step_fraction must lie in (0, 1)")
-        if self.min_step_mb <= 0:
-            raise ValueError("min_step_mb must be positive")
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be at least 1")
-        if not 0 <= self.slo_safety_margin < 1:
-            raise ValueError("slo_safety_margin must lie in [0, 1)")
+        check_fields(self)
 
 
 class MAFFOptimizer(ConfigurationSearcher):

@@ -17,6 +17,7 @@ from repro.core.objective import (
     SearchResult,
     WorkflowObjective,
 )
+from repro.utils.ranges import AT_LEAST_1, FINITE, check_fields
 from repro.utils.rng import RngStream
 
 __all__ = ["RandomSearchOptions", "RandomSearchOptimizer"]
@@ -26,12 +27,11 @@ __all__ = ["RandomSearchOptions", "RandomSearchOptimizer"]
 class RandomSearchOptions:
     """Tunables of random search."""
 
-    max_samples: int = 50
-    seed: int = 0
+    max_samples: int = AT_LEAST_1.field(50)
+    seed: int = FINITE.field(0)
 
     def __post_init__(self) -> None:
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be at least 1")
+        check_fields(self)
 
 
 class RandomSearchOptimizer(ConfigurationSearcher):

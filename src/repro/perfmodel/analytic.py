@@ -25,6 +25,14 @@ from typing import Optional
 
 from repro.perfmodel.base import FunctionPerformanceModel, OutOfMemoryError, RuntimeEstimate
 from repro.perfmodel.noise import NoNoise, NoiseModel
+from repro.utils.ranges import (
+    AT_LEAST_1,
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    UNIT,
+    check_fields,
+)
 from repro.utils.rng import RngStream
 from repro.workflow.resources import ResourceConfig
 
@@ -65,36 +73,25 @@ class FunctionProfile:
     """
 
     name: str
-    cpu_seconds: float
-    io_seconds: float = 0.0
-    parallel_fraction: float = 0.7
-    max_parallelism: float = 8.0
-    working_set_mb: float = 128.0
-    comfortable_memory_mb: float = 256.0
-    memory_pressure_penalty: float = 0.3
-    cpu_input_exponent: float = 1.0
-    io_input_exponent: float = 1.0
-    memory_input_exponent: float = 0.0
-    cold_start_seconds: float = 0.5
+    cpu_seconds: float = NON_NEGATIVE.field()
+    io_seconds: float = NON_NEGATIVE.field(0.0)
+    parallel_fraction: float = UNIT.field(0.7)
+    max_parallelism: float = AT_LEAST_1.field(8.0)
+    working_set_mb: float = POSITIVE.field(128.0)
+    comfortable_memory_mb: float = POSITIVE.field(256.0)
+    memory_pressure_penalty: float = NON_NEGATIVE.field(0.3)
+    cpu_input_exponent: float = FINITE.field(1.0)
+    io_input_exponent: float = FINITE.field(1.0)
+    memory_input_exponent: float = FINITE.field(0.0)
+    cold_start_seconds: float = NON_NEGATIVE.field(0.5)
     tags: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.cpu_seconds < 0 or self.io_seconds < 0:
-            raise ValueError("cpu_seconds and io_seconds must be non-negative")
+        check_fields(self)
         if self.cpu_seconds == 0 and self.io_seconds == 0:
             raise ValueError("a function must take some time (cpu or io)")
-        if not 0.0 <= self.parallel_fraction <= 1.0:
-            raise ValueError("parallel_fraction must lie in [0, 1]")
-        if self.max_parallelism < 1.0:
-            raise ValueError("max_parallelism must be at least 1")
-        if self.working_set_mb <= 0:
-            raise ValueError("working_set_mb must be positive")
         if self.comfortable_memory_mb < self.working_set_mb:
             raise ValueError("comfortable_memory_mb must be >= working_set_mb")
-        if self.memory_pressure_penalty < 0:
-            raise ValueError("memory_pressure_penalty must be non-negative")
-        if self.cold_start_seconds < 0:
-            raise ValueError("cold_start_seconds must be non-negative")
 
     def with_updates(self, **kwargs) -> "FunctionProfile":
         """Return a copy with selected fields replaced."""

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.perfmodel.analytic import AnalyticFunctionModel, FunctionProfile
+from repro.utils.ranges import POSITIVE, check_fields
 from repro.workflow.resources import ResourceConfig
 
 __all__ = ["CalibrationSample", "fit_profile"]
@@ -35,14 +36,11 @@ class CalibrationSample:
     """
 
     config: ResourceConfig
-    runtime_seconds: float
-    input_scale: float = 1.0
+    runtime_seconds: float = POSITIVE.field()
+    input_scale: float = POSITIVE.field(1.0)
 
     def __post_init__(self) -> None:
-        if self.runtime_seconds <= 0:
-            raise ValueError("runtime_seconds must be positive")
-        if self.input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        check_fields(self)
 
 
 def _predict(params: np.ndarray, template: FunctionProfile, samples: Sequence[CalibrationSample]) -> np.ndarray:

@@ -9,9 +9,9 @@ for searches) or with calibrated noise (for the Table II robustness study).
 from __future__ import annotations
 
 import abc
-import math
 from typing import Optional
 
+from repro.utils.ranges import NON_NEGATIVE, Range
 from repro.utils.rng import RngStream
 
 __all__ = ["NoiseModel", "NoNoise", "LognormalNoise", "GaussianNoise"]
@@ -43,12 +43,9 @@ class LognormalNoise(NoiseModel):
     """
 
     def __init__(self, coefficient_of_variation: float = 0.02) -> None:
-        if not 0 <= coefficient_of_variation < math.inf:
-            raise ValueError(
-                "coefficient_of_variation must be non-negative and finite, "
-                f"got {coefficient_of_variation}"
-            )
-        self.coefficient_of_variation = float(coefficient_of_variation)
+        self.coefficient_of_variation = float(
+            NON_NEGATIVE.check(coefficient_of_variation, "coefficient_of_variation")
+        )
 
     def sample(self, rng: Optional[RngStream]) -> float:
         if rng is None or self.coefficient_of_variation == 0:
@@ -67,12 +64,8 @@ class GaussianNoise(NoiseModel):
     """
 
     def __init__(self, std: float = 0.02, min_factor: float = 0.5) -> None:
-        if not 0 <= std < math.inf:
-            raise ValueError(f"std must be non-negative and finite, got {std}")
-        if not 0 < min_factor <= 1:
-            raise ValueError("min_factor must lie in (0, 1]")
-        self.std = float(std)
-        self.min_factor = float(min_factor)
+        self.std = float(NON_NEGATIVE.check(std, "std"))
+        self.min_factor = float(Range(0.0, 1.0, lo_open=True).check(min_factor, "min_factor"))
 
     def sample(self, rng: Optional[RngStream]) -> float:
         if rng is None or self.std == 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.utils.ranges import NON_NEGATIVE, check_fields
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 
 __all__ = [
@@ -43,18 +44,13 @@ class PricingModel:
         Identifier used in reports.
     """
 
-    price_per_vcpu_second: float = 0.512
-    price_per_mb_second: float = 0.001
-    price_per_request: float = 0.0
+    price_per_vcpu_second: float = NON_NEGATIVE.field(0.512)
+    price_per_mb_second: float = NON_NEGATIVE.field(0.001)
+    price_per_request: float = NON_NEGATIVE.field(0.0)
     name: str = "paper-decoupled"
 
     def __post_init__(self) -> None:
-        if self.price_per_vcpu_second < 0:
-            raise ValueError("price_per_vcpu_second must be non-negative")
-        if self.price_per_mb_second < 0:
-            raise ValueError("price_per_mb_second must be non-negative")
-        if self.price_per_request < 0:
-            raise ValueError("price_per_request must be non-negative")
+        check_fields(self)
 
     # -- costing -------------------------------------------------------------
     def invocation_cost(self, runtime_seconds: float, config: ResourceConfig) -> float:

@@ -8,9 +8,11 @@ workflow configuration maps every function in a DAG to such a pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
+from repro.utils.ranges import POSITIVE
 from repro.utils.units import format_memory
 
 __all__ = ["ResourceConfig", "WorkflowConfiguration", "coupled_cpu_for_memory"]
@@ -24,11 +26,7 @@ def coupled_cpu_for_memory(
     memory_mb: float, mb_per_vcpu: float = DEFAULT_COUPLING_MB_PER_VCPU
 ) -> float:
     """CPU share implied by a memory quota under proportional coupling."""
-    if memory_mb <= 0:
-        raise ValueError("memory_mb must be positive")
-    if mb_per_vcpu <= 0:
-        raise ValueError("mb_per_vcpu must be positive")
-    return memory_mb / mb_per_vcpu
+    return POSITIVE.check(memory_mb, "memory_mb") / POSITIVE.check(mb_per_vcpu, "mb_per_vcpu")
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,12 @@ class ResourceConfig:
     memory_mb: float
 
     def __post_init__(self) -> None:
-        if self.vcpu <= 0:
-            raise ValueError(f"vcpu must be positive, got {self.vcpu}")
-        if self.memory_mb <= 0:
-            raise ValueError(f"memory_mb must be positive, got {self.memory_mb}")
+        # Checked inline rather than by ``check_fields``: a search builds
+        # thousands of these per iteration.  NaN and ±inf fail both ranges.
+        if not 0.0 < self.vcpu < math.inf:
+            raise ValueError(f"vcpu must be positive and finite, got {self.vcpu}")
+        if not 0.0 < self.memory_mb < math.inf:
+            raise ValueError(f"memory_mb must be positive and finite, got {self.memory_mb}")
 
     @classmethod
     def coupled(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.utils.ranges import POSITIVE, check_fields
 from repro.utils.units import format_duration
 
 __all__ = ["SLO", "SLOViolation"]
@@ -42,13 +43,12 @@ class SLO:
         Name of the parent SLO when this is a derived sub-SLO, else ``None``.
     """
 
-    latency_limit: float
+    latency_limit: float = POSITIVE.field()
     name: str = "slo"
     parent: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.latency_limit <= 0:
-            raise ValueError(f"latency_limit must be positive, got {self.latency_limit}")
+        check_fields(self)
 
     def is_met(self, observed_latency: float, tolerance: float = 0.0) -> bool:
         """Whether an observed latency satisfies the objective.
@@ -84,8 +84,7 @@ class SLO:
 
     def scaled(self, factor: float) -> "SLO":
         """Return a copy with the limit multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
+        POSITIVE.check(factor, "factor")
         return SLO(latency_limit=self.latency_limit * factor, name=self.name, parent=self.parent)
 
     def describe(self) -> str:

@@ -39,6 +39,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.execution.events import RequestArrival
+from repro.utils.ranges import (
+    AT_LEAST_1,
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    Range,
+    check_fields,
+)
 from repro.utils.rng import RngStream
 from repro.workloads.inputs import InputClass
 
@@ -69,6 +77,9 @@ ARRIVAL_NAMES = ("constant", "poisson", "bursty", "diurnal", "trace", "replay")
 DEFAULT_INPUT_CLASS = InputClass(
     name="default", scale=1.0, max_scale=float("inf"), description="standard input"
 )
+
+#: Diurnal swing around the mean rate; below 1, so the rate stays positive.
+_AMPLITUDE = Range(0.0, 1.0, hi_open=True)
 
 
 def _exponential_run(
@@ -112,13 +123,6 @@ def _exponential_run(
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _positive_finite(value: float, name: str) -> float:
-    """``value`` as a float; NaN, infinities and values <= 0 raise."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
-
-
 class ArrivalProcess(abc.ABC):
     """Generates request arrival timestamps over a time horizon."""
 
@@ -147,7 +151,7 @@ class ArrivalProcess(abc.ABC):
 
     @staticmethod
     def _check_duration(duration_seconds: float) -> float:
-        return _positive_finite(duration_seconds, "duration_seconds")
+        return float(POSITIVE.check(duration_seconds, "duration_seconds"))
 
     @staticmethod
     def _require_rng(rng: Optional[RngStream], name: str) -> RngStream:
@@ -166,7 +170,7 @@ class ConstantRateArrivals(ArrivalProcess):
     name = "constant"
 
     def __init__(self, rate_rps: float) -> None:
-        self.rate_rps = _positive_finite(rate_rps, "rate_rps")
+        self.rate_rps = float(POSITIVE.check(rate_rps, "rate_rps"))
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
@@ -204,7 +208,7 @@ class PoissonArrivals(ArrivalProcess):
     name = "poisson"
 
     def __init__(self, rate_rps: float) -> None:
-        self.rate_rps = _positive_finite(rate_rps, "rate_rps")
+        self.rate_rps = float(POSITIVE.check(rate_rps, "rate_rps"))
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
@@ -249,12 +253,10 @@ class BurstyArrivals(ArrivalProcess):
         mean_calm_seconds: float = 120.0,
         mean_burst_seconds: float = 30.0,
     ) -> None:
-        self.base_rate_rps = _positive_finite(base_rate_rps, "base_rate_rps")
-        if not 1.0 <= burst_multiplier < math.inf:
-            raise ValueError("burst_multiplier must be at least 1 and finite")
-        self.burst_multiplier = float(burst_multiplier)
-        self.mean_calm_seconds = _positive_finite(mean_calm_seconds, "mean_calm_seconds")
-        self.mean_burst_seconds = _positive_finite(mean_burst_seconds, "mean_burst_seconds")
+        self.base_rate_rps = float(POSITIVE.check(base_rate_rps, "base_rate_rps"))
+        self.burst_multiplier = float(AT_LEAST_1.check(burst_multiplier, "burst_multiplier"))
+        self.mean_calm_seconds = float(POSITIVE.check(mean_calm_seconds, "mean_calm_seconds"))
+        self.mean_burst_seconds = float(POSITIVE.check(mean_burst_seconds, "mean_burst_seconds"))
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
@@ -331,14 +333,10 @@ class DiurnalArrivals(ArrivalProcess):
         period_seconds: float = 86400.0,
         phase_seconds: float = 0.0,
     ) -> None:
-        self.mean_rate_rps = _positive_finite(mean_rate_rps, "mean_rate_rps")
-        if not 0 <= amplitude < 1:
-            raise ValueError("amplitude must be in [0, 1)")
-        self.amplitude = float(amplitude)
-        self.period_seconds = _positive_finite(period_seconds, "period_seconds")
-        if not math.isfinite(phase_seconds):
-            raise ValueError("phase_seconds must be finite")
-        self.phase_seconds = float(phase_seconds)
+        self.mean_rate_rps = float(POSITIVE.check(mean_rate_rps, "mean_rate_rps"))
+        self.amplitude = float(_AMPLITUDE.check(amplitude, "amplitude"))
+        self.period_seconds = float(POSITIVE.check(period_seconds, "period_seconds"))
+        self.phase_seconds = float(FINITE.check(phase_seconds, "phase_seconds"))
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at simulated time ``t``."""
@@ -465,7 +463,7 @@ class ReplayArrivals(ArrivalProcess):
     name = "replay"
 
     def __init__(self, counts: Sequence[float], bin_seconds: float = 60.0) -> None:
-        _positive_finite(bin_seconds, "bin_seconds")
+        POSITIVE.check(bin_seconds, "bin_seconds")
         cleaned: List[int] = []
         for index, raw in enumerate(counts):
             value = float(raw)
@@ -637,17 +635,20 @@ class TrafficProfile:
     """
 
     arrival: str = "poisson"
-    rate_rps: float = 1.0
+    rate_rps: float = POSITIVE.field(1.0)
     class_weights: Optional[Mapping[str, float]] = None
     class_priorities: Optional[Mapping[str, int]] = None
-    burst_multiplier: float = 4.0
-    mean_calm_seconds: float = 120.0
-    mean_burst_seconds: float = 30.0
-    amplitude: float = 0.6
-    period_seconds: float = 86400.0
+    burst_multiplier: float = AT_LEAST_1.field(4.0)
+    mean_calm_seconds: float = POSITIVE.field(120.0)
+    mean_burst_seconds: float = POSITIVE.field(30.0)
+    amplitude: float = _AMPLITUDE.field(0.6)
+    period_seconds: float = POSITIVE.field(86400.0)
     trace_times: Optional[Sequence[float]] = None
     trace_counts: Optional[Sequence[float]] = None
-    trace_bin_seconds: float = 60.0
+    trace_bin_seconds: float = POSITIVE.field(60.0)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def override(
         self, arrival: Optional[str] = None, rate_rps: Optional[float] = None
@@ -871,14 +872,11 @@ class TrafficPhase:
     """
 
     name: str
-    start_seconds: float
+    start_seconds: float = NON_NEGATIVE.field()
     profile: TrafficProfile
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start_seconds < math.inf:
-            raise ValueError(
-                f"start_seconds must be non-negative and finite, got {self.start_seconds!r}"
-            )
+        check_fields(self)
 
 
 class DriftingTrafficModel:
@@ -942,7 +940,7 @@ class DriftingTrafficModel:
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> List[RequestArrival]:
         """Generate the full request stream across every phase segment."""
-        _positive_finite(duration_seconds, "duration_seconds")
+        POSITIVE.check(duration_seconds, "duration_seconds")
         requests: List[RequestArrival] = []
         for index, (phase, start, end) in enumerate(
             self.phase_bounds(duration_seconds)
@@ -972,7 +970,7 @@ class DriftingTrafficModel:
         per-element addition — so the concatenated batch is element-wise
         identical to the scalar stream, including across phase boundaries.
         """
-        _positive_finite(duration_seconds, "duration_seconds")
+        POSITIVE.check(duration_seconds, "duration_seconds")
         times_parts: List[np.ndarray] = []
         scales_parts: List[np.ndarray] = []
         ids_parts: List[np.ndarray] = []

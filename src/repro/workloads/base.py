@@ -15,6 +15,7 @@ from repro.perfmodel.noise import NoiseModel
 from repro.perfmodel.registry import PerformanceModelRegistry
 from repro.pricing.model import PAPER_PRICING, PricingModel
 from repro.core.objective import WorkflowObjective
+from repro.utils.ranges import POSITIVE, check_fields
 from repro.utils.rng import RngStream
 from repro.workflow.dag import Workflow
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
@@ -64,13 +65,14 @@ class WorkloadSpec:
     base_config: ResourceConfig
     description: str = ""
     communication_pattern: str = "scatter"
-    default_input_scale: float = 1.0
+    default_input_scale: float = POSITIVE.field(1.0)
     pricing: PricingModel = field(default_factory=lambda: PAPER_PRICING)
     input_classes: Optional[List[InputClass]] = None
     traffic: TrafficProfile = field(default_factory=TrafficProfile)
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         profile_names = {profile.name for profile in self.profiles}
         missing = [
             spec.profile_name

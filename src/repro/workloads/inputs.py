@@ -8,11 +8,13 @@ input-aware experiment (Fig. 8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.input_aware import InputClassRule
 from repro.execution.events import RequestArrival
+from repro.utils.ranges import AT_LEAST_1, POSITIVE, Range, check_fields
 from repro.utils.rng import RngStream
 
 __all__ = ["InputClass", "VIDEO_INPUT_CLASSES", "request_sequence", "input_class_rules"]
@@ -36,13 +38,12 @@ class InputClass:
     """
 
     name: str
-    scale: float
-    max_scale: float
+    scale: float = POSITIVE.field()
+    max_scale: float = Range(0.0, math.inf, lo_open=True).field()
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.scale <= 0 or self.max_scale <= 0:
-            raise ValueError("scales must be positive")
+        check_fields(self)
         if self.scale > self.max_scale:
             raise ValueError("scale cannot exceed max_scale")
 
@@ -88,8 +89,7 @@ def request_sequence(
     rng:
         Required when ``pattern == "random"``.
     """
-    if n_requests < 1:
-        raise ValueError("n_requests must be at least 1")
+    AT_LEAST_1.check(n_requests, "n_requests")
     if not classes:
         raise ValueError("classes must be non-empty")
     if pattern not in {"blocked", "interleaved", "random"}:

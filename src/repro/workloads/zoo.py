@@ -40,6 +40,7 @@ from repro.perfmodel.profiles import (
     memory_bound_profile,
 )
 from repro.perfmodel.registry import PerformanceModelRegistry
+from repro.utils.ranges import AT_LEAST_0, AT_LEAST_1, UNIT, Range, check_fields
 from repro.utils.rng import RngStream
 from repro.workflow.dag import FunctionSpec, Workflow, reachable
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
@@ -93,11 +94,11 @@ class ZooConfig:
     """
 
     family: str = "layered"
-    seed: int = 0
-    width: int = 3
-    depth: int = 3
-    edge_density: float = 0.35
-    slo_slack: float = 3.0
+    seed: int = AT_LEAST_0.field(0)
+    width: int = AT_LEAST_1.field(3)
+    depth: int = AT_LEAST_1.field(3)
+    edge_density: float = UNIT.field(0.35)
+    slo_slack: float = Range(1.0, math.inf, lo_open=True, hi_open=True).field(3.0)
 
     def __post_init__(self) -> None:
         if self.family not in ZOO_FAMILIES:
@@ -105,16 +106,9 @@ class ZooConfig:
                 f"unknown zoo family {self.family!r}; "
                 f"expected one of {', '.join(ZOO_FAMILIES)}"
             )
-        if self.width < 1 or self.depth < 1:
-            raise ValueError("width and depth must be at least 1")
+        check_fields(self)
         if self.family == "layered" and self.depth < 2:
             raise ValueError("the 'layered' family needs depth >= 2")
-        if not 0.0 <= self.edge_density <= 1.0:
-            raise ValueError("edge_density must lie in [0, 1]")
-        if self.slo_slack <= 1.0:
-            raise ValueError("slo_slack must exceed 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     @property
     def name(self) -> str:

@@ -5,6 +5,13 @@ import pytest
 from repro.execution.cluster import Cluster, ClusterLedger, Node, balance_key, spread_key
 from repro.execution.fleet import FleetOptions, FleetSimulator, Tenant
 from repro.execution.instances import build_cluster
+from repro.execution.protection import (
+    AdmissionControlConfig,
+    CircuitBreakerConfig,
+    DeadlineConfig,
+    HedgingConfig,
+    ProtectionPolicy,
+)
 from repro.experiments.fleet_experiment import (
     FLEET_SCENARIO_NAMES,
     build_fleet_scenario,
@@ -100,6 +107,32 @@ class TestFleetSimulator:
         tenants[1].name = tenants[0].name
         with pytest.raises(ValueError, match="unique"):
             FleetSimulator(tenants, small_cluster())
+
+    @pytest.mark.parametrize(
+        "mechanism, config",
+        [
+            ("breaker", CircuitBreakerConfig()),
+            ("hedging", HedgingConfig()),
+            ("deadline", DeadlineConfig(total_budget_seconds=1.0)),
+        ],
+    )
+    def test_rejects_protection_it_does_not_run(self, mechanism, config):
+        # The fleet's launch loop has no breaker feedback, hedges or stage
+        # budgets; such a policy used to be accepted and silently ignored.
+        protection = ProtectionPolicy(
+            admission=AdmissionControlConfig(max_inflight_requests=4),
+            **{mechanism: config},
+        )
+        with pytest.raises(ValueError, match=f"sets {mechanism}$"):
+            FleetSimulator(small_fleet(), small_cluster(), protection=protection)
+
+    def test_accepts_admission_and_shedding_policies(self):
+        for protection in (
+            ProtectionPolicy.for_tenants({"interactive": 2, "batch": 0}),
+            ProtectionPolicy(admission=AdmissionControlConfig(max_inflight_requests=4)),
+        ):
+            simulator = FleetSimulator(small_fleet(), small_cluster(), protection=protection)
+            assert simulator.protection is protection
 
     def test_seed_determinism(self):
         def run():

@@ -99,6 +99,21 @@ class TestParser:
         assert "must be at least 0" in capsys.readouterr().err
         assert build_parser().parse_args(["serve", "--nodes", "0"]).nodes == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "chatbot", "--bo-samples", "0"],
+            ["search", "chatbot", "--method", "BO", "--bo-samples", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_bo_samples_must_be_at_least_1(self, argv, capsys):
+        # Both used to end in a ValueError traceback from the BO options.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
     def test_serve_noise_must_be_non_negative_and_finite(self, bad, capsys):
         # `--noise nan` and `--noise -1` used to serve noise-free, and

@@ -83,3 +83,14 @@ class TestConfigurationRoundTrip:
     def test_empty_configuration(self):
         restored = configuration_from_dict(configuration_to_dict(WorkflowConfiguration()))
         assert len(restored) == 0
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["vcpu", "memory_mb"])
+    def test_non_finite_resources_rejected(self, field, literal):
+        # json.loads accepts the NaN and Infinity literals; a NaN vCPU used to
+        # be built and slipped past every `<=` comparison.
+        item = {"vcpu": 1, "memory_mb": 128}
+        text = json.dumps({"schema_version": 1, "functions": {"f": item}})
+        text = text.replace(f'"{field}": {item[field]}', f'"{field}": {literal}')
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            configuration_from_dict(json.loads(text))
