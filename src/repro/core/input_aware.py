@@ -154,8 +154,8 @@ class InputAwareEngine:
     # -- request-time dispatch ------------------------------------------------------
     def classify(self, input_scale: float) -> InputClassRule:
         """Map an input scale to its class (the first whose bound covers it)."""
-        if input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        if not 0.0 < input_scale < math.inf:
+            raise ValueError("input_scale must be positive and finite")
         for rule in self.classes:
             if input_scale <= rule.max_scale:
                 return rule

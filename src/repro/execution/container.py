@@ -16,10 +16,19 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.utils.ranges import AT_LEAST_1, Range
+from repro.utils.ranges import Range
 from repro.workflow.resources import ResourceConfig
 
 __all__ = ["Container", "ContainerPool"]
+
+#: A per-function warm-pool cap: at least one container, or ``inf`` for none.
+_CAPACITY = Range(1, math.inf, integer=True)
+
+
+def _capacity(value: float) -> float:
+    """The checked cap: an ``int``, or ``math.inf`` for an unbounded pool."""
+    _CAPACITY.check(value, "max_containers_per_function")
+    return value if value == math.inf else int(value)
 
 
 @dataclass
@@ -76,7 +85,8 @@ class ContainerPool:
         How long an idle container stays warm.
     max_containers_per_function:
         Cap on simultaneously retained containers per function (oldest idle
-        containers are evicted first).
+        containers are evicted first); ``math.inf`` keeps every container
+        until it expires.
     """
 
     def __init__(
@@ -85,9 +95,8 @@ class ContainerPool:
         max_containers_per_function: int = 16,
     ) -> None:
         Range(0.0, math.inf).check(keep_alive_seconds, "keep_alive_seconds")
-        AT_LEAST_1.check(max_containers_per_function, "max_containers_per_function")
         self.keep_alive_seconds = float(keep_alive_seconds)
-        self.max_containers_per_function = int(max_containers_per_function)
+        self.max_containers_per_function = _capacity(max_containers_per_function)
         self._containers: Dict[str, Dict[int, Container]] = {}
         self._by_config: Dict[str, Dict[ResourceConfig, Dict[int, Container]]] = {}
         self._expiry_heaps: Dict[str, List[Tuple[float, int]]] = {}
@@ -267,9 +276,8 @@ class ContainerPool:
         containers are unaffected either way.  Returns the number of
         containers evicted by the shrink.
         """
-        AT_LEAST_1.check(max_containers_per_function, "max_containers_per_function")
         before = self._stats.evictions
-        self.max_containers_per_function = int(max_containers_per_function)
+        self.max_containers_per_function = _capacity(max_containers_per_function)
         for function_name in list(self._containers):
             self._enforce_capacity(function_name)
         return self._stats.evictions - before

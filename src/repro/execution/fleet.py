@@ -42,6 +42,7 @@ from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
 from repro.execution.serving import ServedRequest, ServingMetrics, summarize_outcomes
+from repro.execution.templates import TraceMemo, TraceTemplate
 from repro.execution.trace import ExecutionStatus
 from repro.utils.ranges import AT_LEAST_0, NON_NEGATIVE, POSITIVE, UNIT, Range, check_fields
 from repro.utils.rng import RngStream, derive_seed
@@ -183,12 +184,19 @@ class _TenantRuntime:
                 "must not simulate them"
             )
         self.backend = backend if backend is not None else SimulatorBackend(self.executor)
+        if not self.backend.deterministic:
+            raise ValueError(
+                f"tenant {tenant.name!r}: fleet serving evaluates each "
+                "(configuration, input scale) once per run, so its backend must "
+                "be deterministic (its executor must not simulate cold starts)"
+            )
         self.pricing = self.executor.pricing
         self.slo = tenant.effective_slo()
         self.configuration = tenant.effective_configuration()
         self.workflow = tenant.workload.workflow
-        #: Aligned with ``workflow.plan.names``.
+        #: Aligned with ``workflow.plan.names``, as are the warm-pool keys.
         self.cold_latency = self.executor.cold_latencies(self.workflow)
+        self.pool_keys = tuple(f"{tenant.name}/{name}" for name in self.workflow.plan.names)
 
 
 class _NamespacedPool:
@@ -232,7 +240,16 @@ class FleetSimulator:
     controllers:
         Optional tenant name → :class:`ReconfigurationController` mapping;
         each controller observes only its tenant's traffic and re-tunes that
-        tenant's configuration in place (PR 5 machinery, per tenant).
+        tenant's configuration in place.
+    backends:
+        Optional tenant name → :class:`EvaluationBackend` mapping for the
+        tenants' service traces; a tenant without one gets a plain
+        :class:`SimulatorBackend` over its workload's executor.  Each run
+        evaluates every (configuration, input scale) a tenant dispatches
+        once, noise-free (``rng=None``), and replays that trace template
+        for every request with the same pair, so tenant traces are
+        noise-free and a backend must be ``deterministic``: one over an
+        executor that simulates cold starts is rejected.
     """
 
     def __init__(
@@ -279,6 +296,7 @@ class FleetSimulator:
         self,
         loop: EventLoop,
         runtime: _TenantRuntime,
+        template: TraceTemplate,
         index: int,
         request: RequestArrival,
         configuration: WorkflowConfiguration,
@@ -286,11 +304,10 @@ class FleetSimulator:
         stretch: float,
         node_of: Dict[str, Node],
         carry: Dict[str, float],
-        rng: Optional[RngStream],
         on_complete: Callable[[ServedRequest], None],
         register_abort: Callable[[int, Callable[[float], None]], None],
     ) -> None:
-        """Replay one tenant request with node pricing and interference.
+        """Replay one tenant request's trace template with node pricing and interference.
 
         Mirrors the serving layer's clean replay, with three fleet twists:
         every runtime is stretched by the dispatch-time interference factor,
@@ -299,20 +316,13 @@ class FleetSimulator:
         running containers are killed, billed work is carried as waste, and
         the caller re-queues the request.
         """
-        tenant = runtime.tenant
-        trace = runtime.backend.evaluate(
-            runtime.workflow,
-            configuration,
-            input_scale=request.input_scale,
-            rng=rng,
-        )
         pool = self.container_pool if self.options.simulate_cold_starts else None
         plan = runtime.workflow.plan
-        records = trace.records
+        statuses, run_seconds, configs = template.statuses, template.runtimes, template.configs
         # Indexed by position in the plan's topological order.
         finish = [0.0] * len(plan.names)
         waiting = [len(preds) for preds in plan.preds]
-        running: Dict[str, object] = {}
+        running: Dict[int, object] = {}
         state = {
             "remaining": len(plan.names),
             "completion": dispatch_time,
@@ -347,8 +357,8 @@ class FleetSimulator:
                 cost=state["billed"] + carry["extra_cost"],
                 cold_start_count=state["cold_count"] + int(carry["cold_count"]),
                 cold_start_seconds=state["cold_seconds"] + carry["cold_seconds"],
-                succeeded=trace.succeeded,
-                service_trace=trace,
+                succeeded=template.succeeded,
+                service_trace=template.trace,
                 restarts=int(carry["restarts"]),
                 wasted_seconds=carry["wasted_seconds"],
             )
@@ -371,41 +381,37 @@ class FleetSimulator:
             def fire() -> None:
                 if state["dead"]:
                     return
-                name = plan.names[k]
-                record = records[name]
-                if record.status is ExecutionStatus.SKIPPED:
+                status = statuses[k]
+                if status is ExecutionStatus.SKIPPED:
                     finish_function(k, start)
                     return
-                node = node_of.get(name)
+                config = configs[k]
+                node = node_of.get(plan.names[k])
                 multiplier = node.price_multiplier if node is not None else 1.0
                 penalty = 0.0
                 container = None
                 if pool is not None:
-                    container, cold = pool.acquire(
-                        f"{tenant.name}/{name}", record.config, start
-                    )
+                    container, cold = pool.acquire(runtime.pool_keys[k], config, start)
                     container.node_name = node.name if node is not None else None
                     if cold:
                         penalty = runtime.cold_latency[k]
                         state["cold_count"] += 1
                         state["cold_seconds"] += penalty
-                runtime_seconds = record.runtime_seconds * stretch
+                runtime_seconds = run_seconds[k] * stretch
                 end = start + penalty + runtime_seconds
                 cost = (
-                    runtime.pricing.invocation_cost(
-                        runtime_seconds + penalty, record.config
-                    )
+                    runtime.pricing.invocation_cost(runtime_seconds + penalty, config)
                     * multiplier
                 )
                 if container is not None:
-                    running[name] = container
+                    running[k] = container
 
                 def settle() -> None:
                     if state["dead"]:
                         return
                     if container is not None:
-                        running.pop(name, None)
-                        if record.status is not ExecutionStatus.OOM:
+                        running.pop(k, None)
+                        if status is not ExecutionStatus.OOM:
                             pool.release(container, end)
                     state["billed"] += cost
                     finish_function(k, end)
@@ -469,6 +475,13 @@ class FleetSimulator:
 
         priority_of = {tenant.name: tenant.priority for tenant in self.tenants}
         runtimes = self._runtimes
+        # One memo per tenant and run: each (configuration, input scale) a
+        # tenant dispatches is evaluated once, then replayed as a template.
+        memos = {
+            name: TraceMemo(runtime.backend, runtime.workflow, runtime.pricing,
+                            runtime.cold_latency)
+            for name, runtime in runtimes.items()
+        }
         for name, controller in self.controllers.items():
             controller.bind(pool=_NamespacedPool(self.container_pool, name))
 
@@ -553,10 +566,10 @@ class FleetSimulator:
                         "cold_seconds": 0.0,
                     }
                     carries[seq] = carry
-                request_rng = rng.child("request", tenant_name, seq)
                 self._launch(
                     loop,
                     runtimes[tenant_name],
+                    memos[tenant_name].get(configuration, request.input_scale),
                     seq,
                     request,
                     configuration,
@@ -564,7 +577,6 @@ class FleetSimulator:
                     stretch,
                     node_of,
                     carry,
-                    request_rng,
                     finish_request,
                     lambda i, fn: inflight_aborts.__setitem__(i, fn),
                 )

@@ -57,6 +57,7 @@ from repro.execution.serving import (
     ServingSimulator,
     summarize_outcomes,
 )
+from repro.execution.templates import TraceMemo, TraceTemplate
 from repro.execution.trace import ExecutionStatus
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
@@ -78,46 +79,6 @@ _ARRIVAL = 0
 _START = 1
 _RELEASE = 2
 _COMPLETE = 3
-
-
-class _Template:
-    """Per-(configuration, input-scale) service-trace template.
-
-    The per-function values the scalar engine reads from the evaluated
-    trace — status, runtime, config and cold-start billing delta — resolved
-    once per cohort.  Each list is aligned with the workflow plan's
-    ``names``, so a function's position is its index in the topological
-    order, exactly as in the scalar engine's launch path.
-    """
-
-    __slots__ = (
-        "trace",
-        "statuses",
-        "runtimes",
-        "configs",
-        "deltas",
-        "base_cost",
-        "succeeded",
-    )
-
-    def __init__(self, simulator: ServingSimulator, trace) -> None:
-        records = [trace.records[name] for name in simulator.workflow.plan.names]
-        pricing = simulator.executor.pricing
-        self.trace = trace
-        self.statuses = [record.status for record in records]
-        self.runtimes = [record.runtime_seconds for record in records]
-        self.configs = [record.config for record in records]
-        # Cold-start billing is deterministic per (runtime, penalty, config):
-        # precompute the scalar engine's invocation-cost difference once.
-        self.deltas = [
-            pricing.invocation_cost(runtime + penalty, config)
-            - pricing.invocation_cost(runtime, config)
-            for runtime, penalty, config in zip(
-                self.runtimes, simulator._cold_latency, self.configs
-            )
-        ]
-        self.base_cost = trace.total_cost
-        self.succeeded = trace.succeeded
 
 
 class BatchedServingSimulator:
@@ -163,37 +124,18 @@ class BatchedServingSimulator:
         self.protection = scalar.protection
 
     # -- template resolution ----------------------------------------------------
-    def _build_templates(
+    def _group(
         self,
         request_list: List[RequestArrival],
         configs: List[WorkflowConfiguration],
-    ) -> Tuple[List[_Template], List[int]]:
-        """Group requests into trace cohorts, evaluating once per template.
-
-        Keyed by configuration identity + exact input scale; the ``configs``
-        list keeps every configuration object alive, so object ids cannot be
-        recycled mid-run.  Templates are evaluated in first-arrival order —
-        the same order a memoizing backend sees misses from the scalar run.
-        """
+    ) -> Tuple[List[TraceTemplate], List[int]]:
+        """Group requests into trace cohorts, evaluating once per template."""
         scalar = self._scalar
-        templates: List[_Template] = []
-        lookup: Dict[Tuple[int, float], int] = {}
-        template_of = [0] * len(request_list)
-        for i, request in enumerate(request_list):
-            key = (id(configs[i]), request.input_scale)
-            t = lookup.get(key)
-            if t is None:
-                trace = scalar.backend.evaluate(
-                    scalar.workflow,
-                    configs[i],
-                    input_scale=request.input_scale,
-                    rng=None,
-                )
-                t = len(templates)
-                templates.append(_Template(scalar, trace))
-                lookup[key] = t
-            template_of[i] = t
-        return templates, template_of
+        memo = TraceMemo(
+            scalar.backend, scalar.workflow, scalar.executor.pricing, scalar._cold_latency
+        )
+        template_of = memo.group(request_list, configs)
+        return memo.templates, template_of
 
     # -- entry point -------------------------------------------------------------
     def run(
@@ -299,7 +241,7 @@ class BatchedServingSimulator:
         scalar = self._scalar
         n = len(request_list)
         pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
-        templates, template_of_list = self._build_templates(request_list, configs)
+        templates, template_of_list = self._group(request_list, configs)
         template_of = np.asarray(template_of_list, dtype=np.intp)
         arrivals = np.asarray(
             [r.arrival_time for r in request_list], dtype=np.float64
@@ -412,7 +354,7 @@ class BatchedServingSimulator:
     def _sweep_function(
         self,
         k: int,
-        templates: List[_Template],
+        templates: List[TraceTemplate],
         participants: List[Tuple[int, np.ndarray, bool]],
         finishes: List[List[Optional[np.ndarray]]],
         pool: ContainerPool,
@@ -613,7 +555,7 @@ class BatchedServingSimulator:
         n = len(request_list)
         pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
         queue_capacity = scalar.options.queue_capacity
-        templates, template_of = self._build_templates(request_list, configs)
+        templates, template_of = self._group(request_list, configs)
         ledger = ClusterLedger(scalar.cluster)
         queue: deque = deque()
         outcomes: List[ServedRequest] = []

@@ -20,6 +20,7 @@ input-aware engine (paper §IV-D) sees light/middle/heavy inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -124,8 +125,8 @@ class AnalyticFunctionModel(FunctionPerformanceModel):
 
     # -- FunctionPerformanceModel interface -----------------------------------
     def minimum_memory_mb(self, input_scale: float = 1.0) -> float:
-        if input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        if not 0.0 < input_scale < math.inf:
+            raise ValueError("input_scale must be positive and finite")
         return self.profile.scaled_working_set_mb(input_scale)
 
     def estimate(
@@ -134,8 +135,8 @@ class AnalyticFunctionModel(FunctionPerformanceModel):
         input_scale: float = 1.0,
         rng: Optional[RngStream] = None,
     ) -> RuntimeEstimate:
-        if input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        if not 0.0 < input_scale < math.inf:
+            raise ValueError("input_scale must be positive and finite")
         profile = self.profile
 
         working_set = profile.scaled_working_set_mb(input_scale)

@@ -25,6 +25,7 @@ evaluations stay on the scalar path (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -102,8 +103,8 @@ class VectorizedFunctionKernel:
         input_scale: float = 1.0,
     ) -> BatchEstimate:
         """Predict all N allocations of this function in one array pass."""
-        if input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        if not 0.0 < input_scale < math.inf:
+            raise ValueError("input_scale must be positive and finite")
         vcpu = np.asarray(vcpu, dtype=float)
         memory_mb = np.asarray(memory_mb, dtype=float)
         profile = self.profile
@@ -129,8 +130,8 @@ class VectorizedFunctionKernel:
 
     def minimum_memory_mb(self, input_scale: float = 1.0) -> float:
         """Smallest allocation that avoids an OOM (same as the scalar model)."""
-        if input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        if not 0.0 < input_scale < math.inf:
+            raise ValueError("input_scale must be positive and finite")
         return self.profile.scaled_working_set_mb(input_scale)
 
     # -- model components -------------------------------------------------------

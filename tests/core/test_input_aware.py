@@ -106,9 +106,10 @@ class TestClassification:
         assert engine.classify(1.0).name == "heavy"
         assert engine.classify(5.0).name == "heavy"
 
-    def test_classify_rejects_non_positive(self, engine):
-        with pytest.raises(ValueError):
-            engine.classify(0)
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), 0, -1])
+    def test_classify_rejects_invalid_scales(self, engine, scale):
+        with pytest.raises(ValueError, match="input_scale must be positive and finite"):
+            engine.classify(scale)
 
 
 class TestPrepareAndDispatch:

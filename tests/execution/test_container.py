@@ -1,5 +1,7 @@
 """Tests for the container warm-pool model."""
 
+import math
+
 import pytest
 
 from repro.execution.container import Container, ContainerPool
@@ -77,6 +79,25 @@ class TestContainerPool:
             container, _ = pool.acquire("f", ResourceConfig(1 + i, 512), timestamp=float(i))
             pool.release(container, finish_time=float(i) + 0.5)
         assert pool.warm_count("f", timestamp=10.0) <= 2
+
+    def test_infinite_cap_keeps_every_container(self):
+        pool = ContainerPool(max_containers_per_function=math.inf)
+        assert pool.max_containers_per_function == math.inf
+        held = [pool.acquire("f", CONFIG, timestamp=0.0)[0] for _ in range(40)]
+        for container in held:
+            pool.release(container, finish_time=1.0)
+        assert pool.warm_count("f", timestamp=2.0) == 40
+        assert pool.evictions == 0
+        assert pool.resize(4) == 36
+        assert pool.resize(math.inf) == 0
+        assert pool.max_containers_per_function == math.inf
+
+    @pytest.mark.parametrize("cap", [0, -math.inf, float("nan")])
+    def test_rejects_caps_below_one(self, cap):
+        with pytest.raises(ValueError, match="max_containers_per_function"):
+            ContainerPool(max_containers_per_function=cap)
+        with pytest.raises(ValueError, match="max_containers_per_function"):
+            ContainerPool().resize(cap)
 
     def test_warm_count(self):
         pool = ContainerPool(keep_alive_seconds=10.0)

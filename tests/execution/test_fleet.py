@@ -1,8 +1,13 @@
 """Tests for multi-tenant fleet serving on heterogeneous clusters."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.execution.backend import SimulatorBackend
 from repro.execution.cluster import Cluster, ClusterLedger, Node, balance_key, spread_key
+from repro.execution.executor import ExecutorOptions
 from repro.execution.fleet import FleetOptions, FleetSimulator, Tenant
 from repro.execution.instances import build_cluster
 from repro.execution.protection import (
@@ -443,3 +448,149 @@ class TestFleetIntegrations:
         assert result.node_failures > 0
         metrics = result.tenant("only").metrics
         assert metrics.offered == metrics.completed + metrics.rejected
+
+
+def benchmark_fleet():
+    """The tenants, cluster and options of perfbench's ``fleet`` workload."""
+    tenants = [
+        Tenant("interactive", get_workload("chatbot"), priority=2,
+               arrival="poisson", rate_rps=0.5),
+        Tenant("pipeline", get_workload("ml-pipeline"), priority=1,
+               arrival="poisson", rate_rps=0.5),
+        Tenant("video", get_workload("video-analysis"), priority=0,
+               arrival="bursty", rate_rps=0.1),
+    ]
+    cluster = build_cluster(
+        [("m5.4xlarge", 12), ("c5.4xlarge", 8), ("m6g.4xlarge", 4)],
+        spot_spec=[("c5a.4xlarge", 8), ("m6g.4xlarge", 4)],
+    )
+    return tenants, cluster, FleetOptions(placement="priority", spot_evictions_per_hour=20.0)
+
+
+def assert_traces_are_fresh(tenants, result):
+    """Each outcome's service trace equals a fresh execution of its own key."""
+    for tenant in tenants:
+        executor = tenant.workload.build_executor()
+        outcomes = result.tenant(tenant.name).outcomes
+        assert outcomes
+        for outcome in outcomes:
+            fresh = executor.execute(
+                tenant.workload.workflow,
+                outcome.configuration,
+                input_scale=outcome.request.input_scale,
+            )
+            served = outcome.service_trace.records
+            assert list(served) == list(fresh.records)
+            for name, record in fresh.records.items():
+                assert (served[name].status, served[name].runtime_seconds,
+                        served[name].cost) == (record.status, record.runtime_seconds,
+                                               record.cost)
+
+
+def distinct_keys(outcomes):
+    return {(id(outcome.configuration), outcome.request.input_scale) for outcome in outcomes}
+
+
+class TestTraceTemplates:
+    @pytest.mark.parametrize("seed", [717, 11])
+    def test_service_traces_match_fresh_executions(self, seed):
+        tenants, cluster, options = benchmark_fleet()
+        result = FleetSimulator(tenants, cluster, options=options).run(900.0, seed=seed)
+        assert result.spot_evictions > 0
+        assert_traces_are_fresh(tenants, result)
+
+    def test_retuned_configuration_gets_its_own_template(self):
+        from repro.control.controller import ControllerOptions, ReconfigurationController
+        from repro.control.drift import ScheduledDriftDetector
+        from repro.control.rollout import ImmediateRollout
+        from repro.execution.backend import CachingBackend
+
+        workload = get_workload("chatbot")
+        controller = ReconfigurationController(
+            workflow=workload.workflow,
+            slo=workload.slo,
+            initial_configuration=workload.base_configuration(),
+            detector=ScheduledDriftDetector(interval_seconds=100.0),
+            rollout=ImmediateRollout(),
+            backend=CachingBackend(SimulatorBackend(workload.build_executor())),
+            options=ControllerOptions(
+                window_seconds=200.0,
+                min_window_completions=3,
+                min_retune_interval_seconds=10.0,
+            ),
+            seed=7,
+            name="adaptive",
+        )
+        tenants = [Tenant("adaptive", workload, arrival="poisson", rate_rps=0.05)]
+        result = FleetSimulator(
+            tenants, small_cluster(), controllers={"adaptive": controller}
+        ).run(600.0, seed=717)
+        # A promoted re-tune served part of the traffic, so a template keyed
+        # on anything but the configuration would replay the stale trace.
+        assert len(result.tenant("adaptive").control.version_completions) >= 2
+        assert_traces_are_fresh(tenants, result)
+
+    def test_each_run_simulates_each_dispatched_key_once(self):
+        tenants, cluster, options = benchmark_fleet()
+        backends = {
+            tenant.name: SimulatorBackend(tenant.workload.build_executor())
+            for tenant in tenants
+        }
+        simulator = FleetSimulator(tenants, cluster, options=options, backends=backends)
+        first = simulator.run(900.0, seed=717)
+        keys = {name: len(distinct_keys(t.outcomes)) for name, t in first.tenants.items()}
+        assert all(count > 0 for count in keys.values())
+        assert {name: b.stats.simulations for name, b in backends.items()} == keys
+        # The memo belongs to one run: a second run evaluates its keys again.
+        simulator.run(900.0, seed=717)
+        assert {name: b.stats.simulations for name, b in backends.items()} == {
+            name: 2 * count for name, count in keys.items()
+        }
+
+    def test_rejects_a_backend_that_simulates_cold_starts(self):
+        tenants = small_fleet()
+        executor = tenants[0].workload.build_executor(
+            options=ExecutorOptions(simulate_cold_starts=True)
+        )
+        with pytest.raises(ValueError, match="deterministic"):
+            FleetSimulator(
+                tenants,
+                small_cluster(),
+                backends={tenants[0].name: SimulatorBackend(executor)},
+            )
+
+
+class TestUnboundedWarmPool:
+    def test_infinite_cap_equals_a_cap_above_the_invocation_count(self):
+        tenants = [
+            Tenant("only", get_workload("chatbot"), arrival="poisson", rate_rps=0.05)
+        ]
+
+        def run(cap):
+            simulator = FleetSimulator(
+                tenants, small_cluster(), options=FleetOptions(max_warm_per_function=cap)
+            )
+            return simulator, simulator.run(600.0, seed=717)
+
+        unbounded_pool, unbounded = run(math.inf)
+        invocations = unbounded_pool.container_pool.cold_starts + (
+            unbounded_pool.container_pool.warm_hits
+        )
+        assert invocations > 0
+        capped_pool, capped = run(invocations + 1)
+        assert dataclasses.asdict(unbounded.tenant("only").metrics) == dataclasses.asdict(
+            capped.tenant("only").metrics
+        )
+
+        def served(result):
+            return [
+                (o.index, o.dispatch_time, o.completion_time, o.cost,
+                 o.cold_start_count, o.cold_start_seconds)
+                for o in result.tenant("only").outcomes
+            ]
+
+        assert served(unbounded) == served(capped)
+        for counter in ("cold_starts", "warm_hits", "evictions"):
+            assert getattr(unbounded_pool.container_pool, counter) == getattr(
+                capped_pool.container_pool, counter
+            )

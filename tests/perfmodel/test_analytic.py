@@ -162,9 +162,12 @@ class TestNoiseAndEstimate:
         b = model.runtime(ResourceConfig(vcpu=2, memory_mb=1024), rng=RngStream(5))
         assert a == b
 
-    def test_invalid_input_scale(self):
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), 0, -1])
+    def test_invalid_input_scale(self, scale):
         model = AnalyticFunctionModel(make_profile())
-        with pytest.raises(ValueError):
-            model.estimate(ResourceConfig(vcpu=1, memory_mb=512), input_scale=0)
-        with pytest.raises(ValueError):
-            model.minimum_memory_mb(0)
+        with pytest.raises(ValueError, match="input_scale must be positive and finite"):
+            model.estimate(ResourceConfig(vcpu=1, memory_mb=512), input_scale=scale)
+        with pytest.raises(ValueError, match="input_scale must be positive and finite"):
+            model.runtime(ResourceConfig(vcpu=1, memory_mb=1024), input_scale=scale)
+        with pytest.raises(ValueError, match="input_scale must be positive and finite"):
+            model.minimum_memory_mb(scale)

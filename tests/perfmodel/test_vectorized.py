@@ -91,10 +91,13 @@ class TestKernelParity:
         assert batch.total_seconds[0] == batch.total_seconds[1]
         assert batch.total_seconds[0] == scalar_runtime(io_only, 0.1, 512.0)
 
-    def test_rejects_non_positive_input_scale(self):
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rejects_invalid_input_scale(self, scale):
         kernel = VectorizedFunctionKernel(PROFILE)
-        with pytest.raises(ValueError):
-            kernel.estimate_batch(np.array([1.0]), np.array([512.0]), input_scale=0.0)
+        with pytest.raises(ValueError, match="input_scale must be positive and finite"):
+            kernel.estimate_batch(np.array([1.0]), np.array([512.0]), input_scale=scale)
+        with pytest.raises(ValueError, match="input_scale must be positive and finite"):
+            kernel.minimum_memory_mb(scale)
 
     def test_minimum_memory_matches_scalar(self):
         kernel = VectorizedFunctionKernel(PROFILE)
