@@ -3,13 +3,16 @@
 The heavyweight artefact — the full configuration-search comparison of AARC,
 BO and MAFF over the three workloads — is produced once per session and shared
 by the Fig. 5 / Fig. 6 / Fig. 7 / Table II benchmarks.  Every benchmark prints
-the numeric rendering of its figure; ``pytest benchmarks --update-results``
-also writes it to ``benchmarks/results/``, so a plain run leaves the committed
-files untouched.
+the numeric rendering of its figure.  A plain run compares each rendering of
+simulated quantities against its committed file under ``benchmarks/results/``
+and fails with a diff when they differ; renderings of timings, which change
+run to run, are only printed.  ``pytest benchmarks --update-results`` writes
+every rendering to its file instead.
 """
 
 from __future__ import annotations
 
+import difflib
 import os
 import sys
 
@@ -54,16 +57,43 @@ BENCH_SETTINGS = ExperimentSettings(seed=2025, bo_samples=100, maff_samples=100)
 
 @pytest.fixture(scope="session")
 def record_result(request):
-    """``record_result(filename, text)`` echoes a rendering; with
-    ``--update-results`` it also writes it under benchmarks/results/."""
+    """``record_result(filename, text, timings=False)`` echoes a rendering.
+
+    With ``--update-results`` it writes the rendering under
+    benchmarks/results/.  Otherwise a rendering of simulated quantities must
+    equal the committed file, and the test fails with a diff when it does
+    not; ``timings=True`` marks a rendering that holds measured times, which
+    is only printed.
+    """
     update = bool(request.config.getoption("--update-results"))
 
-    def record(filename: str, text: str) -> None:
+    def record(filename: str, text: str, timings: bool = False) -> None:
         print("\n" + text)
+        path = os.path.join(RESULTS_DIR, filename)
+        rendered = text + "\n"
         if update:
             os.makedirs(RESULTS_DIR, exist_ok=True)
-            with open(os.path.join(RESULTS_DIR, filename), "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+            return
+        if timings:
+            return
+        if not os.path.exists(path):
+            pytest.fail(f"{filename} is not committed; run with --update-results")
+        with open(path, encoding="utf-8") as handle:
+            committed = handle.read()
+        if rendered != committed:
+            diff = difflib.unified_diff(
+                committed.splitlines(keepends=True),
+                rendered.splitlines(keepends=True),
+                fromfile=f"benchmarks/results/{filename}",
+                tofile="this run",
+            )
+            pytest.fail(
+                f"{filename} differs from the committed rendering "
+                "(--update-results rewrites it):\n" + "".join(diff),
+                pytrace=False,
+            )
 
     return record
 

@@ -82,4 +82,4 @@ def test_backend_cache_throughput(benchmark, record_result):
         cached_evals / cached_elapsed if cached_elapsed > 0 else float("inf"),
         stats.cache_hits, f"{stats.cache_hit_rate * 100:.1f}%",
     )
-    record_result("backend_cache.txt", table.render())
+    record_result("backend_cache.txt", table.render(), timings=True)

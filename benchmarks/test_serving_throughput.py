@@ -95,7 +95,7 @@ def test_serving_throughput_vs_arrival_rate(benchmark, record_result):
             f"{metrics.cold_start_request_rate * 100:.1f}%",
             wall,
         )
-    record_result("serving_throughput.txt", table.render())
+    record_result("serving_throughput.txt", table.render(), timings=True)
 
     # Queueing is actually modelled: at the saturating rate the reported p99
     # strictly exceeds the uncontended single-request latency, and the queue
@@ -259,7 +259,7 @@ def test_batched_engine_speedup(benchmark, record_result, request):
         f"\nslots RequestArrival: {slots_bytes:.1f} B/request vs "
         f"{dict_bytes:.1f} B dict-backed ({dict_bytes / slots_bytes:.1f}x)"
     )
-    record_result("serving_engine_speedup.txt", rendering)
+    record_result("serving_engine_speedup.txt", rendering, timings=True)
 
     metrics = event_result.metrics
     payload = {
@@ -303,7 +303,9 @@ def test_batched_engine_speedup(benchmark, record_result, request):
             ),
         },
     }
-    record_result("BENCH_serving.json", json.dumps(payload, indent=2, sort_keys=True))
+    record_result(
+        "BENCH_serving.json", json.dumps(payload, indent=2, sort_keys=True), timings=True
+    )
 
     # Benchmark the representative unit of work: one batched serve of the
     # already-generated stream.

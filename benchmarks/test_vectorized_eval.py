@@ -170,5 +170,7 @@ def test_vectorized_eval_throughput(benchmark, record_result):
         iterations=1,
     )
 
-    record_result("vectorized_eval.txt", table.render())
-    record_result("BENCH_vectorized.json", json.dumps(payload, indent=2, sort_keys=True))
+    record_result("vectorized_eval.txt", table.render(), timings=True)
+    record_result(
+        "BENCH_vectorized.json", json.dumps(payload, indent=2, sort_keys=True), timings=True
+    )

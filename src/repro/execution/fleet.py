@@ -282,10 +282,8 @@ class FleetSimulator:
         self.protection = protection
         self.controllers = dict(controllers or {})
         backends = backends or {}
-        self.container_pool = ContainerPool(
-            keep_alive_seconds=self.options.keep_alive_seconds,
-            max_containers_per_function=self.options.max_warm_per_function,
-        )
+        #: The warm pool of the latest run; each run starts from an empty one.
+        self.container_pool: Optional[ContainerPool] = None
         self._runtimes: Dict[str, _TenantRuntime] = {
             tenant.name: _TenantRuntime(tenant, backends.get(tenant.name))
             for tenant in self.tenants
@@ -482,6 +480,10 @@ class FleetSimulator:
                             runtime.cold_latency)
             for name, runtime in runtimes.items()
         }
+        self.container_pool = ContainerPool(
+            keep_alive_seconds=options.keep_alive_seconds,
+            max_containers_per_function=options.max_warm_per_function,
+        )
         for name, controller in self.controllers.items():
             controller.bind(pool=_NamespacedPool(self.container_pool, name))
 

@@ -431,12 +431,16 @@ class ServingSimulator:
         Evaluation substrate for service traces; defaults to a plain
         :class:`SimulatorBackend` over ``executor``.  Pass a
         :class:`~repro.execution.backend.CachingBackend` stack to memoize.
+        It must be ``deterministic``: one over an executor that simulates
+        cold starts is rejected, as such an executor is.
     cluster:
         Finite capacity the requests contend for; ``None`` serves every
         request immediately (no queueing).
     container_pool:
         Warm pool for the cold-start overlay; defaults to the executor's own
-        pool so backend statistics report the serving pool's counters.
+        pool so backend statistics report the serving pool's counters.  Each
+        run starts from an empty pool at the cap it had when the simulator
+        was built; the counters accumulate across runs.
     slo:
         End-to-end latency objective used for SLO-attainment reporting.
     options:
@@ -475,10 +479,18 @@ class ServingSimulator:
         self.workflow = workflow
         self.executor = executor
         self.backend = backend if backend is not None else SimulatorBackend(executor)
+        if not self.backend.deterministic:
+            raise ValueError(
+                "the serving layer overlays cold starts itself, so its backend "
+                "must be deterministic (its executor must not simulate cold starts)"
+            )
         self.cluster = cluster
         self.container_pool = (
             container_pool if container_pool is not None else executor.container_pool
         )
+        # Every run starts from an empty pool at this cap (the autoscaler
+        # resizes the pool during a run).
+        self._pool_capacity = self.container_pool.max_containers_per_function
         self.slo = slo
         self.options = options if options is not None else ServingOptions()
         self.faults = faults
@@ -486,6 +498,15 @@ class ServingSimulator:
         # Aligned with ``workflow.plan.names``, resolved once instead of on
         # the per-request hot path.
         self._cold_latency = executor.cold_latencies(workflow)
+
+    def _reset_pool(self) -> None:
+        """Empty the warm pool and restore its cap before a run.
+
+        The pool's cumulative counters stay, since backend statistics read
+        them across runs.
+        """
+        self.container_pool.clear()
+        self.container_pool.resize(self._pool_capacity)
 
     # -- service-time reconstruction ---------------------------------------------
     def _launch(
@@ -1131,6 +1152,7 @@ class ServingSimulator:
             controller that never re-tunes (e.g. a ``NullDriftDetector``)
             leaves the run byte-identical to a static one.
         """
+        self._reset_pool()
         request_list = list(requests)
         loop = EventLoop()
         ledger = ClusterLedger(self.cluster)

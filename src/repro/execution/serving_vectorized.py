@@ -14,10 +14,20 @@ the scalar engine under fixed seeds (the differential tier in
   the whole cohort in NumPy passes (per-function start/finish arrays,
   elementwise-max joins, cumulative-sum concurrency integration).
 * The warm-pool overlay replays the :class:`ContainerPool` contract per
-  function with a sorted sweep: the common single-configuration bucket
-  reduces to an exact LIFO deque (most-recent warm match, strict-boundary
-  expiry, oldest-first capacity eviction), and mixed-configuration buckets
-  drive a real replica pool so input-aware cohorts keep exact semantics.
+  function with a sweep over the start-sorted acquisitions.  In the common
+  single-configuration bucket, the idle stack's height decides every
+  acquisition: each release flushed by then raises it (evicting the oldest
+  container above the cap), and an acquisition is cold exactly when it is
+  zero.  The releases flushed by each acquisition are counted with
+  ``searchsorted`` over the ascending warm and cold release times, in
+  blocks shorter than the shortest runtime, so that all of a block's counts
+  come from earlier, settled blocks and one integer walk settles it.  The
+  counts ignore keep-alive expiry, so they settle a sweep only while every
+  gap between acquisitions that empty the stack stays below the keep-alive;
+  that sweep and any whose blocks are too small to pay are replayed by the
+  exact LIFO deque (most-recent warm match, strict-boundary expiry,
+  oldest-first capacity eviction).  Mixed-configuration buckets drive a real
+  replica pool so input-aware cohorts keep exact semantics.
 * Runs that contend for a finite cluster replay the scalar event loop
   *exactly* on the :class:`~repro.execution.events_calendar.EventCalendar`
   — same event set, same insertion-order tie-breaking — just without the
@@ -37,8 +47,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,6 +168,7 @@ class BatchedServingSimulator:
         and the returned result records why in ``fallback_reason``.
         """
         scalar = self._scalar
+        scalar._reset_pool()
         plan = scalar.faults
         policy = scalar.protection
         reason = ""
@@ -182,16 +194,11 @@ class BatchedServingSimulator:
             )
         request_list = list(requests)
         times = [r.arrival_time for r in request_list]
-        sorted_ok = all(b >= a for a, b in zip(times, times[1:]))
-        pool_warmed = scalar.options.simulate_cold_starts and any(
-            scalar.container_pool._containers.values()
-        )
-        # The cohort sweep assumes a pristine pool (fresh per experiment);
-        # unsorted streams would break the backbone lane.  Both are exotic —
+        # Unsorted streams would break the backbone lane; they are exotic, so
         # serve them on the reference engine instead of approximating.
-        if not sorted_ok or (scalar.cluster is None and pool_warmed):
+        if not all(b >= a for a, b in zip(times, times[1:])):
             return self._delegate(
-                "unsorted-arrivals" if not sorted_ok else "warm-pool",
+                "unsorted-arrivals",
                 request_list,
                 configuration_for,
                 duration_seconds=duration_seconds,
@@ -365,9 +372,16 @@ class BatchedServingSimulator:
         participant is ``(template, start times, OOM-killed)``.  Stores the
         per-participant finish arrays in ``finishes`` and
         returns ``(cold_starts, evictions, warm_hits, cold_flags)`` with
-        one boolean flag array per participant.  Single-configuration
-        buckets (the common case) reduce to an exact LIFO deque of
-        last-used times; mixed buckets drive a replica
+        one boolean flag array per participant.
+
+        A single-configuration bucket (the common case) is an idle stack
+        whose height alone decides each acquisition.  ``_settle_sweep``
+        settles it from release counts in blocks that none of their own
+        releases reach (``_settle_counts``) when the blocks average at least
+        ``_BLOCK_FILL`` acquisitions per participant and no container can
+        expire; otherwise it replays the acquisitions one by one through an
+        exact LIFO deque (``_settle_loop``), the reference the counts are
+        tested against.  Mixed buckets drive a replica
         :class:`ContainerPool`, keeping the MRU/expiry/capacity contract by
         construction.
         """
@@ -381,58 +395,26 @@ class BatchedServingSimulator:
         else:
             owner = np.zeros(merged.size, dtype=np.intp)
         order = np.argsort(merged, kind="stable")
-        start_sorted = merged[order].tolist()
-        owner_sorted = owner[order].tolist()
         runtime_of = [templates[t].runtimes[k] for t, _, _ in participants]
         config_of = [templates[t].configs[k] for t, _, _ in participants]
         oom_of = [oom for _, _, oom in participants]
         penalty = self._scalar._cold_latency[k]
         total = merged.size
-        cold_flags = [False] * total
-        end_sorted = [0.0] * total
         keep_alive = pool.keep_alive_seconds
         capacity = pool.max_containers_per_function
-        cold = warm = evicted = 0
 
         if len(set(config_of)) == 1:
-            # Exact single-bucket replay: ``idle`` holds last-used times in
-            # ascending order.  Releases flush before any acquisition at the
-            # same instant; expiry uses the pool's own two-sided predicate
-            # (heap-popped at ``last + keep_alive <= t``, evicted only when
-            # ``t - last > keep_alive``), so boundary containers stay warm
-            # and rounding zombies linger exactly as in ContainerPool.
-            idle: deque = deque()
-            pending: List[float] = []
-            heappush, heappop = heapq.heappush, heapq.heappop
-            for j in range(total):
-                now = start_sorted[j]
-                while pending and pending[0] <= now:
-                    idle.append(heappop(pending))
-                    if len(idle) > capacity:
-                        idle.popleft()
-                        evicted += 1
-                while idle:
-                    last = idle[0]
-                    if last + keep_alive <= now and now - last > keep_alive:
-                        idle.popleft()
-                        evicted += 1
-                    else:
-                        break
-                p = owner_sorted[j]
-                if idle and now - idle[-1] <= keep_alive:
-                    idle.pop()
-                    warm += 1
-                    end = now + runtime_of[p]
-                else:
-                    cold_flags[j] = True
-                    cold += 1
-                    end = (now + penalty) + runtime_of[p]
-                end_sorted[j] = end
-                if not oom_of[p]:
-                    heappush(pending, end)
+            cold_sorted, end_sorted, cold, warm, evicted = _settle_sweep(
+                merged[order], owner[order], runtime_of, oom_of,
+                penalty, capacity, keep_alive,
+            )
         else:
             # Mixed configurations (input-aware cohorts): drive a real pool
             # replica so exact-config matching keeps ContainerPool semantics.
+            start_sorted = merged[order].tolist()
+            owner_sorted = owner[order].tolist()
+            cold_flags = [False] * total
+            end_list = [0.0] * total
             name = self.workflow.plan.names[k]
             replica = ContainerPool(keep_alive, capacity)
             tie = itertools.count()
@@ -450,17 +432,19 @@ class BatchedServingSimulator:
                     end = (now + penalty) + runtime_of[p]
                 else:
                     end = now + runtime_of[p]
-                end_sorted[j] = end
+                end_list[j] = end
                 if not oom_of[p]:
                     heappush(releases, (end, next(tie), container))
+            cold_sorted = np.asarray(cold_flags, dtype=bool)
+            end_sorted = np.asarray(end_list, dtype=np.float64)
             cold = replica.cold_starts
             warm = replica.warm_hits
             evicted = replica.evictions
 
         ends = np.empty(total, dtype=np.float64)
-        ends[order] = np.asarray(end_sorted, dtype=np.float64)
+        ends[order] = end_sorted
         flags = np.zeros(total, dtype=bool)
-        flags[order] = np.asarray(cold_flags, dtype=bool)
+        flags[order] = cold_sorted
         flags_of: List[np.ndarray] = []
         offset = 0
         for (t, _, _), size in zip(participants, sizes):
@@ -676,6 +660,228 @@ class BatchedServingSimulator:
             outcomes, rejected, duration_seconds, n, scalar.slo, ledger=ledger
         )
         return ServingResult(outcomes=outcomes, rejected=rejected, metrics=metrics)
+
+
+# -- single-configuration warm-pool settlement ----------------------------------
+# Each settlement takes one function's acquisitions sorted by start time
+# (``start``, with ``owner`` indexing ``runtimes`` and ``oom``), the function's
+# cold-start ``penalty`` and the pool's ``capacity`` (``math.inf``: no cap) and
+# ``keep_alive``.  It returns ``(cold, ends, cold_starts, warm_hits,
+# evictions)`` with per-acquisition cold flags and end times in sorted order.
+_Settlement = Tuple[np.ndarray, np.ndarray, int, int, int]
+
+#: Average acquisitions per block and participant below which the count
+#: settlement's per-block array calls cost about as much as the loop they
+#: replace: the two broke even near 35, and at 50 the counts took about
+#: two thirds of the loop's time.
+_BLOCK_FILL = 50
+
+
+def _settle_loop(
+    start: np.ndarray,
+    owner: np.ndarray,
+    runtimes: Sequence[float],
+    oom: Sequence[bool],
+    penalty: float,
+    capacity: float,
+    keep_alive: float,
+) -> _Settlement:
+    """Replay the bucket acquisition by acquisition: the exact reference.
+
+    ``idle`` holds last-used times in ascending order.  Releases flush
+    before any acquisition at the same instant; expiry uses the pool's own
+    two-sided predicate (heap-popped at ``last + keep_alive <= t``, evicted
+    only when ``t - last > keep_alive``), so boundary containers stay warm
+    and rounding zombies linger exactly as in ContainerPool.
+    """
+    start_sorted = start.tolist()
+    owner_sorted = owner.tolist()
+    total = len(start_sorted)
+    cold_flags = [False] * total
+    end_sorted = [0.0] * total
+    cold = warm = evicted = 0
+    idle: deque = deque()
+    pending: List[float] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    for j in range(total):
+        now = start_sorted[j]
+        while pending and pending[0] <= now:
+            idle.append(heappop(pending))
+            if len(idle) > capacity:
+                idle.popleft()
+                evicted += 1
+        while idle:
+            last = idle[0]
+            if last + keep_alive <= now and now - last > keep_alive:
+                idle.popleft()
+                evicted += 1
+            else:
+                break
+        p = owner_sorted[j]
+        if idle and now - idle[-1] <= keep_alive:
+            idle.pop()
+            warm += 1
+            end = now + runtimes[p]
+        else:
+            cold_flags[j] = True
+            cold += 1
+            end = (now + penalty) + runtimes[p]
+        end_sorted[j] = end
+        if not oom[p]:
+            heappush(pending, end)
+    return (
+        np.asarray(cold_flags, dtype=bool),
+        np.asarray(end_sorted, dtype=np.float64),
+        cold,
+        warm,
+        evicted,
+    )
+
+
+def _count_blocks(
+    start: np.ndarray, runtimes: Sequence[float], oom: Sequence[bool], limit: int
+) -> Optional[List[int]]:
+    """Cut the sorted starts into blocks that none of their releases reach.
+
+    Returns the bounds ``[0, b1, ..., n]`` of the greedy blocks ``[a, b)``
+    with ``start[b - 1] < start[a] + step``, where ``step`` is the shortest
+    runtime of a participant that releases its containers: every release of
+    a block's acquisitions lands after the block.  ``None`` when it takes
+    more than ``limit`` blocks, or when a block would be empty (a runtime
+    too short to move its start).
+    """
+    step = min((r for r, killed in zip(runtimes, oom) if not killed), default=math.inf)
+    bounds = [0]
+    while bounds[-1] < start.size:
+        if len(bounds) > limit:
+            return None
+        a = bounds[-1]
+        b = int(start.searchsorted(start[a] + step, "left"))
+        if b == a:
+            return None
+        bounds.append(b)
+    return bounds
+
+
+def _settle_counts(
+    start: np.ndarray,
+    owner: np.ndarray,
+    runtimes: Sequence[float],
+    oom: Sequence[bool],
+    penalty: float,
+    capacity: float,
+    keep_alive: float,
+    bounds: List[int],
+) -> Optional[_Settlement]:
+    """Settle the bucket block by block from release counts, or ``None``.
+
+    Per participant, warm releases ``start + runtime`` and cold releases
+    ``(start + penalty) + runtime`` both ascend with the start, so the
+    releases flushed by an acquisition at ``t`` number ``iw - cold[:iw] +
+    cold[:ic]`` over the releasing acquisitions sorted by either release
+    time, with ``iw`` and ``ic`` the ``side="right"`` ranks of ``t`` (a
+    release at ``t`` flushes first).  Within a block of ``bounds`` every
+    such release comes from an earlier, settled block, so the block's counts
+    take a few array calls and one integer walk settles it: the idle stack's
+    ``height`` gains each new release, evicts above ``capacity`` and loses
+    one per warm acquisition; an acquisition is cold exactly when it is 0.
+
+    Heights ignore expiry.  Every idle container an acquisition sees was
+    released after the last acquisition that emptied the stack, so while
+    every gap between emptyings (from the first start up to the last) stays
+    below ``keep_alive``, nothing expires and every warm check passes.
+    Returns ``None`` as soon as a gap could let a container expire.
+    """
+    run = np.asarray(runtimes, dtype=np.float64)[owner]
+    warm_end = start + run
+    cold_end = (start + penalty) + run
+    releasing = np.nonzero(~np.asarray(oom, dtype=bool)[owner])[0]
+    by_warm = releasing[np.argsort(warm_end[releasing], kind="stable")]
+    by_cold = releasing[np.argsort(cold_end[releasing], kind="stable")]
+    # Releases that would flush by each start if every acquisition were warm,
+    # and if every one were cold.
+    warm_ranks = warm_end[by_warm].searchsorted(start, "right")
+    cold_ranks = cold_end[by_cold].searchsorted(start, "right")
+    # Cold flags counted along each release order, filled as blocks settle.
+    warm_prefix = np.zeros(releasing.size + 1, dtype=np.int64)
+    cold_prefix = np.zeros(releasing.size + 1, dtype=np.int64)
+    warm_done = cold_done = 0
+    cold = np.zeros(start.size, dtype=bool)
+    height = evicted = 0
+    last_empty = float(start[0])
+    flushed = np.zeros(1, dtype=np.int64)
+    for a, b in zip(bounds, bounds[1:]):
+        iw = warm_ranks[a:b]
+        ic = cold_ranks[a:b]
+        top = int(iw[-1])
+        if top > warm_done:
+            warm_prefix[warm_done + 1 : top + 1] = warm_prefix[warm_done] + np.cumsum(
+                cold[by_warm[warm_done:top]]
+            )
+            warm_done = top
+        top = int(ic[-1])
+        if top > cold_done:
+            cold_prefix[cold_done + 1 : top + 1] = cold_prefix[cold_done] + np.cumsum(
+                cold[by_cold[cold_done:top]]
+            )
+            cold_done = top
+        # Releases flushed by each acquisition, after the previous block's last.
+        previous = flushed[-1]
+        flushed = np.empty(b - a + 1, dtype=np.int64)
+        flushed[0] = previous
+        np.add(iw - warm_prefix[iw], cold_prefix[ic], out=flushed[1:])
+        emptied: List[int] = []
+        colds: List[int] = []
+        for j, released in enumerate((flushed[1:] - flushed[:-1]).tolist(), a):
+            height += released
+            if height > capacity:
+                evicted += height - capacity
+                height = capacity
+            if height > 1:
+                height -= 1
+            else:
+                emptied.append(j)
+                if height:
+                    height = 0
+                else:
+                    colds.append(j)
+        if colds:
+            cold[colds] = True
+        for mark in start[emptied].tolist():
+            if mark - last_empty >= keep_alive:
+                return None
+            last_empty = mark
+        if float(start[b - 1]) - last_empty >= keep_alive:
+            return None
+    n_cold = int(np.count_nonzero(cold))
+    return (
+        cold,
+        np.where(cold, cold_end, warm_end),
+        n_cold,
+        start.size - n_cold,
+        evicted,
+    )
+
+
+def _settle_sweep(
+    start: np.ndarray,
+    owner: np.ndarray,
+    runtimes: Sequence[float],
+    oom: Sequence[bool],
+    penalty: float,
+    capacity: float,
+    keep_alive: float,
+) -> _Settlement:
+    """Settle from counts where they are exact and their blocks pay, else loop."""
+    limit = start.size // (_BLOCK_FILL * len(runtimes))
+    bounds = _count_blocks(start, runtimes, oom, limit)
+    if bounds is not None:
+        settled = _settle_counts(
+            start, owner, runtimes, oom, penalty, capacity, keep_alive, bounds
+        )
+        if settled is not None:
+            return settled
+    return _settle_loop(start, owner, runtimes, oom, penalty, capacity, keep_alive)
 
 
 def build_serving_engine(name: str = "event", **kwargs):

@@ -19,6 +19,7 @@ import dataclasses
 
 import pytest
 
+from repro.execution import serving_vectorized
 from repro.execution.serving import ServingSimulator
 from repro.execution.serving_vectorized import (
     SERVING_ENGINE_NAMES,
@@ -222,6 +223,80 @@ class TestZooDifferential:
         reference, batched = run_pair(workload, settings)
         assert_equivalent(reference, batched)
         assert batched.result.fallback_reason == ""
+
+
+class TestPoolSettlementDifferential:
+    """The single-configuration pool sweep settles from release counts where
+    that is exact and pays, and replays the loop elsewhere; either way the
+    engines agree.  ``paths`` records which settlement each sweep used:
+    ``counts``, ``guard`` (the counts stopped: a container could expire) or
+    ``loop``."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        record = []
+        counts, loop = serving_vectorized._settle_counts, serving_vectorized._settle_loop
+
+        def spy_counts(*args):
+            settled = counts(*args)
+            record.append("counts" if settled is not None else "guard")
+            return settled
+
+        def spy_loop(*args):
+            record.append("loop")
+            return loop(*args)
+
+        monkeypatch.setattr(serving_vectorized, "_settle_counts", spy_counts)
+        monkeypatch.setattr(serving_vectorized, "_settle_loop", spy_loop)
+        return record
+
+    @staticmethod
+    def settings(**overrides):
+        return ServingSettings(
+            method="base", arrival="poisson", nodes=0, seed=2025, **overrides
+        )
+
+    @pytest.mark.parametrize("capacity", [1, 16])
+    def test_counts_settle_chatbot(self, paths, capacity):
+        settings = self.settings(
+            rate_rps=50.0, duration_seconds=60.0, max_containers_per_function=capacity
+        )
+        assert_equivalent(*run_pair("chatbot", settings))
+        assert paths == ["counts"] * 7
+
+    def test_counts_settle_ml_pipeline(self, paths):
+        settings = self.settings(rate_rps=20.0, duration_seconds=100.0)
+        assert_equivalent(*run_pair("ml-pipeline", settings))
+        assert paths == ["counts"] * 5 + ["loop"]
+
+    def test_sparse_stream_stays_on_the_loop(self, paths):
+        # Blocks of one acquisition: the block-size rule keeps the loop.
+        settings = self.settings(rate_rps=0.05, duration_seconds=20000.0)
+        assert_equivalent(*run_pair("chatbot", settings))
+        assert paths == ["loop"] * 7
+
+    def test_expiry_guard_falls_back_to_the_loop(self, paths):
+        # A 100-container cap rarely empties the idle stack, so an idle
+        # container can outlive a 30 s keep-alive: the guard stops the counts.
+        settings = self.settings(
+            rate_rps=20.0,
+            duration_seconds=120.0,
+            keep_alive_seconds=30.0,
+            max_containers_per_function=100,
+        )
+        assert_equivalent(*run_pair("chatbot", settings))
+        assert paths.count("guard") == 5
+        assert "counts" not in paths
+
+    def test_counts_settle_every_sweep_of_the_benchmark_run(self, paths):
+        # The perfbench ``serve-batched`` run: chatbot, Poisson 100 rps.
+        settings = self.settings(
+            rate_rps=100.0, duration_seconds=1000.0, engine="batched"
+        )
+        report = run_serving_experiment("chatbot", settings)
+        assert report.result.fallback_reason == ""
+        assert paths == ["counts"] * 7
+        assert report.backend_stats.evictions == 48_296
 
 
 class TestEngineFactory:

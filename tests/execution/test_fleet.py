@@ -560,6 +560,35 @@ class TestTraceTemplates:
             )
 
 
+class TestRepeatedRuns:
+    def test_second_run_starts_from_an_empty_pool(self):
+        tenants = [
+            Tenant("only", get_workload("chatbot"), arrival="poisson", rate_rps=0.05)
+        ]
+        simulator = FleetSimulator(tenants, small_cluster())
+
+        def served(result):
+            return [
+                (o.index, o.dispatch_time, o.completion_time, o.cost,
+                 o.cold_start_count, o.cold_start_seconds)
+                for o in result.tenant("only").outcomes
+            ]
+
+        first = simulator.run(300.0, seed=717)
+        first_pool = simulator.container_pool
+        second = simulator.run(300.0, seed=717)
+        assert first.tenant("only").metrics.cold_start_invocations > 0
+        assert served(second) == served(first)
+        assert dataclasses.asdict(second.tenant("only").metrics) == dataclasses.asdict(
+            first.tenant("only").metrics
+        )
+        assert second.total_cost == first.total_cost
+        for counter in ("cold_starts", "warm_hits", "evictions"):
+            assert getattr(simulator.container_pool, counter) == getattr(
+                first_pool, counter
+            )
+
+
 class TestUnboundedWarmPool:
     def test_infinite_cap_equals_a_cap_above_the_invocation_count(self):
         tenants = [

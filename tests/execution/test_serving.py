@@ -14,9 +14,12 @@ from repro.execution.serving import (
     ServingSimulator,
     percentile,
 )
+from repro.execution.serving_vectorized import SERVING_ENGINE_NAMES, build_serving_engine
 from repro.utils.rng import RngStream
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 from repro.workflow.slo import SLO
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.registry import get_workload
 
 
 def constant_stream(n, gap):
@@ -75,12 +78,24 @@ class TestUncontendedServing:
     def test_rejects_cold_start_simulating_executor(
         self, diamond_workflow, diamond_registry
     ):
-        executor = WorkflowExecutor(
+        cold_starting = WorkflowExecutor(
             performance_model=diamond_registry,
             options=ExecutorOptions(simulate_cold_starts=True),
         )
-        with pytest.raises(ValueError):
-            ServingSimulator(diamond_workflow, executor)
+        for engine in SERVING_ENGINE_NAMES:
+            with pytest.raises(ValueError, match="simulate_cold_starts=False"):
+                build_serving_engine(
+                    engine, workflow=diamond_workflow, executor=cold_starting
+                )
+            # A cold-starting backend is history-dependent too: the engines
+            # would disagree on it, so both refuse it.
+            with pytest.raises(ValueError, match="deterministic"):
+                build_serving_engine(
+                    engine,
+                    workflow=diamond_workflow,
+                    executor=WorkflowExecutor(performance_model=diamond_registry),
+                    backend=SimulatorBackend(cold_starting),
+                )
 
 
 class TestContention:
@@ -532,3 +547,59 @@ class TestAutoscalerWindowing:
         autoscaler.tick(10.0)
         assert pool.max_containers_per_function == 1
         assert autoscaler.decisions == []
+
+
+class TestRepeatedRuns:
+    """A second run of one simulator starts from an empty warm pool."""
+
+    @pytest.mark.parametrize(
+        "engine, nodes, autoscale",
+        [("event", 0, False), ("event", 0, True), ("batched", 0, False), ("batched", 8, False)],
+    )
+    def test_second_run_equals_first(self, engine, nodes, autoscale):
+        workload = get_workload("chatbot")
+        options = ServingOptions(
+            autoscale=autoscale,
+            autoscaler=AutoscalerOptions(
+                interval_seconds=30.0, window_seconds=60.0, min_containers=1
+            ),
+        )
+        simulator = build_serving_engine(
+            engine,
+            workflow=workload.workflow,
+            executor=workload.build_executor(),
+            cluster=(
+                Cluster.homogeneous(nodes, vcpu_per_node=16.0, memory_per_node_mb=65536.0)
+                if nodes
+                else None
+            ),
+            slo=workload.slo,
+            options=options,
+        )
+        requests = [
+            RequestArrival(t)
+            for t in PoissonArrivals(0.5).arrival_times(300.0, RngStream(717, "arrivals"))
+        ]
+        configuration = workload.base_configuration()
+
+        def served():
+            result = simulator.run(requests, lambda _r: configuration)
+            return result, [
+                (o.index, o.dispatch_time, o.completion_time, o.cost,
+                 o.cold_start_count, o.cold_start_seconds)
+                for o in result.outcomes
+            ]
+
+        first, first_trace = served()
+        second, second_trace = served()
+        assert first.metrics.cold_start_invocations > 0
+        assert second_trace == first_trace
+        assert repr(second.metrics) == repr(first.metrics)
+        assert second.fallback_reason == first.fallback_reason
+        if autoscale:
+            assert first.autoscaler_decisions
+            assert second.autoscaler_decisions == first.autoscaler_decisions
+        # The pool's counters accumulate across runs.
+        assert simulator.container_pool.cold_starts == (
+            2 * first.metrics.cold_start_invocations
+        )
