@@ -16,8 +16,9 @@ Two studies share this module:
   ``--update-results`` it holds 10⁶, and results land in
   ``benchmarks/results/`` as a human-readable table plus machine-readable
   ``BENCH_serving.json`` (requests/sec for both engines, request counts,
-  p99, and ``__slots__`` memory notes), the record of the 10⁶-request run.
-  ``REPRO_SERVING_BENCH_REQUESTS`` overrides the length either way.
+  p99, and the heap bytes each engine's result retains per request), the
+  record of the 10⁶-request run.  ``REPRO_SERVING_BENCH_REQUESTS``
+  overrides the length either way.
 """
 
 import dataclasses
@@ -30,7 +31,6 @@ import tracemalloc
 import pytest
 
 from repro.execution.backend import build_backend
-from repro.execution.events import RequestArrival
 from repro.execution.serving import ServingOptions
 from repro.execution.serving_vectorized import build_serving_engine
 from repro.experiments.serving_experiment import ServingSettings, run_serving_experiment
@@ -144,27 +144,33 @@ def _build_engine(workload, name):
     )
 
 
+def _generate(workload, engine_name, duration):
+    """The gate's trace: an ``ArrivalBatch`` for the batched engine, records
+    for the event loop."""
+    rng = RngStream(ENGINE_SEED, f"traffic/{workload.name}")
+    traffic = workload.traffic_model(arrival="poisson", rate_rps=ENGINE_RATE_RPS)
+    if engine_name == "batched":
+        return traffic.generate_batch(duration, rng)
+    return traffic.generate(duration, rng)
+
+
 def _timed_serve(workload, engine_name, configuration, duration):
     """Generate the trace and serve it; returns (result, requests, timings).
 
     Both phases count toward the engine's requests/sec: the batched engine's
-    win comes from vectorized arrival generation *and* cohort settlement.
-    Garbage collection is paused around the timed region for the same reason
-    as the vectorized-eval gate: a gen-2 collection landing inside the short
-    batched run adds a near-constant overhead that compresses the ratio.
+    win comes from vectorized arrival generation *and* serving the batch as
+    columns.  Garbage collection is paused around the timed region for the
+    same reason as the vectorized-eval gate: a gen-2 collection landing
+    inside the short batched run adds a near-constant overhead that
+    compresses the ratio.
     """
     simulator = _build_engine(workload, engine_name)
-    rng = RngStream(ENGINE_SEED, f"traffic/{workload.name}")
-    traffic = workload.traffic_model(arrival="poisson", rate_rps=ENGINE_RATE_RPS)
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         started = time.perf_counter()
-        if engine_name == "batched":
-            requests = traffic.generate_batch(duration, rng).to_requests()
-        else:
-            requests = traffic.generate(duration, rng)
+        requests = _generate(workload, engine_name, duration)
         generated = time.perf_counter()
         result = simulator.run(
             requests, lambda _request: configuration, duration_seconds=duration
@@ -176,24 +182,43 @@ def _timed_serve(workload, engine_name, configuration, duration):
     return result, requests, (generated - started, finished - generated)
 
 
-class _DictRequest:
-    """``__dict__``-backed twin of RequestArrival for the memory comparison."""
-
-    def __init__(self, arrival_time, input_scale, input_class):
-        self.arrival_time = arrival_time
-        self.input_scale = input_scale
-        self.input_class = input_class
+#: Trace length of the retained-memory measurement (about 20,000 requests).
+MEMORY_DURATION_SECONDS = 200.0
 
 
-def _bytes_per_instance(factory, count=100_000):
-    """Average heap bytes per instance of ``factory`` across ``count`` allocs."""
+def _retained_bytes_per_request(workload, engine_name, configuration):
+    """Heap bytes (tracemalloc) one engine's result retains per request.
+
+    The trace is generated before tracing starts and the engine (with its
+    warm pool) is dropped before the count, so only what the result keeps
+    is counted.
+    """
+    duration = MEMORY_DURATION_SECONDS
+    requests = _generate(workload, engine_name, duration)
     gc.collect()
     tracemalloc.start()
-    instances = [factory(float(i), 1.0, "default") for i in range(count)]
-    current, _ = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    del instances
-    return current / count
+    try:
+        result = _build_engine(workload, engine_name).run(
+            requests, lambda _request: configuration, duration_seconds=duration
+        )
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained / len(result.outcomes), len(result.outcomes)
+
+
+def _outcome_row(outcome):
+    return (
+        outcome.index,
+        outcome.request,
+        outcome.dispatch_time,
+        outcome.completion_time,
+        outcome.cost,
+        outcome.cold_start_count,
+        outcome.cold_start_seconds,
+        outcome.succeeded,
+    )
 
 
 def _engine_requests(config) -> int:
@@ -219,11 +244,16 @@ def test_batched_engine_speedup(benchmark, record_result, request):
         workload, "batched", configuration, duration
     )
 
-    # The engines see the *same* trace and report the *same* metrics — the
-    # batched engine changes how fast a stream is served, never what it
-    # observes.  (The differential test tier asserts this per-request; the
-    # gate re-asserts it on the exact stream it timed.)
-    assert batched_requests == event_requests
+    # The engines see the *same* trace and report the *same* outcomes and
+    # metrics — the batched engine changes how fast a stream is served,
+    # never what it observes.  (The differential test tier asserts this on
+    # smaller streams; the gate re-asserts it on the exact stream it timed.)
+    assert batched_requests.to_requests() == event_requests
+    assert len(batched_result.outcomes) == len(event_result.outcomes)
+    for event_outcome, batched_outcome in zip(
+        event_result.outcomes, batched_result.outcomes
+    ):
+        assert _outcome_row(batched_outcome) == _outcome_row(event_outcome)
     assert dataclasses.asdict(batched_result.metrics) == dataclasses.asdict(
         event_result.metrics
     )
@@ -237,11 +267,12 @@ def test_batched_engine_speedup(benchmark, record_result, request):
         f"{MIN_SPEEDUP:.0f}x acceptance floor ({n} requests)"
     )
 
-    # __slots__ memory note (ISSUE 6 satellite): per-request heap bytes of the
-    # slotted RequestArrival vs. a __dict__-backed twin, averaged over 10⁵
-    # allocations — the win that keeps 10⁶-request traces resident.
-    slots_bytes = _bytes_per_instance(RequestArrival)
-    dict_bytes = _bytes_per_instance(_DictRequest)
+    # What each engine's result keeps per request: the event loop's records
+    # against the batched engine's outcome columns.
+    retained = {
+        name: _retained_bytes_per_request(workload, name, configuration)
+        for name in ("event", "batched")
+    }
 
     table = Table(
         ["engine", "generate_s", "serve_s", "total_s", "requests_per_s"],
@@ -254,10 +285,10 @@ def test_batched_engine_speedup(benchmark, record_result, request):
     )
     table.add_row("event", event_gen, event_run, event_total, n / event_total)
     table.add_row("batched", batched_gen, batched_run, batched_total, n / batched_total)
-    rendering = table.render() + (
-        f"\nspeedup: {speedup:.1f}x"
-        f"\nslots RequestArrival: {slots_bytes:.1f} B/request vs "
-        f"{dict_bytes:.1f} B dict-backed ({dict_bytes / slots_bytes:.1f}x)"
+    rendering = table.render() + f"\nspeedup: {speedup:.1f}x" + "".join(
+        f"\n{name} result retains {per_request:.1f} B/request "
+        f"({count} requests)"
+        for name, (per_request, count) in retained.items()
     )
     record_result("serving_engine_speedup.txt", rendering, timings=True)
 
@@ -291,15 +322,14 @@ def test_batched_engine_speedup(benchmark, record_result, request):
             "min_speedup": MIN_SPEEDUP,
             "metrics_identical": True,
         },
-        "slots_memory_notes": {
-            "instances_sampled": 100_000,
-            "slots_bytes_per_request": slots_bytes,
-            "dict_bytes_per_request": dict_bytes,
-            "ratio": dict_bytes / slots_bytes,
+        "result_memory": {
+            "requests": retained["event"][1],
+            "event_bytes_per_request": retained["event"][0],
+            "batched_bytes_per_request": retained["batched"][0],
             "note": (
-                "average tracemalloc heap bytes per RequestArrival "
-                "(__slots__) vs. an equivalent __dict__-backed record; the "
-                "slotted layout keeps million-request traces resident"
+                "tracemalloc heap bytes a serving result retains per request: "
+                "the event loop's records vs. the batched engine's outcome "
+                "columns, on a Poisson trace generated before tracing starts"
             ),
         },
     }

@@ -1,18 +1,25 @@
-"""Discrete-event loop and the request record every serving engine consumes.
+"""Discrete-event loop and the request streams every serving engine consumes.
 
 The serving layer (:mod:`repro.execution.serving`) drives request streams
 through the :class:`EventLoop`; each :class:`RequestArrival` carries the
 arrival time, input scale and input class the input-aware engine (paper
-§IV-D, Fig. 8) dispatches on.
+§IV-D, Fig. 8) dispatches on.  An :class:`ArrivalBatch` is the same stream
+as columns, which the batched engine serves without a record per request.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["EventLoop", "RequestArrival"]
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.workloads.inputs import InputClass
+
+__all__ = ["ArrivalBatch", "EventLoop", "RequestArrival"]
 
 _INF = float("inf")
 
@@ -62,11 +69,10 @@ class EventLoop:
 class RequestArrival:
     """One request in a stream (immutable, ``__slots__``-backed).
 
-    Million-request streams allocate one of these per arrival, so the class
+    The event loop's streams hold one of these per arrival, so the class
     is a hand-written frozen record rather than a dataclass: ``__slots__``
-    drops the per-instance ``__dict__`` (about 1.5x smaller, measured in
-    ``benchmarks/results/BENCH_serving.json`` notes) and a dataclass cannot
-    combine slots with field defaults before Python 3.10.
+    drops the per-instance ``__dict__`` (about 1.5x smaller) and a
+    dataclass cannot combine slots with field defaults before Python 3.10.
 
     Attributes
     ----------
@@ -126,3 +132,45 @@ class RequestArrival:
         object.__setattr__(self, "arrival_time", arrival_time)
         object.__setattr__(self, "input_scale", input_scale)
         object.__setattr__(self, "input_class", input_class)
+
+
+@dataclass
+class ArrivalBatch:
+    """Columnar request stream: the array twin of a ``RequestArrival`` list.
+
+    ``times``/``scales`` are float64 arrays, ``class_ids`` indexes into
+    ``classes`` per arrival.  ``to_requests`` materializes the exact
+    ``RequestArrival`` objects the scalar generator would produce, so the
+    two representations are interchangeable anywhere determinism matters.
+    """
+
+    times: np.ndarray
+    scales: np.ndarray
+    class_ids: np.ndarray
+    classes: List[InputClass]
+
+    def __len__(self) -> int:
+        return int(self.times.shape[0])
+
+    def to_requests(self) -> List[RequestArrival]:
+        """Materialize the scalar-equivalent ``RequestArrival`` list."""
+        names = [c.name for c in self.classes]
+        return [
+            RequestArrival(
+                arrival_time=time, input_scale=scale, input_class=names[class_id]
+            )
+            for time, scale, class_id in zip(
+                self.times.tolist(), self.scales.tolist(), self.class_ids.tolist()
+            )
+        ]
+
+    def class_counts(self) -> Dict[str, int]:
+        """Requests per class name, in first-arrival order."""
+        codes, first, counts = np.unique(
+            self.class_ids, return_index=True, return_counts=True
+        )
+        totals: Dict[str, int] = {}
+        for k in np.argsort(first).tolist():
+            name = self.classes[int(codes[k])].name
+            totals[name] = totals.get(name, 0) + int(counts[k])
+        return totals

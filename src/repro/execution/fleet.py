@@ -41,7 +41,7 @@ from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
-from repro.execution.serving import ServedRequest, ServingMetrics, summarize_outcomes
+from repro.execution.outcomes import ServedRequest, ServingMetrics, summarize_outcomes
 from repro.execution.templates import TraceMemo, TraceTemplate
 from repro.execution.trace import ExecutionStatus
 from repro.utils.ranges import AT_LEAST_0, NON_NEGATIVE, POSITIVE, UNIT, Range, check_fields

@@ -49,11 +49,12 @@ from repro.execution.faults import (
     FaultPlan,
     InvocationOutcome,
 )
+from repro.execution.outcomes import ServedRequest, ServingMetrics, summarize_outcomes
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
-from repro.execution.trace import ExecutionStatus, ExecutionTrace
+from repro.execution.trace import ExecutionStatus
 from repro.utils.ranges import AT_LEAST_0, AT_LEAST_1, POSITIVE, check_fields
 from repro.utils.rng import RngStream
-from repro.utils.stats import nearest_rank, percentile
+from repro.utils.stats import percentile
 from repro.workflow.dag import Workflow
 from repro.workflow.resources import WorkflowConfiguration
 from repro.workflow.slo import SLO
@@ -120,180 +121,16 @@ class ServingOptions:
         check_fields(self)
 
 
-class ServedRequest:
-    """Outcome of one request that made it through the serving layer.
-
-    The resilience fields (``attempts`` onwards) are only populated by
-    fault-injecting runs; fault-free runs leave them at their zero defaults.
-    ``base_invocations`` counts the invocations a fault-free execution of
-    the same trace performs, so ``attempts / base_invocations`` is the
-    request's retry amplification.
-
-    A million-request run allocates one of these per request, so the class
-    is a hand-written ``__slots__`` record rather than a dataclass (which
-    cannot combine slots with field defaults before Python 3.10); the
-    memory win is measured in ``benchmarks/results/BENCH_serving.json``.
-    ``config_version`` stays writable — the serving loop stamps it at
-    completion time under an adaptive controller.
-    """
-
-    __slots__ = (
-        "index",
-        "request",
-        "configuration",
-        "dispatch_time",
-        "completion_time",
-        "cost",
-        "cold_start_count",
-        "cold_start_seconds",
-        "succeeded",
-        "service_trace",
-        "config_version",
-        "attempts",
-        "retries",
-        "restarts",
-        "base_invocations",
-        "wasted_seconds",
-        "wasted_gb_seconds",
-        "fault_counts",
-        "hedges",
-        "hedge_wins",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        request: RequestArrival,
-        configuration: WorkflowConfiguration,
-        dispatch_time: float,
-        completion_time: float,
-        cost: float,
-        cold_start_count: int = 0,
-        cold_start_seconds: float = 0.0,
-        succeeded: bool = True,
-        service_trace: Optional[ExecutionTrace] = None,
-        config_version: int = 0,
-        attempts: int = 0,
-        retries: int = 0,
-        restarts: int = 0,
-        base_invocations: int = 0,
-        wasted_seconds: float = 0.0,
-        wasted_gb_seconds: float = 0.0,
-        fault_counts: Optional[Dict[str, int]] = None,
-        hedges: int = 0,
-        hedge_wins: int = 0,
-    ) -> None:
-        self.index = index
-        self.request = request
-        self.configuration = configuration
-        self.dispatch_time = dispatch_time
-        self.completion_time = completion_time
-        self.cost = cost
-        self.cold_start_count = cold_start_count
-        self.cold_start_seconds = cold_start_seconds
-        self.succeeded = succeeded
-        self.service_trace = service_trace
-        #: Configuration version that served this request (0 = the initial
-        #: configuration; bumped by adaptive re-tunes).  Static runs stay at 0.
-        self.config_version = config_version
-        self.attempts = attempts
-        self.retries = retries
-        self.restarts = restarts
-        self.base_invocations = base_invocations
-        self.wasted_seconds = wasted_seconds
-        self.wasted_gb_seconds = wasted_gb_seconds
-        self.fault_counts = fault_counts if fault_counts is not None else {}
-        self.hedges = hedges
-        self.hedge_wins = hedge_wins
-
-    def __repr__(self) -> str:
-        return (
-            f"ServedRequest(index={self.index}, "
-            f"arrival={self.request.arrival_time!r}, "
-            f"dispatch={self.dispatch_time!r}, "
-            f"completion={self.completion_time!r}, cost={self.cost!r}, "
-            f"succeeded={self.succeeded})"
-        )
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state) -> None:
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
-
-    @property
-    def arrival_time(self) -> float:
-        """When the request entered the system."""
-        return self.request.arrival_time
-
-    @property
-    def queueing_delay(self) -> float:
-        """Time spent waiting for cluster capacity."""
-        return self.dispatch_time - self.request.arrival_time
-
-    @property
-    def service_seconds(self) -> float:
-        """Time from dispatch to completion (cold starts included)."""
-        return self.completion_time - self.dispatch_time
-
-    @property
-    def latency_seconds(self) -> float:
-        """End-to-end latency the client observes (queueing included)."""
-        return self.completion_time - self.request.arrival_time
-
-
-@dataclass
-class ServingMetrics:
-    """Tail-latency / SLO / cost summary of one serving run."""
-
-    duration_seconds: float
-    offered: int
-    completed: int
-    rejected: int
-    failed: int
-    makespan_seconds: float
-    offered_rate_rps: float
-    throughput_rps: float
-    latency_mean_seconds: float
-    latency_p50_seconds: float
-    latency_p95_seconds: float
-    latency_p99_seconds: float
-    latency_max_seconds: float
-    queueing_mean_seconds: float
-    queueing_p95_seconds: float
-    queueing_max_seconds: float
-    slo_limit_seconds: Optional[float]
-    slo_attainment: Optional[float]
-    cold_start_request_rate: float
-    cold_start_invocations: int
-    mean_cost_per_request: float
-    total_cost: float
-    cpu_utilization: Optional[float]
-    memory_utilization: Optional[float]
-    peak_concurrency: int
-    mean_concurrency: float
-    # -- resilience metrics (fault-injection runs; zero/identity otherwise) ----
-    goodput_rps: float = 0.0
-    availability: float = 1.0
-    retry_amplification: float = 1.0
-    wasted_seconds: float = 0.0
-    wasted_gb_seconds: float = 0.0
-    faults_injected: int = 0
-    node_failures: int = 0
-    # -- graceful-degradation metrics (protected runs; empty/zero otherwise) ----
-    rejected_by_cause: Dict[str, int] = field(default_factory=dict)
-    hedges_launched: int = 0
-    hedge_wins: int = 0
-    breaker_opens: int = 0
-    deadline_kills: int = 0
-
-
 @dataclass
 class ServingResult:
-    """Everything one serving run produced."""
+    """Everything one serving run produced.
 
-    outcomes: List[ServedRequest]
+    ``outcomes`` holds the completed requests in index order: a list from
+    the event loop, an :class:`~repro.execution.outcomes.OutcomeTable`
+    (read-only, built on read) from the batched engine.
+    """
+
+    outcomes: Sequence[ServedRequest]
     rejected: List[RequestArrival]
     metrics: ServingMetrics
     autoscaler_decisions: List[Tuple[float, int]] = field(default_factory=list)
@@ -1385,93 +1222,3 @@ class ServingSimulator:
             protection_events=protection_events,
         )
 
-
-def summarize_outcomes(
-    outcomes: Sequence[ServedRequest],
-    rejected: Sequence[RequestArrival],
-    duration_seconds: float,
-    offered: int,
-    slo: Optional[SLO],
-    ledger: Optional[ClusterLedger] = None,
-    node_failures: int = 0,
-    rejection_causes: Optional[Dict[str, int]] = None,
-) -> ServingMetrics:
-    """Tail-latency / SLO / cost / resilience summary of one run's outcomes.
-
-    ``ledger`` supplies the cluster gauges (utilization, peak and mean
-    concurrency); without one they read ``None``, ``None``, 0 and 0.0, as
-    for one tenant's slice of a fleet.
-    """
-    latencies = [o.latency_seconds for o in outcomes]
-    queueing = [o.queueing_delay for o in outcomes]
-    costs = [o.cost for o in outcomes]
-    # Sort once per metric list (numpy sorts the same float values the
-    # builtin would, and the nearest-rank lookup only reads elements) —
-    # three percentile calls per list would re-sort each time.
-    latencies_sorted = np.sort(np.asarray(latencies, dtype=np.float64))
-    queueing_sorted = np.sort(np.asarray(queueing, dtype=np.float64))
-    completed = len(outcomes)
-    makespan = max((o.completion_time for o in outcomes), default=0.0)
-    slo_limit = slo.latency_limit if slo is not None else None
-    attainment: Optional[float] = None
-    if slo_limit is not None and completed:
-        attainment = sum(1 for l in latencies if l <= slo_limit) / completed
-    if ledger is not None:
-        cpu_util, mem_util, mean_concurrency = ledger.utilization()
-        peak_concurrency = ledger.peak_active
-    else:
-        cpu_util, mem_util, mean_concurrency = None, None, 0.0
-        peak_concurrency = 0
-    successes = sum(1 for o in outcomes if o.succeeded)
-    total_attempts = sum(o.attempts for o in outcomes)
-    total_base = sum(o.base_invocations for o in outcomes)
-    if rejection_causes is None:
-        # Callers predating the protection layer (e.g. the batched
-        # engine) reject only on queue pressure.
-        rejection_causes = {"queue-full": len(rejected)} if rejected else {}
-    return ServingMetrics(
-        duration_seconds=duration_seconds,
-        offered=offered,
-        completed=completed,
-        rejected=len(rejected),
-        failed=sum(1 for o in outcomes if not o.succeeded),
-        makespan_seconds=makespan,
-        offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
-        throughput_rps=completed / makespan if makespan > 0 else 0.0,
-        latency_mean_seconds=sum(latencies) / completed if completed else float("nan"),
-        latency_p50_seconds=nearest_rank(latencies_sorted, 50),
-        latency_p95_seconds=nearest_rank(latencies_sorted, 95),
-        latency_p99_seconds=nearest_rank(latencies_sorted, 99),
-        latency_max_seconds=float(latencies_sorted[-1]) if completed else float("nan"),
-        queueing_mean_seconds=sum(queueing) / completed if completed else float("nan"),
-        queueing_p95_seconds=nearest_rank(queueing_sorted, 95),
-        queueing_max_seconds=float(queueing_sorted[-1]) if completed else float("nan"),
-        slo_limit_seconds=slo_limit,
-        slo_attainment=attainment,
-        cold_start_request_rate=(
-            sum(1 for o in outcomes if o.cold_start_count > 0) / completed
-            if completed
-            else 0.0
-        ),
-        cold_start_invocations=sum(o.cold_start_count for o in outcomes),
-        mean_cost_per_request=sum(costs) / completed if completed else float("nan"),
-        total_cost=sum(costs),
-        cpu_utilization=cpu_util,
-        memory_utilization=mem_util,
-        peak_concurrency=peak_concurrency,
-        mean_concurrency=mean_concurrency,
-        goodput_rps=successes / makespan if makespan > 0 else 0.0,
-        availability=successes / offered if offered else 1.0,
-        retry_amplification=(
-            total_attempts / total_base if total_base else 1.0
-        ),
-        wasted_seconds=sum(o.wasted_seconds for o in outcomes),
-        wasted_gb_seconds=sum(o.wasted_gb_seconds for o in outcomes),
-        faults_injected=sum(
-            sum(o.fault_counts.values()) for o in outcomes
-        ),
-        node_failures=node_failures,
-        rejected_by_cause=dict(rejection_causes),
-        hedges_launched=sum(o.hedges for o in outcomes),
-        hedge_wins=sum(o.hedge_wins for o in outcomes),
-    )

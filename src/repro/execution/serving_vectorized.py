@@ -1,4 +1,4 @@
-"""Batched serving engine: array-cohort settlement of request streams.
+"""Batched serving engine: request streams settled as columns.
 
 The scalar :class:`~repro.execution.serving.ServingSimulator` walks one
 event-loop closure per arrival, function start, container release and
@@ -8,11 +8,18 @@ the same streams from array operations while staying **bit-identical** to
 the scalar engine under fixed seeds (the differential tier in
 ``tests/differential/test_engine_differential.py`` is the arbiter):
 
+* A stream is served as columns from input to summary.  ``run`` takes the
+  :class:`~repro.execution.events.ArrivalBatch` that ``generate_batch``
+  returns (arrival times, input scales and class codes), or reads a list
+  of records into the same columns once.  The dispatcher is called once per
+  request on a transient record, and the results come back as an
+  :class:`~repro.execution.outcomes.OutcomeTable`, whose records are built
+  only when read.  No per-request object outlives the call.
 * Requests are grouped into **cohorts** sharing a service-trace template —
   one ``(configuration, input_scale)`` evaluation per template instead of
-  one per request — and each template's function timeline is settled for
-  the whole cohort in NumPy passes (per-function start/finish arrays,
-  elementwise-max joins, cumulative-sum concurrency integration).
+  one per request, keyed in arrays — and each template's function timeline
+  is settled for the whole cohort in NumPy passes (per-function start/finish
+  arrays, elementwise-max joins, cumulative-sum concurrency integration).
 * The warm-pool overlay replays the :class:`ContainerPool` contract per
   function with a sweep over the start-sorted acquisitions.  In the common
   single-configuration bucket, the idle stack's height decides every
@@ -39,8 +46,9 @@ the scalar engine under fixed seeds (the differential tier in
 Floating-point equality is engineered, not hoped for: sequential Python
 accumulation is replicated with ``np.cumsum`` (bit-identical to a running
 sum), scalar expression shapes like ``start + penalty + runtime`` keep
-their association, and the rare request with three or more cold starts is
-re-accumulated in the scalar engine's event order.
+their association, and the requests with three or more cold starts are
+re-accumulated in the scalar engine's event order, one event rank at a
+time.
 """
 
 from __future__ import annotations
@@ -49,25 +57,20 @@ import heapq
 import itertools
 import math
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.execution.backend import EvaluationBackend
 from repro.execution.cluster import Cluster, ClusterLedger
 from repro.execution.container import ContainerPool
-from repro.execution.events import RequestArrival
+from repro.execution.events import ArrivalBatch, RequestArrival
 from repro.execution.events_calendar import EventCalendar
 from repro.execution.executor import WorkflowExecutor
 from repro.execution.faults import FaultPlan
+from repro.execution.outcomes import OutcomeTable, summarize_outcomes
 from repro.execution.protection import ProtectionPolicy
-from repro.execution.serving import (
-    ServedRequest,
-    ServingOptions,
-    ServingResult,
-    ServingSimulator,
-    summarize_outcomes,
-)
+from repro.execution.serving import ServingOptions, ServingResult, ServingSimulator
 from repro.execution.templates import TraceMemo, TraceTemplate
 from repro.execution.trace import ExecutionStatus
 from repro.utils.logging import get_logger
@@ -134,24 +137,10 @@ class BatchedServingSimulator:
         self.faults = scalar.faults
         self.protection = scalar.protection
 
-    # -- template resolution ----------------------------------------------------
-    def _group(
-        self,
-        request_list: List[RequestArrival],
-        configs: List[WorkflowConfiguration],
-    ) -> Tuple[List[TraceTemplate], List[int]]:
-        """Group requests into trace cohorts, evaluating once per template."""
-        scalar = self._scalar
-        memo = TraceMemo(
-            scalar.backend, scalar.workflow, scalar.executor.pricing, scalar._cold_latency
-        )
-        template_of = memo.group(request_list, configs)
-        return memo.templates, template_of
-
     # -- entry point -------------------------------------------------------------
     def run(
         self,
-        requests: Iterable[RequestArrival],
+        requests: Union[Iterable[RequestArrival], ArrivalBatch],
         configuration_for: Callable[[RequestArrival], WorkflowConfiguration],
         rng: Optional[RngStream] = None,
         duration_seconds: Optional[float] = None,
@@ -159,6 +148,11 @@ class BatchedServingSimulator:
         controller=None,
     ) -> ServingResult:
         """Serve the stream; identical signature and results to the scalar run.
+
+        ``requests`` is an :class:`~repro.execution.events.ArrivalBatch` or
+        an iterable of records, which is read into the same columns once.
+        ``configuration_for`` is called once per request, in arrival order,
+        on a record built for the call.
 
         Faulty, noisy, adaptive, autoscaled and *protected* runs route to
         the scalar engine per request — their per-event branching defeats
@@ -192,28 +186,41 @@ class BatchedServingSimulator:
                 fault_rng=fault_rng,
                 controller=controller,
             )
-        request_list = list(requests)
-        times = [r.arrival_time for r in request_list]
+        if not isinstance(requests, ArrivalBatch):
+            requests = list(requests)
+        stream = _Stream.of(requests)
+        times = stream.times
         # Unsorted streams would break the backbone lane; they are exotic, so
         # serve them on the reference engine instead of approximating.
-        if not all(b >= a for a, b in zip(times, times[1:])):
+        if not (times[1:] >= times[:-1]).all():
             return self._delegate(
                 "unsorted-arrivals",
-                request_list,
+                requests,
                 configuration_for,
                 duration_seconds=duration_seconds,
             )
         if duration_seconds is None:
-            duration_seconds = max(times, default=0.0)
-        configs = [configuration_for(r) for r in request_list]
+            duration_seconds = float(times.max()) if times.size else 0.0
+        names = stream.class_names
+        configs = [
+            configuration_for(RequestArrival(time, scale, names[code]))
+            for time, scale, code in zip(
+                times.tolist(), stream.scales.tolist(), stream.class_codes.tolist()
+            )
+        ]
+        memo = TraceMemo(
+            scalar.backend, scalar.workflow, scalar.executor.pricing, scalar._cold_latency
+        )
+        template_of = memo.group(configs, stream.scales)
+        del configs  # each template holds its configuration
         if scalar.cluster is not None:
-            return self._run_calendar(request_list, configs, duration_seconds)
-        return self._run_cohort(request_list, configs, duration_seconds)
+            return self._run_calendar(stream, memo.templates, template_of, duration_seconds)
+        return self._run_cohort(stream, memo.templates, template_of, duration_seconds)
 
     def _delegate(
         self,
         reason: str,
-        requests: Iterable[RequestArrival],
+        requests: Union[Iterable[RequestArrival], ArrivalBatch],
         configuration_for: Callable[[RequestArrival], WorkflowConfiguration],
         **kwargs,
     ) -> ServingResult:
@@ -222,10 +229,13 @@ class BatchedServingSimulator:
         The notice is logged once per delegated run so a ``--engine
         batched`` invocation never *silently* loses its speedup; the reason
         also lands on the result (and the rendered report) for posterity.
+        A batch is served as its records.
         """
         get_logger(__name__).info(
             "batched engine: delegating run to the scalar engine (%s)", reason
         )
+        if isinstance(requests, ArrivalBatch):
+            requests = requests.to_requests()
         result = self._scalar.run(requests, configuration_for, **kwargs)
         result.fallback_reason = reason
         return result
@@ -233,8 +243,9 @@ class BatchedServingSimulator:
     # -- uncontended cohort path -------------------------------------------------
     def _run_cohort(
         self,
-        request_list: List[RequestArrival],
-        configs: List[WorkflowConfiguration],
+        stream: "_Stream",
+        templates: List[TraceTemplate],
+        template_of: np.ndarray,
         duration_seconds: float,
     ) -> ServingResult:
         """No cluster: every request dispatches at arrival; settle in arrays.
@@ -246,13 +257,9 @@ class BatchedServingSimulator:
         processes; the differential tier guards the discrete ones).
         """
         scalar = self._scalar
-        n = len(request_list)
+        arrivals = stream.times
+        n = arrivals.size
         pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
-        templates, template_of_list = self._group(request_list, configs)
-        template_of = np.asarray(template_of_list, dtype=np.intp)
-        arrivals = np.asarray(
-            [r.arrival_time for r in request_list], dtype=np.float64
-        )
         requests_of = [
             np.nonzero(template_of == t)[0] for t in range(len(templates))
         ]
@@ -309,7 +316,7 @@ class BatchedServingSimulator:
                     extra_cost[indices] += delta
                     cold_batches.append((indices, starts[flags], penalty, delta, k))
 
-        self._fix_multi_cold(cold_count, cold_seconds, extra_cost, cold_batches)
+        _fix_multi_cold(cold_count, cold_seconds, extra_cost, cold_batches)
 
         completion = arrivals.copy()
         for t, cohort_finishes in enumerate(finishes):
@@ -318,40 +325,22 @@ class BatchedServingSimulator:
                 cohort_completion = np.maximum(cohort_completion, finish)
             completion[requests_of[t]] = cohort_completion
 
-        base_cost = np.asarray(
-            [tpl.base_cost for tpl in templates], dtype=np.float64
-        )[template_of]
-        costs = base_cost + extra_cost
-
-        completion_list = completion.tolist()
-        cost_list = costs.tolist()
-        cold_count_list = cold_count.tolist()
-        cold_seconds_list = cold_seconds.tolist()
-        outcomes: List[ServedRequest] = []
-        append = outcomes.append
-        for i, request in enumerate(request_list):
-            tpl = templates[template_of_list[i]]
-            append(
-                ServedRequest(
-                    i,
-                    request,
-                    configs[i],
-                    request.arrival_time,
-                    completion_list[i],
-                    cost_list[i],
-                    cold_count_list[i],
-                    cold_seconds_list[i],
-                    tpl.succeeded,
-                    tpl.trace,
-                )
-            )
-
         if pool is not None:
             stats = pool._stats
             stats.cold_starts += pool_cold
             stats.warm_hits += pool_warm
             stats.evictions += pool_evicted
 
+        outcomes = stream.outcomes(
+            np.arange(n),
+            arrivals,
+            completion,
+            _base_costs(templates)[template_of] + extra_cost,
+            cold_count,
+            cold_seconds,
+            template_of,
+            templates,
+        )
         ledger = self._replay_ledger(arrivals, completion)
         metrics = summarize_outcomes(
             outcomes, [], duration_seconds, n, scalar.slo, ledger=ledger
@@ -454,41 +443,6 @@ class BatchedServingSimulator:
         return cold, evicted, warm, flags_of
 
     @staticmethod
-    def _fix_multi_cold(
-        cold_count: np.ndarray,
-        cold_seconds: np.ndarray,
-        extra_cost: np.ndarray,
-        cold_batches: List[Tuple[np.ndarray, np.ndarray, float, float, int]],
-    ) -> None:
-        """Re-accumulate 3+-cold-start requests in scalar event order.
-
-        Two-term float sums are order-free (commutativity), but three or
-        more additions depend on association — replay those requests'
-        penalties and billing deltas sorted by (start time, topo position),
-        the order the scalar engine's start events fire in.
-        """
-        multi = np.nonzero(cold_count >= 3)[0]
-        if not multi.size:
-            return
-        wanted = set(multi.tolist())
-        events: Dict[int, List[Tuple[float, int, float, float]]] = {
-            r: [] for r in wanted
-        }
-        for indices, starts, penalty, delta, topo_position in cold_batches:
-            for r, s in zip(indices.tolist(), starts.tolist()):
-                if r in wanted:
-                    events[r].append((s, topo_position, penalty, delta))
-        for r, request_events in events.items():
-            request_events.sort()
-            seconds = 0.0
-            cost = 0.0
-            for _, _, penalty, delta in request_events:
-                seconds += penalty
-                cost += delta
-            cold_seconds[r] = seconds
-            extra_cost[r] = cost
-
-    @staticmethod
     def _replay_ledger(
         arrivals: np.ndarray, completion: np.ndarray
     ) -> ClusterLedger:
@@ -523,8 +477,9 @@ class BatchedServingSimulator:
     # -- contended calendar path -------------------------------------------------
     def _run_calendar(
         self,
-        request_list: List[RequestArrival],
-        configs: List[WorkflowConfiguration],
+        stream: "_Stream",
+        templates: List[TraceTemplate],
+        template_of: np.ndarray,
         duration_seconds: float,
     ) -> ServingResult:
         """Finite cluster: exact event replay on the two-lane calendar.
@@ -536,17 +491,16 @@ class BatchedServingSimulator:
         and per-request backend evaluation are gone.
         """
         scalar = self._scalar
-        n = len(request_list)
+        times = stream.times.tolist()
+        n = len(times)
         pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
         queue_capacity = scalar.options.queue_capacity
-        templates, template_of = self._group(request_list, configs)
+        template_list = template_of.tolist()
         ledger = ClusterLedger(scalar.cluster)
         queue: deque = deque()
-        outcomes: List[ServedRequest] = []
-        rejected: List[RequestArrival] = []
-        calendar = EventCalendar(
-            [r.arrival_time for r in request_list], _ARRIVAL
-        )
+        completed: List[int] = []
+        rejected: List[int] = []
+        calendar = EventCalendar(times, _ARRIVAL)
         release_slots: List[Tuple[object, float]] = []
         plan = scalar.workflow.plan
         names, preds_of, succs_of = plan.names, plan.preds, plan.succs
@@ -574,10 +528,11 @@ class BatchedServingSimulator:
         def try_dispatch() -> None:
             while queue:
                 i = queue[0]
-                if ledger.try_reserve(i, configs[i], calendar.now) is None:
+                configuration = templates[template_list[i]].configuration
+                if ledger.try_reserve(i, configuration, calendar.now) is None:
                     if ledger.active == 0 and not ledger.has_down_nodes:
                         queue.popleft()
-                        rejected.append(request_list[i])
+                        rejected.append(i)
                         continue
                     break
                 queue.popleft()
@@ -586,7 +541,7 @@ class BatchedServingSimulator:
         while calendar:
             now, _, kind, a, b = calendar.pop()
             if kind == _START:
-                tpl = templates[template_of[a]]
+                tpl = templates[template_list[a]]
                 status = tpl.statuses[b]
                 if status is ExecutionStatus.SKIPPED:
                     end = now
@@ -631,35 +586,171 @@ class BatchedServingSimulator:
                 container, finish_time = release_slots[a]
                 pool.release(container, finish_time)
             elif kind == _COMPLETE:
-                tpl = templates[template_of[a]]
-                outcome = ServedRequest(
-                    a,
-                    request_list[a],
-                    configs[a],
-                    dispatch_at[a],
-                    completion_at[a],
-                    tpl.base_cost + extras[a],
-                    colds[a],
-                    cold_secs[a],
-                    tpl.succeeded,
-                    tpl.trace,
-                )
                 ledger.release(a, now)
-                outcomes.append(outcome)
+                completed.append(a)
                 try_dispatch()
             else:  # arrival
                 queue.append(a)
                 try_dispatch()
                 if queue_capacity is not None and len(queue) > queue_capacity:
-                    dropped = queue.pop()
-                    rejected.append(request_list[dropped])
+                    rejected.append(queue.pop())
 
         ledger.advance(calendar.now)
-        outcomes.sort(key=lambda o: o.index)
-        metrics = summarize_outcomes(
-            outcomes, rejected, duration_seconds, n, scalar.slo, ledger=ledger
+        index = np.sort(np.asarray(completed, dtype=np.intp))
+        template_done = template_of[index]
+        outcomes = stream.outcomes(
+            index,
+            np.asarray(dispatch_at, dtype=np.float64)[index],
+            np.asarray(completion_at, dtype=np.float64)[index],
+            _base_costs(templates)[template_done]
+            + np.asarray(extras, dtype=np.float64)[index],
+            np.asarray(colds, dtype=np.int64)[index],
+            np.asarray(cold_secs, dtype=np.float64)[index],
+            template_done,
+            templates,
         )
-        return ServingResult(outcomes=outcomes, rejected=rejected, metrics=metrics)
+        rejected_requests = stream.requests(rejected)
+        metrics = summarize_outcomes(
+            outcomes, rejected_requests, duration_seconds, n, scalar.slo, ledger=ledger
+        )
+        return ServingResult(outcomes=outcomes, rejected=rejected_requests, metrics=metrics)
+
+
+class _Stream:
+    """One request stream as columns: arrival times, input scales and class codes.
+
+    ``class_names[class_codes[i]]`` is request ``i``'s input class.  An
+    :class:`~repro.execution.events.ArrivalBatch` lends its own arrays; a
+    list of records is read into new ones.
+    """
+
+    __slots__ = ("times", "scales", "class_codes", "class_names")
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        scales: np.ndarray,
+        class_codes: np.ndarray,
+        class_names: List[str],
+    ) -> None:
+        self.times = times
+        self.scales = scales
+        self.class_codes = class_codes
+        self.class_names = class_names
+
+    @classmethod
+    def of(cls, requests: Union[Sequence[RequestArrival], ArrivalBatch]) -> "_Stream":
+        """The columns of a batch (its own arrays, as float64/intp) or of records."""
+        if isinstance(requests, ArrivalBatch):
+            return cls(
+                np.asarray(requests.times, dtype=np.float64),
+                np.asarray(requests.scales, dtype=np.float64),
+                np.asarray(requests.class_ids, dtype=np.intp),
+                [c.name for c in requests.classes],
+            )
+        count = len(requests)
+        codes: Dict[str, int] = {}
+        return cls(
+            np.fromiter((r.arrival_time for r in requests), np.float64, count),
+            np.fromiter((r.input_scale for r in requests), np.float64, count),
+            np.fromiter(
+                (codes.setdefault(r.input_class, len(codes)) for r in requests),
+                np.intp,
+                count,
+            ),
+            list(codes),
+        )
+
+    def requests(self, indices: List[int]) -> List[RequestArrival]:
+        """The records of the given requests, in the order given."""
+        names = self.class_names
+        return [
+            RequestArrival(
+                float(self.times[i]), float(self.scales[i]), names[int(self.class_codes[i])]
+            )
+            for i in indices
+        ]
+
+    def outcomes(
+        self,
+        index: np.ndarray,
+        dispatch: np.ndarray,
+        completion: np.ndarray,
+        cost: np.ndarray,
+        cold_count: np.ndarray,
+        cold_seconds: np.ndarray,
+        template: np.ndarray,
+        templates: List[TraceTemplate],
+    ) -> OutcomeTable:
+        """The outcome table of the completed requests ``index`` (ascending)."""
+        whole = index.size == self.times.size
+        return OutcomeTable(
+            index,
+            self.times if whole else self.times[index],
+            self.scales if whole else self.scales[index],
+            self.class_codes if whole else self.class_codes[index],
+            self.class_names,
+            dispatch,
+            completion,
+            cost,
+            cold_count,
+            cold_seconds,
+            template,
+            templates,
+        )
+
+
+def _base_costs(templates: List[TraceTemplate]) -> np.ndarray:
+    """Each template's fault-free trace cost, by template position."""
+    return np.asarray([tpl.base_cost for tpl in templates], dtype=np.float64)
+
+
+def _fix_multi_cold(
+    cold_count: np.ndarray,
+    cold_seconds: np.ndarray,
+    extra_cost: np.ndarray,
+    cold_batches: List[Tuple[np.ndarray, np.ndarray, float, float, int]],
+) -> None:
+    """Re-accumulate 3+-cold-start requests in scalar event order.
+
+    Two-term float sums are order-free (commutativity), but three or more
+    additions depend on association.  The scalar engine's start events fire
+    in (start time, topo position) order, which never ties within a request
+    (one start per function).  So each cold batch is masked to those
+    requests, their events are sorted by (request, start, topo position),
+    and penalties and billing deltas are added from ``0.0`` one event rank
+    at a time: a request has at most one event per rank, so every
+    fancy-index add is duplicate-free and each sum keeps the event order.
+    """
+    multi = cold_count >= 3
+    if not multi.any():
+        return
+    requests, starts, penalties, deltas, positions = [], [], [], [], []
+    for indices, batch_starts, penalty, delta, position in cold_batches:
+        keep = multi[indices]
+        if keep.any():
+            chosen = indices[keep]
+            requests.append(chosen)
+            starts.append(batch_starts[keep])
+            penalties.append(np.full(chosen.size, penalty))
+            deltas.append(np.full(chosen.size, delta))
+            positions.append(np.full(chosen.size, position))
+    request = np.concatenate(requests)
+    order = np.lexsort((np.concatenate(positions), np.concatenate(starts), request))
+    request = request[order]
+    penalty = np.concatenate(penalties)[order]
+    delta = np.concatenate(deltas)[order]
+    # Each event's rank within its request: its position past the request's
+    # first event in the sorted order.
+    first = np.flatnonzero(np.r_[True, request[1:] != request[:-1]])
+    rank = np.arange(request.size) - np.repeat(first, np.diff(np.r_[first, request.size]))
+    chosen = request[first]
+    cold_seconds[chosen] = 0.0
+    extra_cost[chosen] = 0.0
+    for r in range(int(rank.max()) + 1):
+        at = rank == r
+        cold_seconds[request[at]] += penalty[at]
+        extra_cost[request[at]] += delta[at]
 
 
 # -- single-configuration warm-pool settlement ----------------------------------

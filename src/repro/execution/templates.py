@@ -9,16 +9,17 @@ key's :class:`TraceTemplate`, the per-function values the launch paths
 read, resolved once.
 
 A memo belongs to one run.  It is keyed by configuration *identity* and the
-exact input scale, and it holds every configuration it keyed so that no
-object id is recycled while the run lasts.
+exact input scale, and its templates hold every configuration it keyed so
+that no object id is recycled while the run lasts.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.execution.backend import EvaluationBackend
-from repro.execution.events import RequestArrival
 from repro.execution.trace import ExecutionTrace
 from repro.pricing.model import PricingModel
 from repro.workflow.dag import Workflow
@@ -34,9 +35,11 @@ class TraceTemplate:
     status, runtime, config and cold-start billing delta — resolved once.
     Each list is aligned with the workflow plan's ``names``, so a
     function's position is its index in the topological order.
+    ``configuration`` is the workflow configuration the trace ran under.
     """
 
     __slots__ = (
+        "configuration",
         "trace",
         "statuses",
         "runtimes",
@@ -48,12 +51,14 @@ class TraceTemplate:
 
     def __init__(
         self,
+        configuration: WorkflowConfiguration,
         trace: ExecutionTrace,
         names: Sequence[str],
         pricing: PricingModel,
         cold_latency: Sequence[float],
     ) -> None:
         records = [trace.records[name] for name in names]
+        self.configuration = configuration
         self.trace = trace
         self.statuses = [record.status for record in records]
         self.runtimes = [record.runtime_seconds for record in records]
@@ -90,43 +95,55 @@ class TraceMemo:
         self.cold_latency = cold_latency
         self.templates: List[TraceTemplate] = []
         self._index: Dict[Tuple[int, float], int] = {}
-        self._configurations: List[WorkflowConfiguration] = []
 
-    def _add(self, configuration: WorkflowConfiguration, input_scale: float) -> int:
-        """Evaluate one new key and return its template's position."""
-        trace = self.backend.evaluate(
-            self.workflow, configuration, input_scale=input_scale, rng=None
-        )
-        position = len(self.templates)
-        self.templates.append(
-            TraceTemplate(trace, self.workflow.plan.names, self.pricing, self.cold_latency)
-        )
-        self._index[(id(configuration), input_scale)] = position
-        self._configurations.append(configuration)
+    def _position(self, configuration: WorkflowConfiguration, input_scale: float) -> int:
+        """The key's template position, evaluated when the key is first seen."""
+        key = (id(configuration), input_scale)
+        position = self._index.get(key)
+        if position is None:
+            trace = self.backend.evaluate(
+                self.workflow, configuration, input_scale=input_scale, rng=None
+            )
+            position = len(self.templates)
+            self.templates.append(
+                TraceTemplate(
+                    configuration,
+                    trace,
+                    self.workflow.plan.names,
+                    self.pricing,
+                    self.cold_latency,
+                )
+            )
+            self._index[key] = position
         return position
 
     def get(self, configuration: WorkflowConfiguration, input_scale: float) -> TraceTemplate:
         """The key's template, evaluated when the key is first seen."""
-        position = self._index.get((id(configuration), input_scale))
-        if position is None:
-            position = self._add(configuration, input_scale)
-        return self.templates[position]
+        return self.templates[self._position(configuration, input_scale)]
 
     def group(
         self,
-        requests: Sequence[RequestArrival],
         configurations: Sequence[WorkflowConfiguration],
-    ) -> List[int]:
+        input_scales: np.ndarray,
+    ) -> np.ndarray:
         """Each request's template position, evaluating new keys in arrival order.
 
-        First-arrival order is the order in which a memoizing backend sees
-        misses from a run that evaluates request by request.
+        ``configurations[i]`` and ``input_scales[i]`` are request ``i``'s.
+        The keys are grouped in arrays, and each new key is evaluated at
+        its first request, in arrival order: the order in which a memoizing
+        backend sees misses from a run that evaluates request by request.
         """
-        index = self._index
-        positions = [0] * len(requests)
-        for i, request in enumerate(requests):
-            position = index.get((id(configurations[i]), request.input_scale))
-            if position is None:
-                position = self._add(configurations[i], request.input_scale)
-            positions[i] = position
-        return positions
+        count = len(configurations)
+        if not count:
+            return np.zeros(0, dtype=np.intp)
+        ids = np.fromiter(map(id, configurations), dtype=np.uint64, count=count)
+        _, id_codes = np.unique(ids, return_inverse=True)
+        scales, scale_codes = np.unique(input_scales, return_inverse=True)
+        _, first, key_codes = np.unique(
+            id_codes * scales.size + scale_codes, return_index=True, return_inverse=True
+        )
+        positions = np.empty(first.size, dtype=np.intp)
+        for key in np.argsort(first).tolist():
+            i = int(first[key])
+            positions[key] = self._position(configurations[i], float(input_scales[i]))
+        return positions[key_codes]

@@ -46,6 +46,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.execution.outcomes import float_total, outcome_columns
 from repro.experiments.serving_experiment import (
     ScenarioSpec,
     ServingReport,
@@ -296,6 +299,8 @@ def check_invariants(report: ServingReport) -> List[str]:
     violations: List[str] = []
     metrics = report.metrics
     result = report.result
+    # One column read of the outcomes serves every per-request check below.
+    columns = outcome_columns(result.outcomes) if result is not None else None
 
     # Request conservation.
     if metrics.offered != metrics.completed + metrics.rejected:
@@ -334,8 +339,8 @@ def check_invariants(report: ServingReport) -> List[str]:
         )
 
     # Billing closure.
-    if result is not None:
-        recomputed_cost = sum(outcome.cost for outcome in result.outcomes)
+    if columns is not None:
+        recomputed_cost = float_total(columns.cost, len(columns))
         if not math.isclose(
             recomputed_cost, metrics.total_cost, rel_tol=_REL_TOL, abs_tol=_ABS_TOL
         ):
@@ -343,11 +348,8 @@ def check_invariants(report: ServingReport) -> List[str]:
                 f"billing closure: total_cost {metrics.total_cost!r} != "
                 f"sum of outcome costs {recomputed_cost!r}"
             )
-        bad_costs = [
-            outcome.cost
-            for outcome in result.outcomes
-            if not math.isfinite(outcome.cost) or outcome.cost < 0
-        ]
+        costs = columns.cost
+        bad_costs = costs[~np.isfinite(costs) | (costs < 0)].tolist()
         if bad_costs:
             violations.append(
                 f"non-finite or negative request costs: {bad_costs[:5]}"
@@ -363,12 +365,8 @@ def check_invariants(report: ServingReport) -> List[str]:
             )
 
     # SLO-accounting consistency.
-    if metrics.slo_limit_seconds is not None and metrics.completed and result is not None:
-        within = sum(
-            1
-            for outcome in result.outcomes
-            if outcome.latency_seconds <= metrics.slo_limit_seconds
-        )
+    if metrics.slo_limit_seconds is not None and metrics.completed and columns is not None:
+        within = int(np.count_nonzero(columns.latency <= metrics.slo_limit_seconds))
         recomputed = within / metrics.completed
         if metrics.slo_attainment is None or not math.isclose(
             recomputed, metrics.slo_attainment, rel_tol=_REL_TOL, abs_tol=1e-12
@@ -399,10 +397,8 @@ def check_invariants(report: ServingReport) -> List[str]:
             and percentiles[2] <= percentiles[3] + _ABS_TOL
         ):
             violations.append(f"latency percentiles not ordered: {percentiles}")
-        if result is not None and any(
-            not math.isfinite(outcome.latency_seconds) or outcome.latency_seconds < 0
-            for outcome in result.outcomes
-        ):
+        latencies = columns.latency if columns is not None else None
+        if latencies is not None and not (np.isfinite(latencies) & (latencies >= 0)).all():
             violations.append("non-finite or negative per-request latency")
     return violations
 

@@ -28,7 +28,7 @@ from repro.control.rollout import build_rollout_policy
 from repro.core.input_aware import InputAwareEngine
 from repro.execution.backend import BackendStats, build_backend
 from repro.execution.cluster import Cluster
-from repro.execution.events import RequestArrival
+from repro.execution.events import ArrivalBatch, RequestArrival
 from repro.execution.faults import (
     ExponentialBackoffRetry,
     FaultPlan,
@@ -374,13 +374,13 @@ def run_serving_experiment(
             arrival=settings.arrival, rate_rps=settings.rate_rps
         )
     traffic_rng = RngStream(settings.seed, f"traffic/{workload.name}")
+    requests: Union[List[RequestArrival], ArrivalBatch]
     if settings.engine == "batched":
         # The array path draws the same RngStream children as the scalar
         # iterator, element-for-element (property-tested), so the request
-        # stream is identical — just generated in vectorized chunks.
-        requests = traffic.generate_batch(
-            settings.duration_seconds, traffic_rng
-        ).to_requests()
+        # stream is identical — just generated in vectorized chunks, and
+        # served as columns.
+        requests = traffic.generate_batch(settings.duration_seconds, traffic_rng)
     else:
         requests = traffic.generate(settings.duration_seconds, traffic_rng)
 
@@ -456,9 +456,12 @@ def run_serving_experiment(
             workload, dispatcher, input_class, probe_executor
         )
 
-    class_counts: Dict[str, int] = {}
-    for request in requests:
-        class_counts[request.input_class] = class_counts.get(request.input_class, 0) + 1
+    if isinstance(requests, ArrivalBatch):
+        class_counts = requests.class_counts()
+    else:
+        class_counts = {}
+        for request in requests:
+            class_counts[request.input_class] = class_counts.get(request.input_class, 0) + 1
 
     return ServingReport(
         workload=workload.name,

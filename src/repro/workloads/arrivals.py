@@ -38,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.execution.events import RequestArrival
+from repro.execution.events import ArrivalBatch, RequestArrival
 from repro.utils.ranges import (
     AT_LEAST_1,
     FINITE,
@@ -696,37 +696,6 @@ def build_arrival_process(profile: TrafficProfile) -> ArrivalProcess:
         f"unknown arrival process {profile.arrival!r}; "
         f"expected one of {', '.join(ARRIVAL_NAMES)}"
     )
-
-
-@dataclass
-class ArrivalBatch:
-    """Columnar request stream: the array twin of a ``RequestArrival`` list.
-
-    ``times``/``scales`` are float64 arrays, ``class_ids`` indexes into
-    ``classes`` per arrival.  ``to_requests`` materializes the exact
-    ``RequestArrival`` objects the scalar generator would produce, so the
-    two representations are interchangeable anywhere determinism matters.
-    """
-
-    times: np.ndarray
-    scales: np.ndarray
-    class_ids: np.ndarray
-    classes: List[InputClass]
-
-    def __len__(self) -> int:
-        return int(self.times.shape[0])
-
-    def to_requests(self) -> List[RequestArrival]:
-        """Materialize the scalar-equivalent ``RequestArrival`` list."""
-        names = [c.name for c in self.classes]
-        return [
-            RequestArrival(
-                arrival_time=time, input_scale=scale, input_class=names[class_id]
-            )
-            for time, scale, class_id in zip(
-                self.times.tolist(), self.scales.tolist(), self.class_ids.tolist()
-            )
-        ]
 
 
 class TrafficModel:

@@ -17,22 +17,30 @@ the adaptive-drift run are ``slow``.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.core.input_aware import InputAwareEngine
 from repro.execution import serving_vectorized
-from repro.execution.serving import ServingSimulator
+from repro.execution.backend import build_backend
+from repro.execution.cluster import Cluster
+from repro.execution.events import ArrivalBatch
+from repro.execution.serving import ServingOptions, ServingSimulator
 from repro.execution.serving_vectorized import (
     SERVING_ENGINE_NAMES,
     BatchedServingSimulator,
     build_serving_engine,
 )
+from repro.experiments.harness import ExperimentSettings, make_searcher
 from repro.experiments.reporting import render_serving_report
 from repro.experiments.serving_experiment import (
     ServingSettings,
     build_scenario_matrix,
     run_serving_experiment,
 )
-from repro.workloads.arrivals import TrafficPhase, TrafficProfile
+from repro.utils.rng import RngStream
+from repro.workloads.arrivals import DriftingTrafficModel, TrafficPhase, TrafficProfile
+from repro.workloads.inputs import input_class_rules
 from repro.workloads.registry import get_workload
 
 
@@ -201,6 +209,168 @@ class TestQuickDifferential:
         reference, batched = run_pair("chatbot", settings)
         assert_equivalent(reference, batched)
         assert batched.result.fallback_reason == "protection"
+
+
+class TestColumnarStreamDifferential:
+    """The batched engine serves an ``ArrivalBatch`` as columns.  Fed the
+    batch, it must equal itself fed ``batch.to_requests()`` and the event
+    engine fed ``generate(...)``: per request, in the metrics and in the
+    rejected records."""
+
+    @staticmethod
+    def engine(workload, name, nodes=0, queue_capacity=None):
+        executor = workload.build_executor()
+        return build_serving_engine(
+            name,
+            workflow=workload.workflow,
+            executor=executor,
+            backend=build_backend(executor, name="simulator", cache=True),
+            cluster=Cluster.homogeneous(nodes) if nodes else None,
+            slo=workload.slo,
+            options=ServingOptions(queue_capacity=queue_capacity),
+        )
+
+    @staticmethod
+    def rows(result):
+        return [
+            (
+                outcome.index,
+                outcome.request.arrival_time,
+                outcome.request.input_scale,
+                outcome.request.input_class,
+                outcome.dispatch_time,
+                outcome.completion_time,
+                outcome.cost,
+                outcome.cold_start_count,
+                outcome.cold_start_seconds,
+                outcome.succeeded,
+                id(outcome.configuration),
+            )
+            for outcome in result.outcomes
+        ]
+
+    def serve_three_ways(self, workload, batch, requests, dispatcher, duration, **options):
+        """Serve ``batch``, its records and ``requests``; assert the three
+        results agree and return them."""
+        assert batch.to_requests() == requests
+        runs = [
+            ("batched", batch),
+            ("batched", batch.to_requests()),
+            ("event", requests),
+        ]
+        results = []
+        for name, stream in runs:
+            result = self.engine(workload, name, **options).run(
+                stream, dispatcher, duration_seconds=duration
+            )
+            assert result.fallback_reason == ""
+            results.append(result)
+        first = results[0]
+        for other in results[1:]:
+            assert self.rows(other) == self.rows(first)
+            # repr: an empty run's NaN means compare equal only as text.
+            assert repr(other.metrics) == repr(first.metrics)
+            assert other.rejected == first.rejected
+        return results
+
+    @staticmethod
+    def streams(traffic, duration, seed):
+        return (
+            traffic.generate_batch(duration, RngStream(seed, "traffic")),
+            traffic.generate(duration, RngStream(seed, "traffic")),
+        )
+
+    def test_chatbot_uncapped(self):
+        workload = get_workload("chatbot")
+        configuration = workload.base_configuration()
+        traffic = workload.traffic_model(arrival="poisson", rate_rps=50.0)
+        batch, requests = self.streams(traffic, 60.0, 2025)
+        results = self.serve_three_ways(
+            workload, batch, requests, lambda _r: configuration, 60.0
+        )
+        assert results[0].metrics.completed == len(requests) > 2000
+        assert results[0].metrics.cold_start_invocations > 0
+
+    def test_video_analysis_input_aware(self):
+        workload = get_workload("video-analysis")
+        engine = InputAwareEngine(
+            searcher=make_searcher("AARC", workload, ExperimentSettings(seed=717)),
+            executor=workload.build_executor(),
+            workflow=workload.workflow,
+            slo=workload.slo,
+            classes=input_class_rules(workload.input_classes),
+        )
+        engine.prepare()
+        traffic = workload.traffic_model(arrival="poisson", rate_rps=2.0)
+        batch, requests = self.streams(traffic, 200.0, 717)
+        counts = []
+
+        def dispatcher(request):
+            return engine.configuration_for(request)
+
+        results = []
+        for name, stream in (
+            ("batched", batch),
+            ("batched", batch.to_requests()),
+            ("event", requests),
+        ):
+            engine.reset_dispatch_counts()
+            results.append(
+                self.engine(workload, name).run(stream, dispatcher, duration_seconds=200.0)
+            )
+            counts.append(engine.dispatch_counts())
+        assert counts[0] == counts[1] == counts[2]
+        assert sum(counts[0].values()) == len(requests)
+        first = results[0]
+        for other in results[1:]:
+            assert self.rows(other) == self.rows(first)
+            assert repr(other.metrics) == repr(first.metrics)
+        # Three templates, and a function whose containers differ between
+        # them: its pool bucket is the mixed-configuration sweep.
+        configurations = {id(o.configuration): o.configuration for o in first.outcomes}
+        assert len(configurations) == 3
+        names = workload.workflow.plan.names
+        assert any(
+            len({c[name] for c in configurations.values()}) > 1 for name in names
+        )
+
+    def test_drifting_phases(self):
+        workload = get_workload("chatbot")
+        configuration = workload.base_configuration()
+        traffic = DriftingTrafficModel(
+            [
+                TrafficPhase("light", 0.0, TrafficProfile(arrival="poisson", rate_rps=2.0)),
+                TrafficPhase("surge", 60.0, TrafficProfile(arrival="bursty", rate_rps=6.0)),
+            ]
+        )
+        batch, requests = self.streams(traffic, 150.0, 424242)
+        self.serve_three_ways(workload, batch, requests, lambda _r: configuration, 150.0)
+
+    def test_calendar_path_with_rejections(self):
+        workload = get_workload("chatbot")
+        configuration = workload.base_configuration()
+        traffic = workload.traffic_model(arrival="poisson", rate_rps=1.5)
+        batch, requests = self.streams(traffic, 40.0, 90210)
+        results = self.serve_three_ways(
+            workload, batch, requests, lambda _r: configuration, 40.0,
+            nodes=2, queue_capacity=3,
+        )
+        assert results[0].rejected
+        assert results[0].metrics.completed + len(results[0].rejected) == len(requests)
+
+    def test_empty_stream(self):
+        workload = get_workload("chatbot")
+        configuration = workload.base_configuration()
+        batch = ArrivalBatch(
+            times=np.empty(0),
+            scales=np.empty(0),
+            class_ids=np.empty(0, dtype=np.intp),
+            classes=list(workload.input_classes or []),
+        )
+        results = self.serve_three_ways(
+            workload, batch, [], lambda _r: configuration, 10.0
+        )
+        assert len(results[0].outcomes) == 0
 
 
 class TestZooDifferential:

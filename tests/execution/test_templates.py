@@ -3,6 +3,8 @@
 import gc
 import weakref
 
+import numpy as np
+
 from repro.execution.backend import SimulatorBackend
 from repro.execution.events import RequestArrival
 from repro.execution.templates import TraceMemo
@@ -46,7 +48,8 @@ def test_each_key_is_evaluated_once_in_first_arrival_order():
     twin = workload.base_configuration()
     requests = [RequestArrival(float(t), scale) for t, scale in enumerate((1.0, 2.0, 1.0, 2.0))]
     configurations = [base, base, twin, base]
-    assert memo.group(requests, configurations) == [0, 1, 2, 1]
+    scales = np.asarray([r.input_scale for r in requests])
+    assert memo.group(configurations, scales).tolist() == [0, 1, 2, 1]
     assert backend.stats.simulations == 3
     assert memo.get(base, 2.0) is memo.templates[1]
     assert memo.get(twin, 2.0) is memo.templates[3]
