@@ -211,6 +211,7 @@ class ServingMetrics:
     deadline_kills: int = 0
 
 
+@dataclass(eq=False)
 class OutcomeColumns:
     """The per-request columns the summary and the invariant checks read.
 
@@ -218,51 +219,19 @@ class OutcomeColumns:
     the field's zero default, as in every fault-free run.
     """
 
-    __slots__ = (
-        "arrival",
-        "dispatch",
-        "completion",
-        "cost",
-        "cold_count",
-        "succeeded",
-        "attempts",
-        "base_invocations",
-        "wasted_seconds",
-        "wasted_gb_seconds",
-        "faults",
-        "hedges",
-        "hedge_wins",
-    )
-
-    def __init__(
-        self,
-        arrival: np.ndarray,
-        dispatch: np.ndarray,
-        completion: np.ndarray,
-        cost: np.ndarray,
-        cold_count: np.ndarray,
-        succeeded: np.ndarray,
-        attempts: Optional[np.ndarray] = None,
-        base_invocations: Optional[np.ndarray] = None,
-        wasted_seconds: Optional[np.ndarray] = None,
-        wasted_gb_seconds: Optional[np.ndarray] = None,
-        faults: Optional[np.ndarray] = None,
-        hedges: Optional[np.ndarray] = None,
-        hedge_wins: Optional[np.ndarray] = None,
-    ) -> None:
-        self.arrival = arrival
-        self.dispatch = dispatch
-        self.completion = completion
-        self.cost = cost
-        self.cold_count = cold_count
-        self.succeeded = succeeded
-        self.attempts = attempts
-        self.base_invocations = base_invocations
-        self.wasted_seconds = wasted_seconds
-        self.wasted_gb_seconds = wasted_gb_seconds
-        self.faults = faults
-        self.hedges = hedges
-        self.hedge_wins = hedge_wins
+    arrival: np.ndarray
+    dispatch: np.ndarray
+    completion: np.ndarray
+    cost: np.ndarray
+    cold_count: np.ndarray
+    succeeded: np.ndarray
+    attempts: Optional[np.ndarray] = None
+    base_invocations: Optional[np.ndarray] = None
+    wasted_seconds: Optional[np.ndarray] = None
+    wasted_gb_seconds: Optional[np.ndarray] = None
+    faults: Optional[np.ndarray] = None
+    hedges: Optional[np.ndarray] = None
+    hedge_wins: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return int(self.arrival.size)
@@ -279,7 +248,7 @@ _ROWS_PER_CHUNK = 4096
 
 
 class OutcomeTable(SequenceABC):
-    """A run's completed requests as columns, read as :class:`ServedRequest`\\ s.
+    """A run's completed requests as columns, read as :class:`ServedRequest` records.
 
     The batched engine's outcomes: one array per field, in index order, and
     the trace templates, each of which carries its configuration, success

@@ -397,8 +397,9 @@ def check_invariants(report: ServingReport) -> List[str]:
             and percentiles[2] <= percentiles[3] + _ABS_TOL
         ):
             violations.append(f"latency percentiles not ordered: {percentiles}")
-        latencies = columns.latency if columns is not None else None
-        if latencies is not None and not (np.isfinite(latencies) & (latencies >= 0)).all():
+        if columns is not None and not (
+            np.isfinite(columns.latency) & (columns.latency >= 0)
+        ).all():
             violations.append("non-finite or negative per-request latency")
     return violations
 

@@ -56,6 +56,18 @@ def test_each_key_is_evaluated_once_in_first_arrival_order():
     assert backend.stats.simulations == 4
 
 
+def test_new_keys_are_evaluated_in_arrival_order_not_key_order():
+    workload = get_workload("chatbot")
+    memo, backend, _ = make_memo(workload)
+    base = workload.base_configuration()
+    # The first request has the larger scale, so sorting the keys would
+    # evaluate (base, 1.0) first.
+    scales = np.asarray([2.0, 1.0, 2.0, 1.0])
+    assert memo.group([base] * 4, scales).tolist() == [0, 1, 0, 1]
+    assert [memo.templates[0], memo.templates[1]] == [memo.get(base, 2.0), memo.get(base, 1.0)]
+    assert backend.stats.simulations == 2
+
+
 def test_the_memo_keeps_its_keyed_configurations_alive():
     workload = get_workload("chatbot")
     memo, _, _ = make_memo(workload)

@@ -1,5 +1,6 @@
 """Tests for the scenario fuzzer: genes, invariants, campaigns, shrinking."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -131,6 +132,20 @@ class TestInvariants:
             ),
         )
         assert any("slo" in v for v in check_invariants(report))
+
+    def test_detects_negative_request_cost_and_latency(self, clean_report):
+        outcomes = list(clean_report.result.outcomes)
+        broken = copy.copy(outcomes[0])
+        broken.cost = -1.0
+        broken.completion_time = broken.request.arrival_time - 1.0
+        outcomes[0] = broken
+        report = dataclasses.replace(
+            clean_report,
+            result=dataclasses.replace(clean_report.result, outcomes=outcomes),
+        )
+        violations = check_invariants(report)
+        assert any(v.startswith("non-finite or negative request costs") for v in violations)
+        assert "non-finite or negative per-request latency" in violations
 
     def test_detects_cause_sum_break(self, clean_report):
         report = dataclasses.replace(
