@@ -314,64 +314,48 @@ class OutcomeTable(SequenceABC):
         self, key: Union[int, slice]
     ) -> Union[ServedRequest, List[ServedRequest]]:
         if isinstance(key, slice):
-            return [self._row(i) for i in range(*key.indices(len(self)))]
+            return list(self._records(key))
         i = operator.index(key)
         size = len(self)
         if i < 0:
             i += size
         if not 0 <= i < size:
             raise IndexError("outcome index out of range")
-        return self._row(i)
-
-    def _row(self, i: int) -> ServedRequest:
-        template = self.templates[int(self.template[i])]
-        return ServedRequest(
-            int(self.index[i]),
-            RequestArrival(
-                float(self.arrival[i]),
-                float(self.scale[i]),
-                self.class_names[int(self.class_code[i])],
-            ),
-            template.configuration,
-            float(self.dispatch[i]),
-            float(self.completion[i]),
-            float(self.cost[i]),
-            int(self.cold_count[i]),
-            float(self.cold_seconds[i]),
-            template.succeeded,
-            template.trace,
-        )
+        return next(self._records(slice(i, i + 1)))
 
     def __iter__(self) -> Iterator[ServedRequest]:
-        names, templates = self.class_names, self.templates
         for start in range(0, len(self), _ROWS_PER_CHUNK):
-            chunk = slice(start, start + _ROWS_PER_CHUNK)
-            rows = zip(
-                self.index[chunk].tolist(),
-                self.arrival[chunk].tolist(),
-                self.scale[chunk].tolist(),
-                self.class_code[chunk].tolist(),
-                self.dispatch[chunk].tolist(),
-                self.completion[chunk].tolist(),
-                self.cost[chunk].tolist(),
-                self.cold_count[chunk].tolist(),
-                self.cold_seconds[chunk].tolist(),
-                self.template[chunk].tolist(),
+            yield from self._records(slice(start, start + _ROWS_PER_CHUNK))
+
+    def _records(self, rows: slice) -> Iterator[ServedRequest]:
+        """Fresh records of the rows a slice selects, in its order."""
+        names, templates = self.class_names, self.templates
+        columns = zip(
+            self.index[rows].tolist(),
+            self.arrival[rows].tolist(),
+            self.scale[rows].tolist(),
+            self.class_code[rows].tolist(),
+            self.dispatch[rows].tolist(),
+            self.completion[rows].tolist(),
+            self.cost[rows].tolist(),
+            self.cold_count[rows].tolist(),
+            self.cold_seconds[rows].tolist(),
+            self.template[rows].tolist(),
+        )
+        for i, arrival, scale, code, dispatch, completion, cost, colds, cold_seconds, k in columns:
+            template = templates[k]
+            yield ServedRequest(
+                i,
+                RequestArrival(arrival, scale, names[code]),
+                template.configuration,
+                dispatch,
+                completion,
+                cost,
+                colds,
+                cold_seconds,
+                template.succeeded,
+                template.trace,
             )
-            for i, arrival, scale, code, dispatch, completion, cost, colds, cold_seconds, k in rows:
-                template = templates[k]
-                yield ServedRequest(
-                    i,
-                    RequestArrival(arrival, scale, names[code]),
-                    template.configuration,
-                    dispatch,
-                    completion,
-                    cost,
-                    colds,
-                    cold_seconds,
-                    template.succeeded,
-                    template.trace,
-                )
 
     def columns(self) -> OutcomeColumns:
         """The summary's columns, read from the table without a record."""
