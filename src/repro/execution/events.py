@@ -12,12 +12,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.workloads.inputs import InputClass
 
 __all__ = ["ArrivalBatch", "EventLoop", "RequestArrival"]
 
@@ -139,28 +136,61 @@ class ArrivalBatch:
     """Columnar request stream: the array twin of a ``RequestArrival`` list.
 
     ``times``/``scales`` are float64 arrays, ``class_ids`` indexes into
-    ``classes`` per arrival.  ``to_requests`` materializes the exact
-    ``RequestArrival`` objects the scalar generator would produce, so the
-    two representations are interchangeable anywhere determinism matters.
+    ``class_names`` per arrival.  ``to_requests`` materializes the exact
+    ``RequestArrival`` objects the scalar generator would produce and
+    ``from_requests`` reads records back into columns, so the two
+    representations are interchangeable anywhere determinism matters.
     """
 
     times: np.ndarray
     scales: np.ndarray
     class_ids: np.ndarray
-    classes: List[InputClass]
+    class_names: List[str]
+
+    def __post_init__(self) -> None:
+        self.times = np.asarray(self.times, dtype=np.float64)
+        self.scales = np.asarray(self.scales, dtype=np.float64)
+        self.class_ids = np.asarray(self.class_ids, dtype=np.intp)
+        self.class_names = list(self.class_names)
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[RequestArrival]) -> "ArrivalBatch":
+        """The columns of a list of records, class codes in first-arrival order."""
+        count = len(requests)
+        codes: Dict[str, int] = {}
+        return cls(
+            np.fromiter((r.arrival_time for r in requests), np.float64, count),
+            np.fromiter((r.input_scale for r in requests), np.float64, count),
+            np.fromiter(
+                (codes.setdefault(r.input_class, len(codes)) for r in requests),
+                np.intp,
+                count,
+            ),
+            list(codes),
+        )
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
 
-    def to_requests(self) -> List[RequestArrival]:
-        """Materialize the scalar-equivalent ``RequestArrival`` list."""
-        names = [c.name for c in self.classes]
+    def take(self, rows: np.ndarray) -> "ArrivalBatch":
+        """The requests ``rows`` selects, as a batch."""
+        return ArrivalBatch(
+            self.times[rows], self.scales[rows], self.class_ids[rows], self.class_names
+        )
+
+    def to_requests(
+        self, rows: Union[slice, np.ndarray] = slice(None)
+    ) -> List[RequestArrival]:
+        """Materialize the scalar-equivalent records of ``rows`` (all by default)."""
+        names = self.class_names
         return [
             RequestArrival(
                 arrival_time=time, input_scale=scale, input_class=names[class_id]
             )
             for time, scale, class_id in zip(
-                self.times.tolist(), self.scales.tolist(), self.class_ids.tolist()
+                self.times[rows].tolist(),
+                self.scales[rows].tolist(),
+                self.class_ids[rows].tolist(),
             )
         ]
 
@@ -171,6 +201,6 @@ class ArrivalBatch:
         )
         totals: Dict[str, int] = {}
         for k in np.argsort(first).tolist():
-            name = self.classes[int(codes[k])].name
+            name = self.class_names[int(codes[k])]
             totals[name] = totals.get(name, 0) + int(counts[k])
         return totals

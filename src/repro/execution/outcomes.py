@@ -9,9 +9,9 @@ by a few words per request rather than by two objects.
 
 :func:`summarize_outcomes` is the one summary routine.  It reads columns
 (:func:`outcome_columns` builds them from a list of records), and every
-float total is one sequential accumulate, ``np.cumsum(x)[-1]``: the order a
-request-by-request running sum adds in, which is also the order CPython's
-builtin ``sum`` of floats used before 3.12 compensated it.
+float total is the builtin ``sum`` of a column's values in index order, as
+a loop over the records would add them, so the two kinds of outcomes give
+the same totals on every Python version.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.execution.cluster import ClusterLedger
-from repro.execution.events import RequestArrival
+from repro.execution.events import ArrivalBatch, RequestArrival
 from repro.execution.templates import TraceTemplate
 from repro.execution.trace import ExecutionTrace
 from repro.utils.stats import nearest_rank
@@ -36,7 +36,6 @@ __all__ = [
     "OutcomeTable",
     "ServedRequest",
     "ServingMetrics",
-    "float_total",
     "outcome_columns",
     "summarize_outcomes",
 ]
@@ -250,20 +249,19 @@ _ROWS_PER_CHUNK = 4096
 class OutcomeTable(SequenceABC):
     """A run's completed requests as columns, read as :class:`ServedRequest` records.
 
-    The batched engine's outcomes: one array per field, in index order, and
-    the trace templates, each of which carries its configuration, success
-    and trace.  Reading an item (an index, a slice or an iteration) builds
-    fresh records from the columns, so nothing is cached and an outcome's
-    ``request`` is equal to, but not the same object as, the arrival it
-    was served for.  The arrays are read, never written.
+    The batched engine's outcomes: the served requests as an
+    :class:`~repro.execution.events.ArrivalBatch`, one array per outcome
+    field, in index order, and the trace templates, each of which carries
+    its configuration, success and trace.  Reading an item (an index, a
+    slice or an iteration) builds fresh records from the columns, so
+    nothing is cached and an outcome's ``request`` is equal to, but not the
+    same object as, the arrival it was served for.  The arrays are read,
+    never written.
     """
 
     __slots__ = (
         "index",
-        "arrival",
-        "scale",
-        "class_code",
-        "class_names",
+        "requests",
         "dispatch",
         "completion",
         "cost",
@@ -276,10 +274,7 @@ class OutcomeTable(SequenceABC):
     def __init__(
         self,
         index: np.ndarray,
-        arrival: np.ndarray,
-        scale: np.ndarray,
-        class_code: np.ndarray,
-        class_names: Sequence[str],
+        requests: ArrivalBatch,
         dispatch: np.ndarray,
         completion: np.ndarray,
         cost: np.ndarray,
@@ -289,10 +284,7 @@ class OutcomeTable(SequenceABC):
         templates: Sequence[TraceTemplate],
     ) -> None:
         self.index = index
-        self.arrival = arrival
-        self.scale = scale
-        self.class_code = class_code
-        self.class_names = list(class_names)
+        self.requests = requests
         self.dispatch = dispatch
         self.completion = completion
         self.cost = cost
@@ -329,12 +321,10 @@ class OutcomeTable(SequenceABC):
 
     def _records(self, rows: slice) -> Iterator[ServedRequest]:
         """Fresh records of the rows a slice selects, in its order."""
-        names, templates = self.class_names, self.templates
+        templates = self.templates
         columns = zip(
             self.index[rows].tolist(),
-            self.arrival[rows].tolist(),
-            self.scale[rows].tolist(),
-            self.class_code[rows].tolist(),
+            self.requests.to_requests(rows),
             self.dispatch[rows].tolist(),
             self.completion[rows].tolist(),
             self.cost[rows].tolist(),
@@ -342,11 +332,11 @@ class OutcomeTable(SequenceABC):
             self.cold_seconds[rows].tolist(),
             self.template[rows].tolist(),
         )
-        for i, arrival, scale, code, dispatch, completion, cost, colds, cold_seconds, k in columns:
+        for i, request, dispatch, completion, cost, colds, cold_seconds, k in columns:
             template = templates[k]
             yield ServedRequest(
                 i,
-                RequestArrival(arrival, scale, names[code]),
+                request,
                 template.configuration,
                 dispatch,
                 completion,
@@ -361,7 +351,7 @@ class OutcomeTable(SequenceABC):
         """The summary's columns, read from the table without a record."""
         succeeded = np.asarray([t.succeeded for t in self.templates], dtype=bool)
         return OutcomeColumns(
-            self.arrival,
+            self.requests.times,
             self.dispatch,
             self.completion,
             self.cost,
@@ -396,18 +386,15 @@ def outcome_columns(outcomes: Sequence[ServedRequest]) -> OutcomeColumns:
     )
 
 
-def float_total(values: Optional[np.ndarray], count: int) -> Union[int, float]:
-    """The running sum of ``count`` floats (``None``: all ``0.0``).
+def _float_total(values: Optional[np.ndarray], count: int) -> Union[int, float]:
+    """The builtin ``sum`` of ``count`` floats (``None``: all ``0.0``).
 
-    Adds left to right from ``0``, as a loop over the requests would: an
-    empty column totals the int ``0``, and ``0.0 +`` turns the one total a
-    running sum from ``0`` cannot reach, ``-0.0``, into ``0.0``.
+    Adds the values in index order, as a loop over the records does, so an
+    empty column totals the int ``0``.
     """
-    if not count:
-        return 0
     if values is None:
-        return 0.0
-    return 0.0 + float(np.cumsum(values)[-1])
+        return 0.0 if count else 0
+    return sum(values.tolist())
 
 
 def _int_total(values: Optional[np.ndarray]) -> int:
@@ -454,7 +441,7 @@ def summarize_outcomes(
     successes = int(np.count_nonzero(columns.succeeded))
     total_attempts = _int_total(columns.attempts)
     total_base = _int_total(columns.base_invocations)
-    total_cost = float_total(columns.cost, completed)
+    total_cost = _float_total(columns.cost, completed)
     if rejection_causes is None:
         # Callers predating the protection layer (e.g. the batched
         # engine) reject only on queue pressure.
@@ -469,14 +456,14 @@ def summarize_outcomes(
         offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
         throughput_rps=completed / makespan if makespan > 0 else 0.0,
         latency_mean_seconds=(
-            float_total(latencies, completed) / completed if completed else float("nan")
+            _float_total(latencies, completed) / completed if completed else float("nan")
         ),
         latency_p50_seconds=nearest_rank(latencies_sorted, 50),
         latency_p95_seconds=nearest_rank(latencies_sorted, 95),
         latency_p99_seconds=nearest_rank(latencies_sorted, 99),
         latency_max_seconds=float(latencies_sorted[-1]) if completed else float("nan"),
         queueing_mean_seconds=(
-            float_total(queueing, completed) / completed if completed else float("nan")
+            _float_total(queueing, completed) / completed if completed else float("nan")
         ),
         queueing_p95_seconds=nearest_rank(queueing_sorted, 95),
         queueing_max_seconds=float(queueing_sorted[-1]) if completed else float("nan"),
@@ -497,8 +484,8 @@ def summarize_outcomes(
         retry_amplification=(
             total_attempts / total_base if total_base else 1.0
         ),
-        wasted_seconds=float_total(columns.wasted_seconds, completed),
-        wasted_gb_seconds=float_total(columns.wasted_gb_seconds, completed),
+        wasted_seconds=_float_total(columns.wasted_seconds, completed),
+        wasted_gb_seconds=_float_total(columns.wasted_gb_seconds, completed),
         faults_injected=_int_total(columns.faults),
         node_failures=node_failures,
         rejected_by_cause=dict(rejection_causes),

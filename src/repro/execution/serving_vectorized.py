@@ -57,7 +57,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -187,9 +187,8 @@ class BatchedServingSimulator:
                 controller=controller,
             )
         if not isinstance(requests, ArrivalBatch):
-            requests = list(requests)
-        stream = _Stream.of(requests)
-        times = stream.times
+            requests = ArrivalBatch.from_requests(list(requests))
+        times = requests.times
         # Unsorted streams would break the backbone lane; they are exotic, so
         # serve them on the reference engine instead of approximating.
         if not (times[1:] >= times[:-1]).all():
@@ -201,21 +200,21 @@ class BatchedServingSimulator:
             )
         if duration_seconds is None:
             duration_seconds = float(times.max()) if times.size else 0.0
-        names = stream.class_names
+        names = requests.class_names
         configs = [
             configuration_for(RequestArrival(time, scale, names[code]))
             for time, scale, code in zip(
-                times.tolist(), stream.scales.tolist(), stream.class_codes.tolist()
+                times.tolist(), requests.scales.tolist(), requests.class_ids.tolist()
             )
         ]
         memo = TraceMemo(
             scalar.backend, scalar.workflow, scalar.executor.pricing, scalar._cold_latency
         )
-        template_of = memo.group(configs, stream.scales)
+        template_of = memo.group(configs, requests.scales)
         del configs  # each template holds its configuration
         if scalar.cluster is not None:
-            return self._run_calendar(stream, memo.templates, template_of, duration_seconds)
-        return self._run_cohort(stream, memo.templates, template_of, duration_seconds)
+            return self._run_calendar(requests, memo.templates, template_of, duration_seconds)
+        return self._run_cohort(requests, memo.templates, template_of, duration_seconds)
 
     def _delegate(
         self,
@@ -243,7 +242,7 @@ class BatchedServingSimulator:
     # -- uncontended cohort path -------------------------------------------------
     def _run_cohort(
         self,
-        stream: "_Stream",
+        requests: ArrivalBatch,
         templates: List[TraceTemplate],
         template_of: np.ndarray,
         duration_seconds: float,
@@ -257,7 +256,7 @@ class BatchedServingSimulator:
         processes; the differential tier guards the discrete ones).
         """
         scalar = self._scalar
-        arrivals = stream.times
+        arrivals = requests.times
         n = arrivals.size
         pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
         requests_of = [
@@ -331,8 +330,9 @@ class BatchedServingSimulator:
             stats.warm_hits += pool_warm
             stats.evictions += pool_evicted
 
-        outcomes = stream.outcomes(
+        outcomes = OutcomeTable(
             np.arange(n),
+            requests,
             arrivals,
             completion,
             _base_costs(templates)[template_of] + extra_cost,
@@ -477,7 +477,7 @@ class BatchedServingSimulator:
     # -- contended calendar path -------------------------------------------------
     def _run_calendar(
         self,
-        stream: "_Stream",
+        requests: ArrivalBatch,
         templates: List[TraceTemplate],
         template_of: np.ndarray,
         duration_seconds: float,
@@ -491,7 +491,7 @@ class BatchedServingSimulator:
         and per-request backend evaluation are gone.
         """
         scalar = self._scalar
-        times = stream.times.tolist()
+        times = requests.times.tolist()
         n = len(times)
         pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
         queue_capacity = scalar.options.queue_capacity
@@ -598,8 +598,9 @@ class BatchedServingSimulator:
         ledger.advance(calendar.now)
         index = np.sort(np.asarray(completed, dtype=np.intp))
         template_done = template_of[index]
-        outcomes = stream.outcomes(
+        outcomes = OutcomeTable(
             index,
+            requests.take(index) if index.size < n else requests,
             np.asarray(dispatch_at, dtype=np.float64)[index],
             np.asarray(completion_at, dtype=np.float64)[index],
             _base_costs(templates)[template_done]
@@ -609,95 +610,11 @@ class BatchedServingSimulator:
             template_done,
             templates,
         )
-        rejected_requests = stream.requests(rejected)
+        rejected_requests = requests.to_requests(np.asarray(rejected, dtype=np.intp))
         metrics = summarize_outcomes(
             outcomes, rejected_requests, duration_seconds, n, scalar.slo, ledger=ledger
         )
         return ServingResult(outcomes=outcomes, rejected=rejected_requests, metrics=metrics)
-
-
-class _Stream:
-    """One request stream as columns: arrival times, input scales and class codes.
-
-    ``class_names[class_codes[i]]`` is request ``i``'s input class.  An
-    :class:`~repro.execution.events.ArrivalBatch` lends its own arrays; a
-    list of records is read into new ones.
-    """
-
-    __slots__ = ("times", "scales", "class_codes", "class_names")
-
-    def __init__(
-        self,
-        times: np.ndarray,
-        scales: np.ndarray,
-        class_codes: np.ndarray,
-        class_names: List[str],
-    ) -> None:
-        self.times = times
-        self.scales = scales
-        self.class_codes = class_codes
-        self.class_names = class_names
-
-    @classmethod
-    def of(cls, requests: Union[Sequence[RequestArrival], ArrivalBatch]) -> "_Stream":
-        """The columns of a batch (its own arrays, as float64/intp) or of records."""
-        if isinstance(requests, ArrivalBatch):
-            return cls(
-                np.asarray(requests.times, dtype=np.float64),
-                np.asarray(requests.scales, dtype=np.float64),
-                np.asarray(requests.class_ids, dtype=np.intp),
-                [c.name for c in requests.classes],
-            )
-        count = len(requests)
-        codes: Dict[str, int] = {}
-        return cls(
-            np.fromiter((r.arrival_time for r in requests), np.float64, count),
-            np.fromiter((r.input_scale for r in requests), np.float64, count),
-            np.fromiter(
-                (codes.setdefault(r.input_class, len(codes)) for r in requests),
-                np.intp,
-                count,
-            ),
-            list(codes),
-        )
-
-    def requests(self, indices: List[int]) -> List[RequestArrival]:
-        """The records of the given requests, in the order given."""
-        names = self.class_names
-        return [
-            RequestArrival(
-                float(self.times[i]), float(self.scales[i]), names[int(self.class_codes[i])]
-            )
-            for i in indices
-        ]
-
-    def outcomes(
-        self,
-        index: np.ndarray,
-        dispatch: np.ndarray,
-        completion: np.ndarray,
-        cost: np.ndarray,
-        cold_count: np.ndarray,
-        cold_seconds: np.ndarray,
-        template: np.ndarray,
-        templates: List[TraceTemplate],
-    ) -> OutcomeTable:
-        """The outcome table of the completed requests ``index`` (ascending)."""
-        whole = index.size == self.times.size
-        return OutcomeTable(
-            index,
-            self.times if whole else self.times[index],
-            self.scales if whole else self.scales[index],
-            self.class_codes if whole else self.class_codes[index],
-            self.class_names,
-            dispatch,
-            completion,
-            cost,
-            cold_count,
-            cold_seconds,
-            template,
-            templates,
-        )
 
 
 def _base_costs(templates: List[TraceTemplate]) -> np.ndarray:

@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.execution.outcomes import float_total, outcome_columns
+from repro.execution.outcomes import outcome_columns
 from repro.experiments.serving_experiment import (
     ScenarioSpec,
     ServingReport,
@@ -340,7 +340,7 @@ def check_invariants(report: ServingReport) -> List[str]:
 
     # Billing closure.
     if columns is not None:
-        recomputed_cost = float_total(columns.cost, len(columns))
+        recomputed_cost = sum(columns.cost.tolist())
         if not math.isclose(
             recomputed_cost, metrics.total_cost, rel_tol=_REL_TOL, abs_tol=_ABS_TOL
         ):

@@ -28,7 +28,7 @@ from repro.control.rollout import build_rollout_policy
 from repro.core.input_aware import InputAwareEngine
 from repro.execution.backend import BackendStats, build_backend
 from repro.execution.cluster import Cluster
-from repro.execution.events import ArrivalBatch, RequestArrival
+from repro.execution.events import RequestArrival
 from repro.execution.faults import (
     ExponentialBackoffRetry,
     FaultPlan,
@@ -374,15 +374,13 @@ def run_serving_experiment(
             arrival=settings.arrival, rate_rps=settings.rate_rps
         )
     traffic_rng = RngStream(settings.seed, f"traffic/{workload.name}")
-    requests: Union[List[RequestArrival], ArrivalBatch]
-    if settings.engine == "batched":
-        # The array path draws the same RngStream children as the scalar
-        # iterator, element-for-element (property-tested), so the request
-        # stream is identical — just generated in vectorized chunks, and
-        # served as columns.
-        requests = traffic.generate_batch(settings.duration_seconds, traffic_rng)
-    else:
-        requests = traffic.generate(settings.duration_seconds, traffic_rng)
+    # The array path draws the same RngStream children as the scalar
+    # iterator, element-for-element (property-tested), so the request
+    # stream is identical — just generated in vectorized chunks.  The
+    # batched engine serves it as columns, the event loop as records.
+    batch = traffic.generate_batch(settings.duration_seconds, traffic_rng)
+    class_counts = batch.class_counts()
+    requests = batch if settings.engine == "batched" else batch.to_requests()
 
     controller = None
     if settings.adaptive:
@@ -455,13 +453,6 @@ def run_serving_experiment(
         uncontended[input_class.name] = simulator_probe_latency(
             workload, dispatcher, input_class, probe_executor
         )
-
-    if isinstance(requests, ArrivalBatch):
-        class_counts = requests.class_counts()
-    else:
-        class_counts = {}
-        for request in requests:
-            class_counts[request.input_class] = class_counts.get(request.input_class, 0) + 1
 
     return ServingReport(
         workload=workload.name,

@@ -818,7 +818,10 @@ class TrafficModel:
                 [c.scale for c in self.classes], dtype=np.float64
             )[class_ids]
         return ArrivalBatch(
-            times=times, scales=scales, class_ids=class_ids, classes=list(self.classes)
+            times=times,
+            scales=scales,
+            class_ids=class_ids,
+            class_names=[c.name for c in self.classes],
         )
 
     def describe(self) -> str:
@@ -961,13 +964,13 @@ class DriftingTrafficModel:
                 times=empty,
                 scales=empty.copy(),
                 class_ids=np.empty(0, dtype=np.intp),
-                classes=list(self.classes),
+                class_names=[c.name for c in self.classes],
             )
         return ArrivalBatch(
             times=np.concatenate(times_parts),
             scales=np.concatenate(scales_parts),
             class_ids=np.concatenate(ids_parts),
-            classes=list(self.classes),
+            class_names=[c.name for c in self.classes],
         )
 
     def describe(self) -> str:

@@ -365,7 +365,7 @@ class TestColumnarStreamDifferential:
             times=np.empty(0),
             scales=np.empty(0),
             class_ids=np.empty(0, dtype=np.intp),
-            classes=list(workload.input_classes or []),
+            class_names=[c.name for c in workload.input_classes or []],
         )
         results = self.serve_three_ways(
             workload, batch, [], lambda _r: configuration, 10.0

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.utils.rng import RngStream
 from repro.workloads.arrivals import (
+    ArrivalBatch,
     ArrivalProcess,
     BurstyArrivals,
     ConstantRateArrivals,
@@ -125,6 +126,12 @@ def test_traffic_model_batch_matches_scalar(rate, duration, seed):
     batch = model.generate_batch(duration, RngStream(seed, "traffic"))
     assert len(batch) == len(scalar)
     assert batch.to_requests() == scalar
+    assert ArrivalBatch.from_requests(scalar).to_requests() == scalar
+    counts = {}
+    for request in scalar:
+        counts[request.input_class] = counts.get(request.input_class, 0) + 1
+    # First-arrival order, as counting the records gives.
+    assert list(batch.class_counts().items()) == list(counts.items())
 
 
 @given(
@@ -199,6 +206,25 @@ def test_single_class_batch_needs_no_class_rng():
     batch = model.generate_batch(10.0)
     assert batch.to_requests() == model.generate(10.0)
     assert set(batch.class_ids.tolist()) <= {0}
+
+
+def test_selected_rows_are_the_same_records():
+    """``to_requests(rows)`` and ``take(rows)`` read the rows a slice or an
+    index array selects, in its order."""
+    profile = TrafficProfile(
+        arrival="poisson",
+        rate_rps=2.0,
+        class_weights={"light": 1.0, "middle": 1.0, "heavy": 1.0},
+    )
+    model = TrafficModel.from_profile(profile, classes=CLASSES)
+    batch = model.generate_batch(30.0, RngStream(7, "traffic"))
+    records = batch.to_requests()
+    assert len(records) > 10
+    rows = np.asarray([5, 0, 3, 3], dtype=np.intp)
+    assert batch.to_requests(rows) == [records[i] for i in rows]
+    assert batch.take(rows).to_requests() == [records[i] for i in rows]
+    assert batch.to_requests(slice(2, 6)) == records[2:6]
+    assert batch.to_requests(np.empty(0, dtype=np.intp)) == []
 
 
 def test_multi_class_batch_requires_rng():
