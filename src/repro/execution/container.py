@@ -25,6 +25,11 @@ __all__ = ["Container", "ContainerPool"]
 _CAPACITY = Range(1, math.inf, integer=True)
 
 
+#: Stale entries a function's expiry heap may hold beyond one per resident
+#: container before it is rebuilt.
+_HEAP_SLACK = 16
+
+
 def _capacity(value: float) -> float:
     """The checked cap: an ``int``, or ``math.inf`` for an unbounded pool."""
     _CAPACITY.check(value, "max_containers_per_function")
@@ -75,9 +80,10 @@ class ContainerPool:
     :meth:`acquire` only scans the bucket of the requested configuration, so
     autoscaled pools holding many differently-configured containers (e.g.
     input-aware serving) no longer pay a whole-pool scan per request.  Heap
-    entries are never removed eagerly; a stale entry (container re-released
+    entries are not removed eagerly; a stale entry (container re-released
     later, checked out, discarded or capacity-evicted) is skipped when
-    popped.
+    popped, and a heap holding more than twice as many entries as resident
+    containers (plus a small slack) is rebuilt from their current expiries.
 
     Parameters
     ----------
@@ -166,13 +172,24 @@ class ContainerPool:
         its previous invocation.
         """
         container.record_invocation(max(finish_time, container.last_used_at))
-        if container.container_id not in self._containers.get(container.function_name, {}):
+        function_name = container.function_name
+        if container.container_id not in self._containers.get(function_name, {}):
             self._insert(container)
+        resident = self._containers[function_name]
+        heap = self._expiry_heaps.setdefault(function_name, [])
         heapq.heappush(
-            self._expiry_heaps.setdefault(container.function_name, []),
-            (container.last_used_at + self.keep_alive_seconds, container.container_id),
+            heap, (container.last_used_at + self.keep_alive_seconds, container.container_id)
         )
-        self._enforce_capacity(container.function_name)
+        if len(heap) > 2 * len(resident) + _HEAP_SLACK:
+            # Mostly stale entries: keep only each resident container's
+            # current one, the entries _evict_expired does not skip, so the
+            # heap stays proportional to the pool and evictions are unchanged.
+            heap[:] = [
+                (c.last_used_at + self.keep_alive_seconds, c.container_id)
+                for c in resident.values()
+            ]
+            heapq.heapify(heap)
+        self._enforce_capacity(function_name)
 
     def discard(self, container: Container) -> None:
         """Forcibly remove a pool-resident container (counted as an eviction).

@@ -1,10 +1,11 @@
 """Discrete-event loop and the request streams every serving engine consumes.
 
 The serving layer (:mod:`repro.execution.serving`) drives request streams
-through the :class:`EventLoop`; each :class:`RequestArrival` carries the
-arrival time, input scale and input class the input-aware engine (paper
-§IV-D, Fig. 8) dispatches on.  An :class:`ArrivalBatch` is the same stream
-as columns, which the batched engine serves without a record per request.
+through the :class:`EventLoop`, replaying each dispatched request as a
+:class:`Launch`; each :class:`RequestArrival` carries the arrival time,
+input scale and input class the input-aware engine (paper §IV-D, Fig. 8)
+dispatches on.  An :class:`ArrivalBatch` is the same stream as columns,
+which the batched engine serves without a record per request.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ArrivalBatch", "EventLoop", "RequestArrival"]
+from repro.workflow.dag import WorkflowPlan
+
+__all__ = ["ArrivalBatch", "EventLoop", "Launch", "RequestArrival"]
 
 _INF = float("inf")
 
@@ -61,6 +65,62 @@ class EventLoop:
 
     def __len__(self) -> int:
         return len(self._queue)
+
+
+class Launch:
+    """One incarnation of one request walking its workflow on an event loop.
+
+    :meth:`begin` schedules the plan's roots at the dispatch time as
+    ``partial(launch.start, k, time)``; a subclass's :meth:`start` replays
+    function ``k`` and reports its end through :meth:`_finish`, which starts
+    each successor once its last predecessor is done and calls
+    :meth:`_complete` after the last function.
+
+    Every event is a ``functools.partial`` of a bound method, and a launch
+    never stores one, so nothing a launch allocates refers back to it:
+    reference counting frees it as its last event fires, leaving the cyclic
+    garbage collector nothing to do per request.  A subclass must keep it
+    that way, which ``tests/execution/test_launch_garbage.py`` checks.
+    """
+
+    __slots__ = ("loop", "plan", "dispatch_time", "ready", "waiting", "remaining", "completion")
+
+    def __init__(self, loop: EventLoop, plan: WorkflowPlan, dispatch_time: float) -> None:
+        self.loop = loop
+        self.plan = plan
+        self.dispatch_time = dispatch_time
+        # A function starts at the latest of the dispatch and its
+        # predecessors' ends; ``waiting`` counts its unfinished predecessors.
+        self.ready = [dispatch_time] * len(plan.names)
+        self.waiting = list(map(len, plan.preds))
+        self.remaining = len(plan.names)
+        self.completion = dispatch_time
+
+    def begin(self) -> None:
+        """Schedule the plan's roots at the dispatch time."""
+        for k in self.plan.roots:
+            self.loop.schedule(self.dispatch_time, partial(self.start, k, self.dispatch_time))
+
+    def start(self, k: int, start: float) -> None:
+        raise NotImplementedError
+
+    def _complete(self) -> None:
+        raise NotImplementedError
+
+    def _finish(self, k: int, end: float) -> None:
+        self.completion = max(self.completion, end)
+        self.remaining -= 1
+        if self.remaining == 0:
+            self._complete()
+            return
+        ready, waiting = self.ready, self.waiting
+        for successor in self.plan.succs[k]:
+            if end > ready[successor]:
+                ready[successor] = end
+            waiting[successor] -= 1
+            if waiting[successor] == 0:
+                start = ready[successor]
+                self.loop.schedule(start, partial(self.start, successor, start))
 
 
 class RequestArrival:

@@ -358,6 +358,18 @@ class _RowDraws:
         return low + (high - low) * u
 
 
+class _Timeouts(dict):
+    """``plan.timeout_for`` per function name, computed once per name."""
+
+    def __init__(self, plan: FaultPlan) -> None:
+        super().__init__()
+        self._plan = plan
+
+    def __missing__(self, function_name: str) -> Optional[float]:
+        timeout = self[function_name] = self._plan.timeout_for(function_name)
+        return timeout
+
+
 class FaultInjector:
     """Turns a :class:`FaultPlan` into a deterministic fault schedule.
 
@@ -397,23 +409,32 @@ class FaultInjector:
             plan.crash_probability or plan.oom_probability or plan.straggler_probability
         )
         retry = plan.retry
-        waves: List[Tuple[str, int]] = []
+        # The attempts precomputed per kind of draw.
+        waves: Dict[str, List[int]] = {}
         if self._draws:
-            waves.append(("invocation", 1))
+            waves["invocation"] = [1]
             if retry.max_attempts >= 2:
-                waves.append(("invocation", 2))
+                waves["invocation"].append(2)
             if hedging:
-                waves.append(("invocation", HEDGE_ATTEMPT_OFFSET + 1))
+                waves["invocation"].append(HEDGE_ATTEMPT_OFFSET + 1)
             if retry.max_attempts >= 2 and retry.draws:
-                waves.append(("backoff", 1))
+                waves["backoff"] = [1]
+        # A request's keys of one kind share the prefix (kind, index,
+        # incarnation) and differ in their (function, attempt) suffix.
+        self._suffixes = {
+            kind: [(name, attempt) for name in function_names for attempt in attempts]
+            for kind, attempts in waves.items()
+        }
         # Each (kind, function, attempt) key owns two adjacent columns of a
         # request's row: its stream's first two draws.
-        self._row_keys = [
-            (kind, name, attempt) for name in function_names for kind, attempt in waves
+        keys = [
+            (kind,) + suffix for kind, suffixes in self._suffixes.items() for suffix in suffixes
         ]
-        self._columns = {key: 2 * i for i, key in enumerate(self._row_keys)}
+        self._columns = {key: 2 * i for i, key in enumerate(keys)}
         self._block: Optional[np.ndarray] = None
         self._block_start = self._block_end = 0
+        # Effective timeout per function name, resolved on first use.
+        self._timeouts = _Timeouts(plan)
 
     def draw_row(self, request_index: int) -> Optional[np.ndarray]:
         """Precomputed draws of request ``request_index``'s first incarnation.
@@ -426,18 +447,20 @@ class FaultInjector:
         rare).  A row is a view of its block, which therefore lives exactly
         as long as a row of it is held.
         """
-        if not self._row_keys or request_index < self._block_start:
+        if not self._columns or request_index < self._block_start:
             return None
         if request_index >= self._block_end:
-            count = self.BLOCK_REQUESTS
-            keys = (
-                (kind, index, 0, name, attempt)
-                for index in range(request_index, request_index + count)
-                for kind, name, attempt in self._row_keys
+            indices = range(request_index, request_index + self.BLOCK_REQUESTS)
+            self._block = np.hstack(
+                [
+                    first_randoms(
+                        self._rng.child_seeds([(kind, index, 0) for index in indices], suffixes),
+                        2,
+                    ).reshape(len(indices), -1)
+                    for kind, suffixes in self._suffixes.items()
+                ]
             )
-            draws = first_randoms(self._rng.child_seeds(keys), 2)
-            self._block = draws.reshape(count, -1)
-            self._block_start, self._block_end = request_index, request_index + count
+            self._block_start, self._block_end = indices.start, indices.stop
         return self._block[request_index - self._block_start]
 
     def _stream(
@@ -507,7 +530,7 @@ class FaultInjector:
                 effective *= self.plan.straggler_slowdown
         completion = cold_start_seconds + effective
         end = completion if kill_at is None else kill_at
-        timeout = self.plan.timeout_for(function_name)
+        timeout = self._timeouts[function_name]
         if timeout is not None and timeout < end:
             # The timeout budget kills first, whatever else was scheduled.
             return InvocationOutcome(

@@ -33,12 +33,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
 from repro.execution.cluster import Cluster, ClusterLedger, Node, balance_key, spread_key
 from repro.execution.container import ContainerPool
-from repro.execution.events import EventLoop, RequestArrival
+from repro.execution.events import EventLoop, Launch, RequestArrival
 from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
 from repro.execution.outcomes import ServedRequest, ServingMetrics, summarize_outcomes
@@ -217,6 +218,115 @@ class _NamespacedPool:
         )
 
 
+class _FleetLaunch(Launch):
+    """Replay one tenant request's trace template with node pricing and interference.
+
+    Mirrors the serving layer's clean replay, with three fleet twists:
+    every runtime is stretched by the dispatch-time interference factor,
+    every invocation is billed at its hosting node's price multiplier, and
+    the whole replay can be aborted (node failure / spot eviction) — running
+    containers are killed, billed work is carried as waste, and the caller
+    re-queues the request.  An aborted launch's pending events return at
+    once.
+    """
+
+    __slots__ = ("runtime", "pool", "on_complete", "template", "index", "request",
+                 "configuration", "stretch", "node_of", "carry", "running", "cold_count",
+                 "cold_seconds", "billed", "dead")
+
+    def __init__(self, loop: EventLoop, runtime: _TenantRuntime,
+                 pool: Optional[ContainerPool],
+                 on_complete: Callable[[ServedRequest], None], template: TraceTemplate,
+                 index: int, request: RequestArrival,
+                 configuration: WorkflowConfiguration, stretch: float,
+                 node_of: Dict[str, Node], carry: Dict[str, float]) -> None:
+        super().__init__(loop, runtime.workflow.plan, loop.now)
+        self.runtime = runtime
+        self.pool = pool
+        self.on_complete = on_complete
+        self.template = template
+        self.index = index
+        self.request = request
+        self.configuration = configuration
+        self.stretch = stretch
+        self.node_of = node_of
+        self.carry = carry
+        # Containers of the functions running now, by position.
+        self.running: Dict[int, object] = {}
+        self.cold_count = 0
+        self.cold_seconds = 0.0
+        self.billed = 0.0
+        self.dead = False
+
+    def abort(self, now: float) -> None:
+        self.dead = True
+        if self.pool is not None:
+            for container in self.running.values():
+                self.pool.kill(container)
+        self.running.clear()
+        carry = self.carry
+        carry["restarts"] += 1
+        carry["wasted_seconds"] += max(0.0, now - self.dispatch_time)
+        # Work already billed in the aborted incarnation was real spend.
+        carry["extra_cost"] += self.billed
+        carry["cold_count"] += self.cold_count
+        carry["cold_seconds"] += self.cold_seconds
+
+    def _complete(self) -> None:
+        carry = self.carry
+        self.on_complete(
+            ServedRequest(
+                index=self.index,
+                request=self.request,
+                configuration=self.configuration,
+                dispatch_time=self.dispatch_time,
+                completion_time=self.completion,
+                cost=self.billed + carry["extra_cost"],
+                cold_start_count=self.cold_count + int(carry["cold_count"]),
+                cold_start_seconds=self.cold_seconds + carry["cold_seconds"],
+                succeeded=self.template.succeeded,
+                service_trace=self.template.trace,
+                restarts=int(carry["restarts"]),
+                wasted_seconds=carry["wasted_seconds"],
+            )
+        )
+
+    def start(self, k: int, start: float) -> None:
+        if self.dead:
+            return
+        template, runtime = self.template, self.runtime
+        if template.statuses[k] is ExecutionStatus.SKIPPED:
+            self._finish(k, start)
+            return
+        config = template.configs[k]
+        node = self.node_of.get(self.plan.names[k])
+        multiplier = node.price_multiplier if node is not None else 1.0
+        penalty = 0.0
+        container = None
+        if self.pool is not None:
+            container, cold = self.pool.acquire(runtime.pool_keys[k], config, start)
+            container.node_name = node.name if node is not None else None
+            if cold:
+                penalty = runtime.cold_latency[k]
+                self.cold_count += 1
+                self.cold_seconds += penalty
+            self.running[k] = container
+        runtime_seconds = template.runtimes[k] * self.stretch
+        end = start + penalty + runtime_seconds
+        cost = runtime.pricing.invocation_cost(runtime_seconds + penalty, config) * multiplier
+        self.loop.schedule(end, partial(self.settle, k, end, container, cost))
+
+    def settle(self, k: int, end: float, container, cost: float) -> None:
+        if self.dead:
+            return
+        if container is not None:
+            self.running.pop(k, None)
+            if self.template.statuses[k] is not ExecutionStatus.OOM:
+                self.pool.release(container, end)
+        self.billed += cost
+        self._finish(k, end)
+
+
 class FleetSimulator:
     """Serve many tenants' merged request stream on one shared cluster.
 
@@ -289,138 +399,6 @@ class FleetSimulator:
             for tenant in self.tenants
         }
 
-    # -- one request's replay ------------------------------------------------------
-    def _launch(
-        self,
-        loop: EventLoop,
-        runtime: _TenantRuntime,
-        template: TraceTemplate,
-        index: int,
-        request: RequestArrival,
-        configuration: WorkflowConfiguration,
-        dispatch_time: float,
-        stretch: float,
-        node_of: Dict[str, Node],
-        carry: Dict[str, float],
-        on_complete: Callable[[ServedRequest], None],
-        register_abort: Callable[[int, Callable[[float], None]], None],
-    ) -> None:
-        """Replay one tenant request's trace template with node pricing and interference.
-
-        Mirrors the serving layer's clean replay, with three fleet twists:
-        every runtime is stretched by the dispatch-time interference factor,
-        every invocation is billed at its hosting node's price multiplier,
-        and the whole replay can be aborted (node failure / spot eviction) —
-        running containers are killed, billed work is carried as waste, and
-        the caller re-queues the request.
-        """
-        pool = self.container_pool if self.options.simulate_cold_starts else None
-        plan = runtime.workflow.plan
-        statuses, run_seconds, configs = template.statuses, template.runtimes, template.configs
-        # Indexed by position in the plan's topological order.
-        finish = [0.0] * len(plan.names)
-        waiting = [len(preds) for preds in plan.preds]
-        running: Dict[int, object] = {}
-        state = {
-            "remaining": len(plan.names),
-            "completion": dispatch_time,
-            "cold_count": 0,
-            "cold_seconds": 0.0,
-            "billed": 0.0,
-            "dead": False,
-        }
-
-        def abort(now: float) -> None:
-            state["dead"] = True
-            if pool is not None:
-                for container in running.values():
-                    pool.kill(container)
-            running.clear()
-            carry["restarts"] += 1
-            carry["wasted_seconds"] += max(0.0, now - dispatch_time)
-            # Work already billed in the aborted incarnation was real spend.
-            carry["extra_cost"] += state["billed"]
-            carry["cold_count"] += state["cold_count"]
-            carry["cold_seconds"] += state["cold_seconds"]
-
-        register_abort(index, abort)
-
-        def complete() -> None:
-            outcome = ServedRequest(
-                index=index,
-                request=request,
-                configuration=configuration,
-                dispatch_time=dispatch_time,
-                completion_time=state["completion"],
-                cost=state["billed"] + carry["extra_cost"],
-                cold_start_count=state["cold_count"] + int(carry["cold_count"]),
-                cold_start_seconds=state["cold_seconds"] + carry["cold_seconds"],
-                succeeded=template.succeeded,
-                service_trace=template.trace,
-                restarts=int(carry["restarts"]),
-                wasted_seconds=carry["wasted_seconds"],
-            )
-            on_complete(outcome)
-
-        def finish_function(k: int, end: float) -> None:
-            finish[k] = end
-            state["completion"] = max(state["completion"], end)
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                complete()
-                return
-            for successor in plan.succs[k]:
-                waiting[successor] -= 1
-                if waiting[successor] == 0:
-                    start = max(finish[p] for p in plan.preds[successor])
-                    loop.schedule(start, run_function(successor, start))
-
-        def run_function(k: int, start: float) -> Callable[[], None]:
-            def fire() -> None:
-                if state["dead"]:
-                    return
-                status = statuses[k]
-                if status is ExecutionStatus.SKIPPED:
-                    finish_function(k, start)
-                    return
-                config = configs[k]
-                node = node_of.get(plan.names[k])
-                multiplier = node.price_multiplier if node is not None else 1.0
-                penalty = 0.0
-                container = None
-                if pool is not None:
-                    container, cold = pool.acquire(runtime.pool_keys[k], config, start)
-                    container.node_name = node.name if node is not None else None
-                    if cold:
-                        penalty = runtime.cold_latency[k]
-                        state["cold_count"] += 1
-                        state["cold_seconds"] += penalty
-                runtime_seconds = run_seconds[k] * stretch
-                end = start + penalty + runtime_seconds
-                cost = (
-                    runtime.pricing.invocation_cost(runtime_seconds + penalty, config)
-                    * multiplier
-                )
-                if container is not None:
-                    running[k] = container
-
-                def settle() -> None:
-                    if state["dead"]:
-                        return
-                    if container is not None:
-                        running.pop(k, None)
-                        if status is not ExecutionStatus.OOM:
-                            pool.release(container, end)
-                    state["billed"] += cost
-                    finish_function(k, end)
-
-                loop.schedule(end, settle)
-
-            return fire
-
-        for k in plan.roots:
-            loop.schedule(dispatch_time, run_function(k, dispatch_time))
-
     # -- the run -------------------------------------------------------------------
     def run(self, duration_seconds: float, seed: int = 2025) -> FleetResult:
         """Serve every tenant's stream for ``duration_seconds`` at ``seed``."""
@@ -486,6 +464,7 @@ class FleetSimulator:
         )
         for name, controller in self.controllers.items():
             controller.bind(pool=_NamespacedPool(self.container_pool, name))
+        pool = self.container_pool if options.simulate_cold_starts else None
 
         # Queue of (order_key, seq) entries; order_key is -priority under the
         # priority policy (drain important tenants first) and 0 otherwise
@@ -568,61 +547,56 @@ class FleetSimulator:
                         "cold_seconds": 0.0,
                     }
                     carries[seq] = carry
-                self._launch(
+                launch = _FleetLaunch(
                     loop,
                     runtimes[tenant_name],
+                    pool,
+                    finish_request,
                     memos[tenant_name].get(configuration, request.input_scale),
                     seq,
                     request,
                     configuration,
-                    loop.now,
                     stretch,
                     node_of,
                     carry,
-                    finish_request,
-                    lambda i, fn: inflight_aborts.__setitem__(i, fn),
                 )
+                inflight_aborts[seq] = launch.abort
+                launch.begin()
 
-        def arrive(seq: int, tenant_name: str, request: RequestArrival) -> Callable[[], None]:
-            def fire() -> None:
-                offered[tenant_name] += 1
-                tenant_of[seq] = tenant_name
-                controller = self.controllers.get(tenant_name)
-                if controller is not None:
-                    controller.observe_arrival(loop.now, request)
-                    configuration = controller.assign(seq, request)
-                else:
-                    configuration = runtimes[tenant_name].configuration
-                if guard is not None:
-                    # The guard sees the tenant name as the input class, so
-                    # shed priorities are per tenant.
-                    cause = guard.admit(loop.now, tenant_name, len(queue), ledger.active)
-                    if cause is not None:
-                        reject(seq, tenant_name, request, cause)
-                        return
-                entries[seq] = (tenant_name, request, configuration)
-                heapq.heappush(queue, (order_key(tenant_name), seq))
-                try_dispatch()
-                if (
-                    options.queue_capacity is not None
-                    and len(queue) > options.queue_capacity
-                ):
-                    # Shed the worst queued entry that never ran, as the
-                    # serving layer sheds its newest arrival; a request that
-                    # an eviction put back keeps its place (and its bill).
-                    fresh = [entry for entry in queue if entry[1] not in carries]
-                    if fresh:
-                        worst = max(fresh)
-                        queue.remove(worst)
-                        heapq.heapify(queue)
-                        _, dropped_seq = worst
-                        dropped_tenant, dropped_request, _ = entries.pop(dropped_seq)
-                        reject(dropped_seq, dropped_tenant, dropped_request, "queue-full")
-
-            return fire
+        def arrive(seq: int, tenant_name: str, request: RequestArrival) -> None:
+            offered[tenant_name] += 1
+            tenant_of[seq] = tenant_name
+            controller = self.controllers.get(tenant_name)
+            if controller is not None:
+                controller.observe_arrival(loop.now, request)
+                configuration = controller.assign(seq, request)
+            else:
+                configuration = runtimes[tenant_name].configuration
+            if guard is not None:
+                # The guard sees the tenant name as the input class, so shed
+                # priorities are per tenant.
+                cause = guard.admit(loop.now, tenant_name, len(queue), ledger.active)
+                if cause is not None:
+                    reject(seq, tenant_name, request, cause)
+                    return
+            entries[seq] = (tenant_name, request, configuration)
+            heapq.heappush(queue, (order_key(tenant_name), seq))
+            try_dispatch()
+            if options.queue_capacity is not None and len(queue) > options.queue_capacity:
+                # Shed the worst queued entry that never ran, as the serving
+                # layer sheds its newest arrival; a request that an eviction
+                # put back keeps its place (and its bill).
+                fresh = [entry for entry in queue if entry[1] not in carries]
+                if fresh:
+                    worst = max(fresh)
+                    queue.remove(worst)
+                    heapq.heapify(queue)
+                    _, dropped_seq = worst
+                    dropped_tenant, dropped_request, _ = entries.pop(dropped_seq)
+                    reject(dropped_seq, dropped_tenant, dropped_request, "queue-full")
 
         for seq, (tenant_name, request) in enumerate(merged):
-            loop.schedule(request.arrival_time, arrive(seq, tenant_name, request))
+            loop.schedule(request.arrival_time, partial(arrive, seq, tenant_name, request))
 
         # -- node downtime: failures and spot evictions on one recovery path ----
         downtime: List[Tuple[float, str, str]] = []

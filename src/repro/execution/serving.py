@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
 from repro.execution.cluster import Cluster, ClusterLedger
 from repro.execution.container import ContainerPool
-from repro.execution.events import EventLoop, RequestArrival
+from repro.execution.events import EventLoop, Launch, RequestArrival
 from repro.execution.executor import WorkflowExecutor
 from repro.execution.faults import (
     HEDGE_ATTEMPT_OFFSET,
@@ -253,6 +254,466 @@ class _RequestCarry:
         self.fault_counts[kind.value] = self.fault_counts.get(kind.value, 0) + 1
 
 
+class _RunContext:
+    """What every launch of one serving run shares."""
+
+    __slots__ = ("loop", "plan", "pool", "pricing", "cold_latency", "on_complete",
+                 "injector", "guard")
+
+    def __init__(self, loop: EventLoop, plan, pool: Optional[ContainerPool], pricing,
+                 cold_latency: Sequence[float],
+                 on_complete: Callable[[ServedRequest], None],
+                 injector: Optional[FaultInjector],
+                 guard: Optional[ProtectionGuard]) -> None:
+        self.loop = loop
+        self.plan = plan
+        #: ``None`` when cold starts are not simulated.
+        self.pool = pool
+        self.pricing = pricing
+        self.cold_latency = cold_latency
+        self.on_complete = on_complete
+        self.injector = injector
+        self.guard = guard
+
+
+class _ServingLaunch(Launch):
+    """Replay one request's service trace on the event loop.
+
+    The trace comes from the backend at trigger 0 (memoizable); each
+    function is then re-enacted as events at its absolute start/finish
+    times, acquiring warm containers at the true start and releasing them at
+    the true finish — so overlapping requests can never share a container,
+    exactly as on a real platform.  ``on_complete`` fires as a loop event at
+    the request's completion time.
+    """
+
+    __slots__ = ("context", "index", "request", "configuration", "trace", "cold_count",
+                 "cold_seconds", "extra_cost")
+
+    def __init__(self, context: _RunContext, index: int, request: RequestArrival,
+                 configuration: WorkflowConfiguration, trace) -> None:
+        super().__init__(context.loop, context.plan, context.loop.now)
+        self.context = context
+        self.index = index
+        self.request = request
+        self.configuration = configuration
+        self.trace = trace
+        self.cold_count = 0
+        self.cold_seconds = 0.0
+        self.extra_cost = 0.0
+
+    def start(self, k: int, start: float) -> None:
+        context = self.context
+        name = self.plan.names[k]
+        record = self.trace.records[name]
+        if record.status is ExecutionStatus.SKIPPED:
+            self._finish(k, start)
+            return
+        pool = context.pool
+        penalty = 0.0
+        container = None
+        if pool is not None:
+            container, cold = pool.acquire(name, record.config, start)
+            if cold:
+                penalty = context.cold_latency[k]
+                self.cold_count += 1
+                self.cold_seconds += penalty
+        end = start + penalty + record.runtime_seconds
+        # An OOM kill destroys its container, which is never released; any
+        # other is released as an event at the true finish time, so a
+        # concurrent request cannot warm-hit a busy container.
+        if container is not None and record.status is not ExecutionStatus.OOM:
+            self.loop.schedule(end, partial(pool.release, container, end))
+        if penalty > 0.0:
+            # The cold start is billed like runtime on the same container.
+            self.extra_cost += context.pricing.invocation_cost(
+                record.runtime_seconds + penalty, record.config
+            ) - context.pricing.invocation_cost(record.runtime_seconds, record.config)
+        self._finish(k, end)
+
+    def _complete(self) -> None:
+        trace = self.trace
+        outcome = ServedRequest(
+            index=self.index,
+            request=self.request,
+            configuration=self.configuration,
+            dispatch_time=self.dispatch_time,
+            completion_time=self.completion,
+            cost=trace.total_cost + self.extra_cost,
+            cold_start_count=self.cold_count,
+            cold_start_seconds=self.cold_seconds,
+            succeeded=trace.succeeded,
+            service_trace=trace,
+        )
+        self.loop.schedule(self.completion, partial(self.context.on_complete, outcome))
+
+
+class _HedgeToken:
+    """Shared by a hedged primary's settle event and its hedge: a winning
+    hedge sets ``cancelled`` to suppress the primary's settle."""
+
+    __slots__ = ("cancelled",)
+
+    def __init__(self) -> None:
+        self.cancelled = False
+
+
+class _FaultyLaunch(Launch):
+    """Replay one request's service trace with fault injection.
+
+    Mirrors :class:`_ServingLaunch`, with three additions: every invocation
+    attempt asks the injector for its fate (clean completion, straggler
+    slowdown, or a crash/OOM/timeout kill), killed attempts are retried under
+    the plan's :class:`~repro.execution.faults.RetryPolicy` (a retry that
+    exhausts its budget fails the function terminally and skips its
+    dependents), and the whole launch can be *aborted* by a node failure —
+    partial work is billed and counted as waste, and the caller re-queues
+    the request with its accumulated ``carry``.  An aborted launch is
+    ``dead``: its pending events still fire and return at once.
+
+    A :class:`~repro.execution.protection.ProtectionGuard` adds two
+    per-attempt mechanisms on top (everything below is a strict no-op when
+    the guard is ``None``, so faulty-but-unprotected runs are byte-identical
+    to runs without the protection layer):
+
+    * **deadline budgets** — each attempt is capped at its stage's share of
+      the end-to-end budget; exceeding it is a timeout kill, retried like any
+      other.
+    * **hedging** — an attempt planned to outlast the function's rolling
+      straggler percentile gets a deterministic backup attempt launched at
+      the percentile mark.  The race is resolved analytically at
+      hedge-launch time (both fates are already known), but every
+      consequence — loser cancellation, waste billing, breaker feeds, the
+      retry of a doubly-killed stage — is still applied as events at its
+      true simulated time.
+
+    Attempts in flight are keyed ``k`` in ``running`` and a hedge of
+    function ``k`` is keyed ``~k``.
+    """
+
+    __slots__ = ("context", "index", "request", "configuration", "trace", "carry",
+                 "incarnation", "budgets", "dead", "running", "done_work", "failed")
+
+    def __init__(self, context: _RunContext, index: int, request: RequestArrival,
+                 configuration: WorkflowConfiguration, trace, carry: _RequestCarry) -> None:
+        super().__init__(context.loop, context.plan, context.loop.now)
+        self.context = context
+        self.index = index
+        self.request = request
+        self.configuration = configuration
+        self.trace = trace
+        self.carry = carry
+        self.incarnation = carry.restarts
+        self.budgets = (
+            context.guard.stage_budgets(
+                {
+                    name: record.runtime_seconds
+                    for name, record in trace.records.items()
+                    if record.status is not ExecutionStatus.SKIPPED
+                }
+            )
+            if context.guard is not None
+            else None
+        )
+        self.dead = False
+        # Attempts in flight, as (container, start, config), and the work of
+        # attempts already completed, as (elapsed, base_cost, config) — both
+        # needed to account an abort.  Billing happens at settle/abort time
+        # only, so the same attempt can never be charged twice.
+        self.running: Dict[int, Tuple[Optional[object], float, object]] = {}
+        self.done_work: List[Tuple[float, float, object]] = []
+        # Positions of terminally failed functions.
+        self.failed: set = set()
+
+    def _waste(self, elapsed: float, config) -> None:
+        """Bill ``elapsed`` seconds of lost work on ``config``."""
+        carry = self.carry
+        carry.extra_cost += self.context.pricing.invocation_cost(elapsed, config)
+        carry.wasted_seconds += elapsed
+        carry.wasted_gb_seconds += config.memory_mb / 1024.0 * elapsed
+
+    def _acquire(self, k: int, name: str, config, start: float):
+        """Take a container for an attempt; returns it (or ``None``) and its
+        cold-start penalty."""
+        pool = self.context.pool
+        if pool is None:
+            return None, 0.0
+        container, cold = pool.acquire(name, config, start)
+        if not cold:
+            return container, 0.0
+        penalty = self.context.cold_latency[k]
+        self.carry.cold_count += 1
+        self.carry.cold_seconds += penalty
+        return container, penalty
+
+    def start(self, k: int, start: float, attempt: int = 1) -> None:
+        if self.dead:
+            return
+        context = self.context
+        name = self.plan.names[k]
+        record = self.trace.records[name]
+        if record.status is ExecutionStatus.SKIPPED:
+            self._finish(k, start)
+            return
+        failed = self.failed
+        if failed and not failed.isdisjoint(self.plan.preds[k]):
+            # Upstream terminal (injected) failure: skip this work too.
+            failed.add(k)
+            self._finish(k, start)
+            return
+        carry = self.carry
+        container, penalty = self._acquire(k, name, record.config, start)
+        carry.attempts += 1
+        # Track the attempt even without a container: an abort must account
+        # its partial work whether or not cold starts are simulated.
+        self.running[k] = (container, start, record.config)
+        loop = self.loop
+        if record.status is ExecutionStatus.OOM:
+            # Configuration-caused OOM: deterministic, so retrying is
+            # pointless — mirror the fault-free path (container dies, never
+            # released; the trace already bills and skips).
+            outcome = InvocationOutcome(
+                fault=None, elapsed_seconds=penalty + record.runtime_seconds, completed=True
+            )
+            end = start + outcome.elapsed_seconds
+            loop.schedule(end, partial(self.settle_completed, k, k, end, outcome, record, False))
+            return
+        outcome = context.injector.plan_invocation(
+            self.index,
+            name,
+            attempt,
+            record.runtime_seconds,
+            cold_start_seconds=penalty,
+            incarnation=self.incarnation,
+            row=carry.row,
+        )
+        guard = context.guard
+        if guard is not None:
+            outcome = guard.cap_stage(name, outcome, self.budgets)
+        end = start + outcome.elapsed_seconds
+        token = None
+        if guard is not None and carry.hedges < guard.max_hedges_per_request:
+            hedge_after = guard.hedge_delay(name, outcome.elapsed_seconds)
+            if hedge_after is not None and start + hedge_after < end:
+                # The settle below gets a token so a winning hedge can
+                # suppress it; the race itself is resolved when the hedge
+                # launches.
+                token = _HedgeToken()
+                loop.schedule(
+                    start + hedge_after,
+                    partial(self.launch_hedge, k, attempt, start + hedge_after, outcome,
+                            end, record, token),
+                )
+        if outcome.completed:
+            settle = partial(self.settle_completed, k, k, end, outcome, record, True, token)
+        else:
+            settle = partial(self.settle_killed, k, k, end, attempt, outcome, record, token)
+        loop.schedule(end, settle)
+
+    def settle_completed(self, k: int, key: int, end: float, outcome: InvocationOutcome,
+                         record, release: bool, token: Optional[_HedgeToken] = None) -> None:
+        """Attempt ``key`` (``k``, or ``~k`` for a winning hedge) completes."""
+        if self.dead or (token is not None and token.cancelled):
+            return
+        context = self.context
+        entry = self.running.pop(key, None)
+        if entry is not None and entry[0] is not None and release:
+            context.pool.release(entry[0], end)
+        # else: a configuration OOM killed its own container; it is never
+        # returned, exactly as in the fault-free path.
+        carry = self.carry
+        if outcome.fault is FaultKind.STRAGGLER:
+            carry.count_fault(FaultKind.STRAGGLER)
+        # Bill the cold start and any straggler stretch on top of the trace's
+        # own (base-runtime) cost.
+        carry.extra_cost += context.pricing.invocation_cost(
+            outcome.elapsed_seconds, record.config
+        ) - context.pricing.invocation_cost(record.runtime_seconds, record.config)
+        self.done_work.append((outcome.elapsed_seconds, record.cost, record.config))
+        if key != k:
+            carry.hedge_wins += 1
+        if context.guard is not None:
+            context.guard.observe_attempt(self.plan.names[k], end, False, outcome.elapsed_seconds)
+        self._finish(k, end)
+
+    def settle_killed(self, k: int, key: int, end: float, attempt: int,
+                      outcome: InvocationOutcome, record,
+                      token: Optional[_HedgeToken] = None) -> None:
+        """Attempt ``key`` is killed and decides the stage's retry: the
+        primary ``k``, or the hedge ``~k`` when both died and it died last."""
+        if self.dead or (token is not None and token.cancelled):
+            return
+        context = self.context
+        entry = self.running.pop(key, None)
+        if entry is not None and entry[0] is not None:
+            context.pool.kill(entry[0])
+        # The killed attempt is billed in full and is pure waste; the trace's
+        # base cost is only charged by the attempt that eventually completes.
+        self.carry.count_fault(outcome.fault)
+        self._waste(outcome.elapsed_seconds, record.config)
+        name = self.plan.names[k]
+        if context.guard is not None:
+            context.guard.observe_attempt(name, end, True, None)
+        delay = context.injector.backoff_seconds(
+            self.index, name, attempt, self.incarnation, self.carry.row
+        )
+        if delay is None:
+            # Retry budget exhausted: terminal failure.  Dependents are
+            # skipped, sibling branches run to completion.
+            self.failed.add(k)
+            self._finish(k, end)
+            return
+        self.carry.retries += 1
+        retry_at = end + delay
+        self.loop.schedule(retry_at, partial(self.start, k, retry_at, attempt + 1))
+
+    def leave_race(self, k: int, key: int, at: float, fault: Optional[FaultKind]) -> None:
+        """Attempt ``key`` leaves a hedge race at ``at``, its work wasted:
+        killed by its own ``fault``, or cancelled (``fault`` is ``None``)
+        because the other attempt won."""
+        if self.dead:
+            return
+        entry = self.running.pop(key, None)
+        if entry is None:
+            return
+        container, started, config = entry
+        elapsed = at - started
+        if elapsed > 0:
+            self._waste(elapsed, config)
+        if fault is not None:
+            self.carry.count_fault(fault)
+            self.context.guard.observe_attempt(self.plan.names[k], at, True, None)
+        if container is not None:
+            self.context.pool.kill(container)
+
+    def launch_hedge(self, k: int, attempt: int, h_start: float,
+                     p_outcome: InvocationOutcome, p_end: float, record,
+                     token: _HedgeToken) -> None:
+        """Launch the backup attempt and resolve the race.
+
+        Both fates are fully determined here (the injector is a pure
+        function of the attempt's identity), so the winner is picked
+        analytically — but every consequence is scheduled as an event at its
+        true time, so containers, billing and breaker feeds all happen
+        exactly when they would on a real platform.
+        """
+        context, carry = self.context, self.carry
+        guard = context.guard
+        if self.dead or k not in self.running or carry.hedges >= guard.max_hedges_per_request:
+            return
+        name = self.plan.names[k]
+        h_container, penalty = self._acquire(k, name, record.config, h_start)
+        carry.attempts += 1
+        carry.hedges += 1
+        h_outcome = context.injector.plan_invocation(
+            self.index,
+            name,
+            HEDGE_ATTEMPT_OFFSET + attempt,
+            record.runtime_seconds,
+            cold_start_seconds=penalty,
+            incarnation=self.incarnation,
+            row=carry.row,
+        )
+        h_outcome = guard.cap_stage(name, h_outcome, self.budgets)
+        h_end = h_start + h_outcome.elapsed_seconds
+        self.running[~k] = (h_container, h_start, record.config)
+        loop = self.loop
+        p_ok = p_outcome.completed
+        h_ok = h_outcome.completed
+        if p_ok and (not h_ok or p_end <= h_end):
+            # Primary wins (ties favour it); the hedge dies on its own fault
+            # if that comes first, else is cancelled at p_end.
+            if not h_ok and h_end <= p_end:
+                loop.schedule(h_end, partial(self.leave_race, k, ~k, h_end, h_outcome.fault))
+            else:
+                loop.schedule(p_end, partial(self.leave_race, k, ~k, p_end, None))
+        elif h_ok and (not p_ok or h_end < p_end):
+            # Hedge wins: suppress the primary's scheduled settle and re-enact
+            # its exit at the right moment — its own kill at p_end, or its
+            # cancellation the moment the hedge completes.
+            token.cancelled = True
+            if not p_ok and p_end < h_end:
+                loop.schedule(p_end, partial(self.leave_race, k, k, p_end, p_outcome.fault))
+            else:
+                loop.schedule(h_end, partial(self.leave_race, k, k, h_end, None))
+            loop.schedule(h_end, partial(self.settle_completed, k, ~k, h_end, h_outcome,
+                                         record, True))
+        elif p_end <= h_end:
+            # Both die and the hedge dies last: it owns the stage's retry
+            # decision (the primary's settle is suppressed so the stage
+            # cannot retry twice).
+            token.cancelled = True
+            loop.schedule(p_end, partial(self.leave_race, k, k, p_end, p_outcome.fault))
+            loop.schedule(h_end, partial(self.settle_killed, k, ~k, h_end, attempt,
+                                         h_outcome, record))
+        else:
+            # Both die and the primary dies last: its own settle still fires
+            # at p_end and retries as usual.
+            loop.schedule(h_end, partial(self.leave_race, k, ~k, h_end, h_outcome.fault))
+
+    def _complete(self) -> None:
+        # A terminally failed request is billed only for the work that
+        # actually ran (completed attempts' base costs live in ``done_work``,
+        # killed attempts in ``carry.extra_cost``); the functions its failure
+        # skipped never execute, so the trace's full base cost would
+        # overcharge it.
+        trace, carry = self.trace, self.carry
+        if self.failed:
+            base_cost = sum(cost for _, cost, _ in self.done_work)
+        else:
+            base_cost = trace.total_cost
+        outcome = ServedRequest(
+            index=self.index,
+            request=self.request,
+            configuration=self.configuration,
+            dispatch_time=self.dispatch_time,
+            completion_time=self.completion,
+            cost=base_cost + carry.extra_cost,
+            cold_start_count=carry.cold_count,
+            cold_start_seconds=carry.cold_seconds,
+            succeeded=trace.succeeded and not self.failed,
+            service_trace=trace,
+            attempts=carry.attempts,
+            retries=carry.retries,
+            restarts=carry.restarts,
+            base_invocations=sum(
+                1 for r in trace.records.values() if r.status is not ExecutionStatus.SKIPPED
+            ),
+            wasted_seconds=carry.wasted_seconds,
+            wasted_gb_seconds=carry.wasted_gb_seconds,
+            fault_counts=dict(carry.fault_counts),
+            hedges=carry.hedges,
+            hedge_wins=carry.hedge_wins,
+        )
+        self.loop.schedule(self.completion, partial(self.deliver, outcome))
+
+    def deliver(self, outcome: ServedRequest) -> None:
+        """The completion event; an aborted launch delivers nothing."""
+        if not self.dead:
+            self.context.on_complete(outcome)
+
+    def abort(self, now: float) -> None:
+        """Node failure took this request's placement: lose all work."""
+        self.dead = True
+        carry = self.carry
+        for container, started_at, config in self.running.values():
+            elapsed = now - started_at
+            if elapsed > 0:
+                self._waste(elapsed, config)
+            if container is not None:
+                self.context.pool.kill(container)
+        self.running.clear()
+        for elapsed, base_cost, config in self.done_work:
+            # Completed work must be redone from scratch by the next
+            # incarnation, whose trace cost bills it again — so charge (and
+            # count as waste) the aborted incarnation's share here.
+            carry.extra_cost += base_cost
+            carry.wasted_seconds += elapsed
+            carry.wasted_gb_seconds += config.memory_mb / 1024.0 * elapsed
+        carry.count_fault(FaultKind.NODE_FAILURE)
+        carry.restarts += 1
+
+
 class ServingSimulator:
     """Serve a request stream against finite cluster and warm-pool capacity.
 
@@ -344,606 +805,6 @@ class ServingSimulator:
         """
         self.container_pool.clear()
         self.container_pool.resize(self._pool_capacity)
-
-    # -- service-time reconstruction ---------------------------------------------
-    def _launch(
-        self,
-        loop: EventLoop,
-        index: int,
-        request: RequestArrival,
-        configuration: WorkflowConfiguration,
-        dispatch_time: float,
-        rng: Optional[RngStream],
-        on_complete: Callable[[ServedRequest], None],
-    ) -> None:
-        """Replay one request's service trace on the event loop.
-
-        The trace comes from the backend at trigger 0 (memoizable); each
-        function is then re-enacted as events at its absolute start/finish
-        times, acquiring warm containers at the true start and releasing them
-        at the true finish — so overlapping requests can never share a
-        container, exactly as on a real platform.  ``on_complete`` fires as a
-        loop event at the request's completion time.
-        """
-        trace = self.backend.evaluate(
-            self.workflow,
-            configuration,
-            input_scale=request.input_scale,
-            rng=rng,
-        )
-        pool = self.container_pool if self.options.simulate_cold_starts else None
-        plan = self.workflow.plan
-        records = trace.records
-        # Indexed by position in the plan's topological order.
-        finish = [0.0] * len(plan.names)
-        waiting = [len(preds) for preds in plan.preds]
-        state = {
-            "remaining": len(plan.names),
-            "completion": dispatch_time,
-            "cold_count": 0,
-            "cold_seconds": 0.0,
-            "extra_cost": 0.0,
-        }
-
-        def finish_function(k: int, end: float) -> None:
-            finish[k] = end
-            state["completion"] = max(state["completion"], end)
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                outcome = ServedRequest(
-                    index=index,
-                    request=request,
-                    configuration=configuration,
-                    dispatch_time=dispatch_time,
-                    completion_time=state["completion"],
-                    cost=trace.total_cost + state["extra_cost"],
-                    cold_start_count=state["cold_count"],
-                    cold_start_seconds=state["cold_seconds"],
-                    succeeded=trace.succeeded,
-                    service_trace=trace,
-                )
-                loop.schedule(state["completion"], lambda: on_complete(outcome))
-                return
-            for successor in plan.succs[k]:
-                waiting[successor] -= 1
-                if waiting[successor] == 0:
-                    start = max(finish[p] for p in plan.preds[successor])
-                    loop.schedule(start, run_function(successor, start))
-
-        def run_function(k: int, start: float) -> Callable[[], None]:
-            def fire() -> None:
-                name = plan.names[k]
-                record = records[name]
-                if record.status is ExecutionStatus.SKIPPED:
-                    finish_function(k, start)
-                    return
-                penalty = 0.0
-                container = None
-                if pool is not None:
-                    container, cold = pool.acquire(name, record.config, start)
-                    if cold:
-                        penalty = self._cold_latency[k]
-                        state["cold_count"] += 1
-                        state["cold_seconds"] += penalty
-                end = start + penalty + record.runtime_seconds
-                if container is not None:
-                    if record.status is ExecutionStatus.OOM:
-                        # The OOM kill destroys the container: never released.
-                        pass
-                    else:
-                        # Released as an event at the true finish time, so a
-                        # concurrent request cannot warm-hit a busy container.
-                        loop.schedule(
-                            end,
-                            lambda c=container, t=end: pool.release(c, t),
-                        )
-                if penalty > 0.0:
-                    # The cold start is billed like runtime on the same container.
-                    state["extra_cost"] += self.executor.pricing.invocation_cost(
-                        record.runtime_seconds + penalty, record.config
-                    ) - self.executor.pricing.invocation_cost(
-                        record.runtime_seconds, record.config
-                    )
-                finish_function(k, end)
-
-            return fire
-
-        for k in plan.roots:
-            loop.schedule(dispatch_time, run_function(k, dispatch_time))
-
-    # -- fault-injecting service replay --------------------------------------------
-    def _launch_faulty(
-        self,
-        loop: EventLoop,
-        injector: FaultInjector,
-        index: int,
-        request: RequestArrival,
-        configuration: WorkflowConfiguration,
-        dispatch_time: float,
-        rng: Optional[RngStream],
-        on_complete: Callable[[ServedRequest], None],
-        register_abort: Callable[[int, Callable[[float], None]], None],
-        carry: _RequestCarry,
-        guard: Optional[ProtectionGuard] = None,
-    ) -> None:
-        """Replay one request's service trace with fault injection.
-
-        Mirrors :meth:`_launch`, with three additions: every invocation
-        attempt asks the injector for its fate (clean completion, straggler
-        slowdown, or a crash/OOM/timeout kill), killed attempts are retried
-        under the plan's :class:`~repro.execution.faults.RetryPolicy` (a
-        retry that exhausts its budget fails the function terminally and
-        skips its dependents), and the whole launch can be *aborted* by a
-        node failure — partial work is billed and counted as waste, and the
-        caller re-queues the request with its accumulated ``carry``.
-
-        A :class:`~repro.execution.protection.ProtectionGuard` adds two
-        per-attempt mechanisms on top (everything below is a strict no-op
-        when ``guard`` is ``None``, keeping faulty-but-unprotected runs
-        byte-identical to their PR 4 behaviour):
-
-        * **deadline budgets** — each attempt is capped at its stage's
-          share of the end-to-end budget; exceeding it is a timeout kill,
-          retried like any other.
-        * **hedging** — an attempt planned to outlast the function's
-          rolling straggler percentile gets a deterministic backup attempt
-          launched at the percentile mark.  The race is resolved
-          analytically at hedge-launch time (both fates are already
-          known), but every consequence — loser cancellation, waste
-          billing, breaker feeds, the retry of a doubly-killed stage — is
-          still applied as events at its true simulated time.
-        """
-        trace = self.backend.evaluate(
-            self.workflow,
-            configuration,
-            input_scale=request.input_scale,
-            rng=rng,
-        )
-        pool = self.container_pool if self.options.simulate_cold_starts else None
-        pricing = self.executor.pricing
-        plan = self.workflow.plan
-        records = trace.records
-        incarnation = carry.restarts
-        row = carry.row
-        budgets = (
-            guard.stage_budgets(
-                {
-                    name: record.runtime_seconds
-                    for name, record in records.items()
-                    if record.status is not ExecutionStatus.SKIPPED
-                }
-            )
-            if guard is not None
-            else None
-        )
-        base_invocations = sum(
-            1 for r in records.values() if r.status is not ExecutionStatus.SKIPPED
-        )
-        # Indexed by position in the plan's topological order.
-        finish = [0.0] * len(plan.names)
-        waiting = [len(preds) for preds in plan.preds]
-        state = {
-            "dead": False,
-            "remaining": len(plan.names),
-            "completion": dispatch_time,
-        }
-        # Attempts currently in flight (with or without a container) and the
-        # work of attempts already completed — both needed to account an
-        # abort, and billing happens at settle/abort time only, so the same
-        # attempt can never be charged twice.
-        running: Dict[str, Tuple[Optional[object], float, object]] = {}
-        done_work: List[Tuple[float, float, object]] = []  # (elapsed, base_cost, config)
-        failed: set = set()
-
-        def complete_request() -> None:
-            # A terminally failed request is billed only for the work that
-            # actually ran (completed attempts' base costs live in
-            # ``done_work``, killed attempts in ``carry.extra_cost``); the
-            # functions its failure skipped never execute, so the trace's
-            # full base cost would overcharge it.
-            if failed:
-                base_cost = sum(cost for _, cost, _ in done_work)
-            else:
-                base_cost = trace.total_cost
-            outcome = ServedRequest(
-                index=index,
-                request=request,
-                configuration=configuration,
-                dispatch_time=dispatch_time,
-                completion_time=state["completion"],
-                cost=base_cost + carry.extra_cost,
-                cold_start_count=carry.cold_count,
-                cold_start_seconds=carry.cold_seconds,
-                succeeded=trace.succeeded and not failed,
-                service_trace=trace,
-                attempts=carry.attempts,
-                retries=carry.retries,
-                restarts=carry.restarts,
-                base_invocations=base_invocations,
-                wasted_seconds=carry.wasted_seconds,
-                wasted_gb_seconds=carry.wasted_gb_seconds,
-                fault_counts=dict(carry.fault_counts),
-                hedges=carry.hedges,
-                hedge_wins=carry.hedge_wins,
-            )
-            loop.schedule(
-                state["completion"],
-                lambda: None if state["dead"] else on_complete(outcome),
-            )
-
-        def finish_function(name: str, end: float) -> None:
-            k = plan.index[name]
-            finish[k] = end
-            state["completion"] = max(state["completion"], end)
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                complete_request()
-                return
-            for successor in plan.succs[k]:
-                waiting[successor] -= 1
-                if waiting[successor] == 0:
-                    start = max(finish[p] for p in plan.preds[successor])
-                    loop.schedule(
-                        start, start_function(plan.names[successor], start, 1)
-                    )
-
-        def settle_completed(
-            name: str, end: float, outcome: InvocationOutcome, record,
-            release_container: bool = True,
-            cancel: Optional[Dict[str, bool]] = None,
-        ) -> Callable[[], None]:
-            def fire() -> None:
-                if state["dead"] or (cancel is not None and cancel["cancelled"]):
-                    return
-                entry = running.pop(name, None)
-                if entry is not None and entry[0] is not None and pool is not None:
-                    if release_container:
-                        pool.release(entry[0], end)
-                    # else: the attempt killed its own container (config OOM);
-                    # it is never returned, exactly as in the fault-free path.
-                if outcome.fault is FaultKind.STRAGGLER:
-                    carry.count_fault(FaultKind.STRAGGLER)
-                # Bill the cold start and any straggler stretch on top of the
-                # trace's own (base-runtime) cost.
-                carry.extra_cost += pricing.invocation_cost(
-                    outcome.elapsed_seconds, record.config
-                ) - pricing.invocation_cost(record.runtime_seconds, record.config)
-                done_work.append((outcome.elapsed_seconds, record.cost, record.config))
-                if guard is not None:
-                    guard.observe_attempt(name, end, False, outcome.elapsed_seconds)
-                finish_function(name, end)
-
-            return fire
-
-        def settle_killed(
-            name: str, end: float, attempt: int, outcome: InvocationOutcome, record,
-            cancel: Optional[Dict[str, bool]] = None,
-        ) -> Callable[[], None]:
-            def fire() -> None:
-                if state["dead"] or (cancel is not None and cancel["cancelled"]):
-                    return
-                entry = running.pop(name, None)
-                if entry is not None and entry[0] is not None and pool is not None:
-                    pool.kill(entry[0])
-                # The killed attempt is billed in full and is pure waste; the
-                # trace's base cost is only charged by the attempt that
-                # eventually completes.
-                carry.count_fault(outcome.fault)
-                carry.extra_cost += pricing.invocation_cost(
-                    outcome.elapsed_seconds, record.config
-                )
-                carry.wasted_seconds += outcome.elapsed_seconds
-                carry.wasted_gb_seconds += (
-                    record.config.memory_mb / 1024.0 * outcome.elapsed_seconds
-                )
-                if guard is not None:
-                    guard.observe_attempt(name, end, True, None)
-                delay = injector.backoff_seconds(index, name, attempt, incarnation, row)
-                if delay is None:
-                    # Retry budget exhausted: terminal failure.  Dependents
-                    # are skipped, sibling branches run to completion.
-                    failed.add(name)
-                    finish_function(name, end)
-                    return
-                carry.retries += 1
-                retry_at = end + delay
-                loop.schedule(retry_at, start_function(name, retry_at, attempt + 1))
-
-            return fire
-
-        def launch_hedge(
-            name: str,
-            attempt: int,
-            h_start: float,
-            p_start: float,
-            p_outcome: InvocationOutcome,
-            p_end: float,
-            record,
-            cancel: Dict[str, bool],
-        ) -> Callable[[], None]:
-            """Launch the backup attempt and resolve the race.
-
-            Both fates are fully determined here (the injector is a pure
-            function of the attempt's identity), so the winner is picked
-            analytically — but every consequence is scheduled as an event
-            at its true time, so containers, billing and breaker feeds all
-            happen exactly when they would on a real platform.
-            """
-
-            def fire() -> None:
-                if (
-                    state["dead"]
-                    or name not in running
-                    or carry.hedges >= guard.max_hedges_per_request
-                ):
-                    return
-                penalty = 0.0
-                h_container = None
-                if pool is not None:
-                    h_container, cold = pool.acquire(name, record.config, h_start)
-                    if cold:
-                        penalty = self._cold_latency[plan.index[name]]
-                        carry.cold_count += 1
-                        carry.cold_seconds += penalty
-                carry.attempts += 1
-                carry.hedges += 1
-                h_outcome = injector.plan_invocation(
-                    index,
-                    name,
-                    HEDGE_ATTEMPT_OFFSET + attempt,
-                    record.runtime_seconds,
-                    cold_start_seconds=penalty,
-                    incarnation=incarnation,
-                    row=row,
-                )
-                h_outcome = guard.cap_stage(name, h_outcome, budgets)
-                h_end = h_start + h_outcome.elapsed_seconds
-                hkey = name + "\x00hedge"
-                running[hkey] = (h_container, h_start, record.config)
-
-                def drop(at: float, natural_kill: bool) -> Callable[[], None]:
-                    # The hedge leaves the race at ``at`` — killed by its own
-                    # fault (natural_kill) or cancelled because the primary
-                    # won.  Either way its work is waste.
-                    def fire_drop() -> None:
-                        if state["dead"]:
-                            return
-                        entry = running.pop(hkey, None)
-                        if entry is None:
-                            return
-                        elapsed = at - h_start
-                        if elapsed > 0:
-                            carry.extra_cost += pricing.invocation_cost(
-                                elapsed, record.config
-                            )
-                            carry.wasted_seconds += elapsed
-                            carry.wasted_gb_seconds += (
-                                record.config.memory_mb / 1024.0 * elapsed
-                            )
-                        if natural_kill:
-                            carry.count_fault(h_outcome.fault)
-                            guard.observe_attempt(name, at, True, None)
-                        if pool is not None and entry[0] is not None:
-                            pool.kill(entry[0])
-
-                    return fire_drop
-
-                def cancel_primary(at: float, natural_kill: bool) -> Callable[[], None]:
-                    # Re-enact the primary's exit now that its settle event is
-                    # suppressed: its own kill at ``p_end`` (natural_kill) or
-                    # cancellation the moment the hedge completes.
-                    def fire_cancel() -> None:
-                        if state["dead"]:
-                            return
-                        entry = running.pop(name, None)
-                        if entry is None:
-                            return
-                        elapsed = at - p_start
-                        if elapsed > 0:
-                            carry.extra_cost += pricing.invocation_cost(
-                                elapsed, record.config
-                            )
-                            carry.wasted_seconds += elapsed
-                            carry.wasted_gb_seconds += (
-                                record.config.memory_mb / 1024.0 * elapsed
-                            )
-                        if natural_kill:
-                            carry.count_fault(p_outcome.fault)
-                            guard.observe_attempt(name, at, True, None)
-                        if pool is not None and entry[0] is not None:
-                            pool.kill(entry[0])
-
-                    return fire_cancel
-
-                def win_fire() -> None:
-                    if state["dead"]:
-                        return
-                    entry = running.pop(hkey, None)
-                    if entry is None:
-                        return
-                    if entry[0] is not None and pool is not None:
-                        pool.release(entry[0], h_end)
-                    if h_outcome.fault is FaultKind.STRAGGLER:
-                        carry.count_fault(FaultKind.STRAGGLER)
-                    carry.extra_cost += pricing.invocation_cost(
-                        h_outcome.elapsed_seconds, record.config
-                    ) - pricing.invocation_cost(record.runtime_seconds, record.config)
-                    done_work.append(
-                        (h_outcome.elapsed_seconds, record.cost, record.config)
-                    )
-                    carry.hedge_wins += 1
-                    guard.observe_attempt(name, h_end, False, h_outcome.elapsed_seconds)
-                    finish_function(name, h_end)
-
-                def hedge_killed_retry() -> None:
-                    # Both attempts died and the hedge died last: it owns the
-                    # stage's retry decision (the primary's settle was
-                    # suppressed so the stage cannot retry twice).
-                    if state["dead"]:
-                        return
-                    entry = running.pop(hkey, None)
-                    if entry is None:
-                        return
-                    if pool is not None and entry[0] is not None:
-                        pool.kill(entry[0])
-                    carry.count_fault(h_outcome.fault)
-                    carry.extra_cost += pricing.invocation_cost(
-                        h_outcome.elapsed_seconds, record.config
-                    )
-                    carry.wasted_seconds += h_outcome.elapsed_seconds
-                    carry.wasted_gb_seconds += (
-                        record.config.memory_mb / 1024.0 * h_outcome.elapsed_seconds
-                    )
-                    guard.observe_attempt(name, h_end, True, None)
-                    delay = injector.backoff_seconds(index, name, attempt, incarnation, row)
-                    if delay is None:
-                        failed.add(name)
-                        finish_function(name, h_end)
-                        return
-                    carry.retries += 1
-                    retry_at = h_end + delay
-                    loop.schedule(retry_at, start_function(name, retry_at, attempt + 1))
-
-                p_ok = p_outcome.completed
-                h_ok = h_outcome.completed
-                if p_ok and (not h_ok or p_end <= h_end):
-                    # Primary wins (ties favour it); the hedge dies on its own
-                    # fault if that comes first, else is cancelled at p_end.
-                    if not h_ok and h_end <= p_end:
-                        loop.schedule(h_end, drop(h_end, True))
-                    else:
-                        loop.schedule(p_end, drop(p_end, False))
-                elif h_ok and (not p_ok or h_end < p_end):
-                    # Hedge wins: suppress the primary's scheduled settle and
-                    # re-enact its exit at the right moment.
-                    cancel["cancelled"] = True
-                    if not p_ok and p_end < h_end:
-                        loop.schedule(p_end, cancel_primary(p_end, True))
-                    else:
-                        loop.schedule(h_end, cancel_primary(h_end, False))
-                    loop.schedule(h_end, win_fire)
-                else:
-                    # Both die.  The later kill drives the retry.
-                    if p_end <= h_end:
-                        cancel["cancelled"] = True
-                        loop.schedule(p_end, cancel_primary(p_end, True))
-                        loop.schedule(h_end, hedge_killed_retry)
-                    else:
-                        loop.schedule(h_end, drop(h_end, True))
-                        # The primary's own settle_killed still fires at p_end
-                        # and retries as usual.
-
-            return fire
-
-        def start_function(name: str, start: float, attempt: int) -> Callable[[], None]:
-            def fire() -> None:
-                if state["dead"]:
-                    return
-                record = records[name]
-                if record.status is ExecutionStatus.SKIPPED:
-                    finish_function(name, start)
-                    return
-                if any(plan.names[p] in failed for p in plan.preds[plan.index[name]]):
-                    # Upstream terminal (injected) failure: skip this work too.
-                    failed.add(name)
-                    finish_function(name, start)
-                    return
-                penalty = 0.0
-                container = None
-                if pool is not None:
-                    container, cold = pool.acquire(name, record.config, start)
-                    if cold:
-                        penalty = self._cold_latency[plan.index[name]]
-                        carry.cold_count += 1
-                        carry.cold_seconds += penalty
-                carry.attempts += 1
-                if record.status is ExecutionStatus.OOM:
-                    # Configuration-caused OOM: deterministic, so retrying is
-                    # pointless — mirror the fault-free path (container dies,
-                    # never released; the trace already bills and skips).
-                    oom_outcome = InvocationOutcome(
-                        fault=None,
-                        elapsed_seconds=penalty + record.runtime_seconds,
-                        completed=True,
-                    )
-                    end = start + oom_outcome.elapsed_seconds
-                    running[name] = (container, start, record.config)
-                    loop.schedule(
-                        end,
-                        settle_completed(
-                            name, end, oom_outcome, record, release_container=False
-                        ),
-                    )
-                    return
-                outcome = injector.plan_invocation(
-                    index,
-                    name,
-                    attempt,
-                    record.runtime_seconds,
-                    cold_start_seconds=penalty,
-                    incarnation=incarnation,
-                    row=row,
-                )
-                if guard is not None:
-                    outcome = guard.cap_stage(name, outcome, budgets)
-                end = start + outcome.elapsed_seconds
-                # Track the attempt even without a container: an abort must
-                # account its partial work whether or not cold starts are
-                # simulated.
-                running[name] = (container, start, record.config)
-                cancel: Optional[Dict[str, bool]] = None
-                if guard is not None and carry.hedges < guard.max_hedges_per_request:
-                    hedge_after = guard.hedge_delay(name, outcome.elapsed_seconds)
-                    if hedge_after is not None and start + hedge_after < end:
-                        # The settle below gets a cancellation token so a
-                        # winning hedge can suppress it; the race itself is
-                        # resolved when the hedge launches.
-                        cancel = {"cancelled": False}
-                        loop.schedule(
-                            start + hedge_after,
-                            launch_hedge(
-                                name, attempt, start + hedge_after, start,
-                                outcome, end, record, cancel,
-                            ),
-                        )
-                if outcome.completed:
-                    loop.schedule(
-                        end, settle_completed(name, end, outcome, record, cancel=cancel)
-                    )
-                else:
-                    loop.schedule(
-                        end,
-                        settle_killed(name, end, attempt, outcome, record, cancel=cancel),
-                    )
-
-            return fire
-
-        def abort(now: float) -> None:
-            """Node failure took this request's placement: lose all work."""
-            state["dead"] = True
-            for name, (container, started_at, config) in running.items():
-                elapsed = now - started_at
-                if elapsed > 0:
-                    carry.extra_cost += pricing.invocation_cost(elapsed, config)
-                    carry.wasted_seconds += elapsed
-                    carry.wasted_gb_seconds += config.memory_mb / 1024.0 * elapsed
-                if pool is not None and container is not None:
-                    pool.kill(container)
-            running.clear()
-            for elapsed, base_cost, config in done_work:
-                # Completed work must be redone from scratch by the next
-                # incarnation, whose trace cost bills it again — so charge
-                # (and count as waste) the aborted incarnation's share here.
-                carry.extra_cost += base_cost
-                carry.wasted_seconds += elapsed
-                carry.wasted_gb_seconds += config.memory_mb / 1024.0 * elapsed
-            carry.count_fault(FaultKind.NODE_FAILURE)
-            carry.restarts += 1
-
-        register_abort(index, abort)
-
-        for k in plan.roots:
-            loop.schedule(dispatch_time, start_function(plan.names[k], dispatch_time, 1))
 
     # -- the event-driven run ------------------------------------------------------
     def run(
@@ -1082,71 +943,76 @@ class ServingSimulator:
                 queue.popleft()
                 if guard is not None:
                     guard.observe_dispatch(loop.now)
-                request_rng = rng.child("request", index) if rng is not None else None
+                trace = self.backend.evaluate(
+                    self.workflow,
+                    configuration,
+                    input_scale=request.input_scale,
+                    rng=rng.child("request", index) if rng is not None else None,
+                )
                 if injector is None:
-                    self._launch(
-                        loop, index, request, configuration, loop.now, request_rng,
-                        finish_request,
-                    )
+                    _ServingLaunch(context, index, request, configuration, trace).begin()
                     continue
                 carry = carries.get(index)
                 if carry is None:
                     carry = _RequestCarry(injector.draw_row(index))
                     carries[index] = carry
                 dispatched[index] = (request, configuration)
-                self._launch_faulty(
-                    loop, injector, index, request, configuration, loop.now,
-                    request_rng, finish_request,
-                    lambda i, fn: inflight_aborts.__setitem__(i, fn), carry,
-                    guard=guard,
-                )
+                launch = _FaultyLaunch(context, index, request, configuration, trace, carry)
+                inflight_aborts[index] = launch.abort
+                launch.begin()
 
-        def arrive(index: int, request: RequestArrival) -> Callable[[], None]:
-            def fire() -> None:
-                nonlocal pending_arrivals
-                pending_arrivals -= 1
-                if autoscaler is not None:
-                    autoscaler.observe_arrival(loop.now)
-                if controller is not None:
-                    # The controller assigns the configuration (active
-                    # version, or the canary during a rollout) at arrival
-                    # time; a later node-failure re-queue keeps it.
-                    controller.observe_arrival(loop.now, request)
-                    configuration = controller.assign(index, request)
-                else:
-                    configuration = configuration_for(request)
-                if guard is not None:
-                    # Protection vets the arrival before it can queue: an
-                    # open breaker, an active shed level, or an admission
-                    # verdict rejects it outright with its cause.
-                    cause = guard.admit(
-                        loop.now, request.input_class, len(queue), ledger.active
-                    )
-                    if cause is not None:
-                        rejected.append(request)
-                        count_rejection(cause)
-                        if controller is not None:
-                            controller.observe_rejection(loop.now, index)
-                        return
-                queue.append((index, request, configuration))
-                try_dispatch()
-                # The capacity bounds *waiting* requests: an arrival that
-                # dispatched immediately never counts against it (so
-                # queue_capacity=0 models a serve-or-reject loss system).
-                if (
-                    self.options.queue_capacity is not None
-                    and len(queue) > self.options.queue_capacity
-                ):
-                    dropped_index, dropped, _ = queue.pop()
-                    rejected.append(dropped)
-                    count_rejection("queue-full")
+        context = _RunContext(
+            loop,
+            self.workflow.plan,
+            self.container_pool if self.options.simulate_cold_starts else None,
+            self.executor.pricing,
+            self._cold_latency,
+            finish_request,
+            injector,
+            guard,
+        )
+
+        def arrive(index: int, request: RequestArrival) -> None:
+            nonlocal pending_arrivals
+            pending_arrivals -= 1
+            if autoscaler is not None:
+                autoscaler.observe_arrival(loop.now)
+            if controller is not None:
+                # The controller assigns the configuration (active version,
+                # or the canary during a rollout) at arrival time; a later
+                # node-failure re-queue keeps it.
+                controller.observe_arrival(loop.now, request)
+                configuration = controller.assign(index, request)
+            else:
+                configuration = configuration_for(request)
+            if guard is not None:
+                # Protection vets the arrival before it can queue: an open
+                # breaker, an active shed level, or an admission verdict
+                # rejects it outright with its cause.
+                cause = guard.admit(loop.now, request.input_class, len(queue), ledger.active)
+                if cause is not None:
+                    rejected.append(request)
+                    count_rejection(cause)
                     if controller is not None:
-                        controller.observe_rejection(loop.now, dropped_index)
-
-            return fire
+                        controller.observe_rejection(loop.now, index)
+                    return
+            queue.append((index, request, configuration))
+            try_dispatch()
+            # The capacity bounds *waiting* requests: an arrival that
+            # dispatched immediately never counts against it (so
+            # queue_capacity=0 models a serve-or-reject loss system).
+            if (
+                self.options.queue_capacity is not None
+                and len(queue) > self.options.queue_capacity
+            ):
+                dropped_index, dropped, _ = queue.pop()
+                rejected.append(dropped)
+                count_rejection("queue-full")
+                if controller is not None:
+                    controller.observe_rejection(loop.now, dropped_index)
 
         for index, request in enumerate(request_list):
-            loop.schedule(request.arrival_time, arrive(index, request))
+            loop.schedule(request.arrival_time, partial(arrive, index, request))
 
         if duration_seconds is None:
             duration_seconds = max((r.arrival_time for r in request_list), default=0.0)

@@ -485,10 +485,10 @@ class BatchedServingSimulator:
         """Finite cluster: exact event replay on the two-lane calendar.
 
         The event set, handler order and every push mirror the scalar
-        ``run``/``_launch`` pair one-for-one (arrivals on the backbone own
+        ``run`` and its launches one-for-one (arrivals on the backbone own
         seqs ``0..n-1``; dynamic pushes continue in the scalar's schedule
-        order), so tie-breaking is identical — only the closure allocation
-        and per-request backend evaluation are gone.
+        order), so tie-breaking is identical — only the per-event callback
+        objects and per-request backend evaluation are gone.
         """
         scalar = self._scalar
         times = requests.times.tolist()

@@ -37,14 +37,14 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     int
         A non-negative seed strictly below ``2**63 - 1``.
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(int(base_seed)).encode("utf-8"))
-    for label in labels:
-        hasher.update(b"\x1f")
-        hasher.update(repr(label).encode("utf-8"))
-    digest = hasher.digest()
-    value = int.from_bytes(digest[:8], "big")
-    return value % _SEED_MODULUS
+    digest = hashlib.sha256(str(int(base_seed)).encode("utf-8") + _labels_bytes(labels)).digest()
+    return int.from_bytes(digest[:8], "big") % _SEED_MODULUS
+
+
+def _labels_bytes(labels: Tuple[object, ...]) -> bytes:
+    """The labels' part of a derived seed's hash input: ``\\x1f`` and the
+    ``repr`` of each label."""
+    return ("\x1f%r" * len(labels) % tuple(labels)).encode("utf-8")
 
 
 # -- NumPy's default_rng, vectorised over seeds --------------------------------------
@@ -228,21 +228,33 @@ class RngStream:
         child._parent, child._labels = self, labels
         return child
 
-    def child_seeds(self, keys: Iterable[Tuple[object, ...]]) -> List[int]:
-        """``[self.child(*key).seed for key in keys]``, computed in bulk.
+    def child_seeds(
+        self,
+        prefixes: Iterable[Tuple[object, ...]],
+        suffixes: Sequence[Tuple[object, ...]] = ((),),
+    ) -> List[int]:
+        """``[self.child(*prefix, *suffix).seed for prefix in prefixes for
+        suffix in suffixes]``, computed in bulk.
 
-        Every child's seed hashes this stream's seed and label first; that
-        prefix is hashed once and its hash state copied per key.
+        A child's seed hashes this stream's seed and label, then each of its
+        labels in order.  So this stream's part is hashed once, each prefix
+        once on a copy of that state, and each suffix, formatted once, on a
+        copy of its prefix's state.  With the default, ``prefixes`` are
+        whole keys.
         """
-        prefix = hashlib.sha256(
-            str(self.seed).encode("utf-8") + b"\x1f" + repr(self.label).encode("utf-8")
-        )
-        copy, from_bytes = prefix.copy, int.from_bytes
-        seeds = []
-        for key in keys:
-            hasher = copy()
-            hasher.update(("\x1f%r" * len(key) % tuple(key)).encode("utf-8"))
-            seeds.append(from_bytes(hasher.digest()[:8], "big") % _SEED_MODULUS)
+        stream = hashlib.sha256(str(self.seed).encode("utf-8") + _labels_bytes((self.label,)))
+        tails = [_labels_bytes(suffix) for suffix in suffixes]
+        from_bytes = int.from_bytes
+        seeds: List[int] = []
+        append = seeds.append
+        for prefix in prefixes:
+            head = stream.copy()
+            head.update(_labels_bytes(prefix))
+            copy = head.copy
+            for tail in tails:
+                hasher = copy()
+                hasher.update(tail)
+                append(from_bytes(hasher.digest()[:8], "big") % _SEED_MODULUS)
         return seeds
 
     # -- convenience sampling wrappers ---------------------------------

@@ -1,9 +1,11 @@
 """Tests for the container warm-pool model."""
 
 import math
+import random
 
 import pytest
 
+import repro.execution.container as container_module
 from repro.execution.container import Container, ContainerPool
 from repro.workflow.resources import ResourceConfig
 
@@ -221,6 +223,56 @@ class TestExpiryHeap:
         assert pool.warm_count("f", timestamp=30.3) == 1
         pool.acquire("f", OTHER_CONFIG, timestamp=31.0)
         assert pool.evictions == 1
+
+    def test_reused_containers_keep_the_heap_bounded(self):
+        # Each release pushes an entry that stays until its expiry passes,
+        # so without a rebuild four containers reused every second under a
+        # 600 s keep-alive would leave about 2,400 entries in the heap.
+        pool = ContainerPool(keep_alive_seconds=600.0)
+        for step in range(5000):
+            held = [pool.acquire("f", CONFIG, timestamp=float(step))[0] for _ in range(4)]
+            for container in held:
+                pool.release(container, finish_time=step + 0.5)
+            assert len(pool._expiry_heaps["f"]) <= 2 * 4 + container_module._HEAP_SLACK
+        assert (pool.cold_starts, pool.warm_hits, pool.evictions) == (4, 19996, 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rebuilt_heaps_change_no_acquisition(self, monkeypatch, seed):
+        # After each step: the eviction count, warm containers and the
+        # resident containers of both functions.
+        def replay():
+            rng = random.Random(seed)
+            pool = ContainerPool(keep_alive_seconds=60.0, max_containers_per_function=6)
+            configs = [CONFIG, OTHER_CONFIG]
+            busy, seen, t, peak = [], [], 0.0, 0
+            for _ in range(4000):
+                t = round(t + rng.choice([0.0, 0.1, 0.2, 0.5, 1.3] * 20 + [13.4, 75.0]), 1)
+                action = rng.random()
+                if action < 0.45 or not busy:
+                    function = rng.choice("fg")
+                    container, cold = pool.acquire(function, rng.choice(configs), t)
+                    busy.append(container)
+                    seen.append((container.container_id, cold))
+                elif action < 0.9:
+                    pool.release(busy.pop(rng.randrange(len(busy))), t + rng.random())
+                elif action < 0.95:
+                    pool.kill(busy.pop(rng.randrange(len(busy))))
+                else:
+                    pool.resize(rng.choice([2, 6, 10]))
+                seen.append(
+                    (pool.evictions, pool.warm_count("f", t), pool.warm_count("g", t))
+                    + tuple(sorted(pool._containers.get(f, {})) for f in "fg")
+                )
+                peak = max([peak] + [len(heap) for heap in pool._expiry_heaps.values()])
+            counters = (pool.cold_starts, pool.warm_hits, pool.evictions, pool.fault_kills)
+            return seen, counters, peak
+
+        rebuilt = replay()
+        monkeypatch.setattr(container_module, "_HEAP_SLACK", math.inf)
+        unbounded = replay()
+        assert rebuilt[:2] == unbounded[:2]
+        assert rebuilt[1][2] > 0  # evictions happened
+        assert rebuilt[2] < unbounded[2]
 
     def test_most_recently_used_match_wins(self):
         pool = ContainerPool(keep_alive_seconds=1000.0)

@@ -174,8 +174,27 @@ class TestChildSeeds:
         ] + [("backoff", 4, 0, "split", 1), (0,), ("x",), ()]
         assert stream.child_seeds(keys) == [stream.child(*key).seed for key in keys]
 
+    def test_shared_prefixes_equal_each_childs_seed(self):
+        stream = RngStream(2025, "faults").child("serve", 3)
+        prefixes = [("invocation", index, 0) for index in (0, 1, 511, 10**6)]
+        prefixes += [("backoff", 4, 0), (), ("f\u00e9",)]
+        suffixes = [
+            (name, attempt)
+            for name in ("split", "video-analysis", "f\u00e9")
+            for attempt in (1, 2, 1001)
+        ] + [(), (0,), ("x", "y", 3)]
+        expected = [
+            stream.child(*prefix, *suffix).seed for prefix in prefixes for suffix in suffixes
+        ]
+        assert stream.child_seeds(prefixes, suffixes) == expected
+        # A prefix with its suffix is the same key however it is split.
+        assert stream.child_seeds([("invocation", 1)], [(0, "split", 2)]) == stream.child_seeds(
+            [("invocation", 1, 0, "split", 2)]
+        )
+
     def test_no_keys_no_seeds(self):
         assert RngStream(1).child_seeds([]) == []
+        assert RngStream(1).child_seeds([("a",)], []) == []
 
 
 #: Seeds at the edges of SeedSequence's one- and two-word entropy and of
