@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="event", choices=list(SERVING_ENGINE_NAMES),
         help="serving engine: the scalar event loop or the cohort-vectorized "
              "batched engine (bit-identical reports; the differential tests "
-             "assert it)",
+             "assert it). The batched engine settles clean runs with --nodes 0 "
+             "in cohorts and hands every other run to the event loop",
     )
     serve.add_argument(
         "--adaptive", action="store_true",

@@ -230,20 +230,18 @@ class _FleetLaunch(Launch):
     once.
     """
 
-    __slots__ = ("runtime", "pool", "on_complete", "template", "index", "request",
-                 "configuration", "stretch", "node_of", "carry", "running", "cold_count",
-                 "cold_seconds", "billed", "dead")
+    __slots__ = ("run", "runtime", "pool", "template", "index", "request", "configuration",
+                 "stretch", "node_of", "carry", "running", "cold_count", "cold_seconds",
+                 "billed", "dead")
 
-    def __init__(self, loop: EventLoop, runtime: _TenantRuntime,
-                 pool: Optional[ContainerPool],
-                 on_complete: Callable[[ServedRequest], None], template: TraceTemplate,
+    def __init__(self, run: "_FleetRun", runtime: _TenantRuntime, template: TraceTemplate,
                  index: int, request: RequestArrival,
                  configuration: WorkflowConfiguration, stretch: float,
                  node_of: Dict[str, Node], carry: Dict[str, float]) -> None:
-        super().__init__(loop, runtime.workflow.plan, loop.now)
+        super().__init__(run.loop, runtime.workflow.plan, run.loop.now)
+        self.run = run
         self.runtime = runtime
-        self.pool = pool
-        self.on_complete = on_complete
+        self.pool = run.pool
         self.template = template
         self.index = index
         self.request = request
@@ -274,7 +272,7 @@ class _FleetLaunch(Launch):
 
     def _complete(self) -> None:
         carry = self.carry
-        self.on_complete(
+        self.run.finish_request(
             ServedRequest(
                 index=self.index,
                 request=self.request,
@@ -325,6 +323,228 @@ class _FleetLaunch(Launch):
                 self.pool.release(container, end)
         self.billed += cost
         self._finish(k, end)
+
+
+class _FleetRun:
+    """One fleet run: what its launches share, and its event handlers.
+
+    As in the serving layer, each handler is a method scheduled as a
+    ``functools.partial`` of a bound method, and neither the run nor a
+    launch stores a bound method of the run, so reference counting frees it
+    when :meth:`FleetSimulator.run` returns.  A launch holds the run and
+    calls :meth:`finish_request` at completion.
+    """
+
+    __slots__ = ("fleet", "options", "loop", "ledger", "cap_of", "priority_of", "guard",
+                 "runtimes", "memos", "pool", "tenant_of", "outcomes", "rejected", "causes",
+                 "offered", "stretches", "inflight_aborts", "carries", "queue", "entries",
+                 "node_failures", "spot_evictions")
+
+    def __init__(self, fleet: "FleetSimulator") -> None:
+        options = fleet.options
+        self.fleet = fleet
+        self.options = options
+        self.loop = EventLoop()
+        # The policy picks the ledger's node score; under ``priority`` every
+        # tenant below the top priority is capped short of the reserve.
+        self.ledger = ClusterLedger(
+            fleet.cluster,
+            key=balance_key if options.placement == "bin-packing" else spread_key,
+        )
+        max_priority = max(tenant.priority for tenant in fleet.tenants)
+        self.cap_of = {
+            tenant.name: (
+                1.0 - options.priority_reserve_fraction
+                if options.placement == "priority" and tenant.priority < max_priority
+                else 1.0
+            )
+            for tenant in fleet.tenants
+        }
+        self.priority_of = {tenant.name: tenant.priority for tenant in fleet.tenants}
+        self.guard: Optional[ProtectionGuard] = None
+        if fleet.protection is not None and not fleet.protection.is_empty:
+            self.guard = ProtectionGuard(fleet.protection.with_priorities(self.priority_of), None)
+        self.runtimes = fleet._runtimes
+        # One memo per tenant and run: each (configuration, input scale) a
+        # tenant dispatches is evaluated once, then replayed as a template.
+        self.memos = {
+            name: TraceMemo(runtime.backend, runtime.workflow, runtime.pricing,
+                            runtime.cold_latency)
+            for name, runtime in self.runtimes.items()
+        }
+        fleet.container_pool = ContainerPool(
+            keep_alive_seconds=options.keep_alive_seconds,
+            max_containers_per_function=options.max_warm_per_function,
+        )
+        for name, controller in fleet.controllers.items():
+            controller.bind(pool=_NamespacedPool(fleet.container_pool, name))
+        self.pool = fleet.container_pool if options.simulate_cold_starts else None
+        self.tenant_of: Dict[int, str] = {}
+        self.outcomes: Dict[str, List[ServedRequest]] = {t.name: [] for t in fleet.tenants}
+        self.rejected: Dict[str, List[RequestArrival]] = {t.name: [] for t in fleet.tenants}
+        self.causes: Dict[str, Dict[str, int]] = {t.name: {} for t in fleet.tenants}
+        self.offered: Dict[str, int] = {t.name: 0 for t in fleet.tenants}
+        self.stretches: List[float] = []
+        self.inflight_aborts: Dict[int, Callable[[float], None]] = {}
+        self.carries: Dict[int, Dict[str, float]] = {}
+        # Queue of (order_key, seq) entries; order_key is -priority under the
+        # priority policy (drain important tenants first) and 0 otherwise
+        # (pure FIFO by fleet sequence number).
+        self.queue: List[Tuple[int, int]] = []
+        self.entries: Dict[int, Tuple[str, RequestArrival, WorkflowConfiguration]] = {}
+        self.node_failures = 0
+        self.spot_evictions = 0
+
+    def order_key(self, tenant_name: str) -> int:
+        if self.options.placement == "priority":
+            return -self.priority_of[tenant_name]
+        return 0
+
+    def reject(self, seq: int, tenant_name: str, request: RequestArrival, cause: str) -> None:
+        self.rejected[tenant_name].append(request)
+        bucket = self.causes[tenant_name]
+        bucket[cause] = bucket.get(cause, 0) + 1
+        controller = self.fleet.controllers.get(tenant_name)
+        if controller is not None:
+            controller.observe_rejection(self.loop.now, seq)
+
+    def finish_request(self, outcome: ServedRequest) -> None:
+        seq = outcome.index
+        now = self.loop.now
+        self.ledger.release(seq, now)
+        tenant_name = self.tenant_of[seq]
+        controller = self.fleet.controllers.get(tenant_name)
+        if controller is not None:
+            outcome.config_version = controller.version_of(seq)
+        self.outcomes[tenant_name].append(outcome)
+        self.inflight_aborts.pop(seq, None)
+        self.carries.pop(seq, None)
+        self.entries.pop(seq, None)
+        if self.guard is not None:
+            self.guard.observe_completion(outcome.service_seconds)
+        if controller is not None:
+            controller.observe_completion(now, outcome)
+        self.try_dispatch()
+
+    def try_dispatch(self) -> None:
+        # Strict in-order admission (queue order, not arrival order): stop at
+        # the first request that does not fit so later smaller ones cannot
+        # starve it.
+        queue, entries, ledger, loop = self.queue, self.entries, self.ledger, self.loop
+        guard, carries, options = self.guard, self.carries, self.options
+        while queue:
+            _, seq = queue[0]
+            tenant_name, request, configuration = entries[seq]
+            node_of = ledger.try_reserve(seq, configuration, loop.now, self.cap_of[tenant_name])
+            if node_of is None:
+                if ledger.active == 0 and not ledger.has_down_nodes:
+                    # Fits nowhere even on an idle cluster: drop instead of
+                    # deadlocking the queue.
+                    heapq.heappop(queue)
+                    entries.pop(seq, None)
+                    self.reject(seq, tenant_name, request, "queue-full")
+                    continue
+                break
+            heapq.heappop(queue)
+            if guard is not None:
+                guard.observe_dispatch(loop.now)
+            # Interference: dispatching onto memory-pressured nodes runs
+            # slower — deterministic, from post-placement utilisation of
+            # exactly the nodes hosting this request.
+            pressure = max(
+                (node.memory_utilization for node in node_of.values()),
+                default=0.0,
+            )
+            excess = max(0.0, pressure - options.interference_threshold)
+            stretch = 1.0 + options.interference_alpha * excess
+            if stretch > 1.0:
+                self.stretches.append(stretch)
+            carry = carries.get(seq)
+            if carry is None:
+                carry = {
+                    "restarts": 0,
+                    "wasted_seconds": 0.0,
+                    "extra_cost": 0.0,
+                    "cold_count": 0,
+                    "cold_seconds": 0.0,
+                }
+                carries[seq] = carry
+            launch = _FleetLaunch(
+                self,
+                self.runtimes[tenant_name],
+                self.memos[tenant_name].get(configuration, request.input_scale),
+                seq,
+                request,
+                configuration,
+                stretch,
+                node_of,
+                carry,
+            )
+            self.inflight_aborts[seq] = launch.abort
+            launch.begin()
+
+    def arrive(self, seq: int, tenant_name: str, request: RequestArrival) -> None:
+        now = self.loop.now
+        self.offered[tenant_name] += 1
+        self.tenant_of[seq] = tenant_name
+        controller = self.fleet.controllers.get(tenant_name)
+        if controller is not None:
+            controller.observe_arrival(now, request)
+            configuration = controller.assign(seq, request)
+        else:
+            configuration = self.runtimes[tenant_name].configuration
+        queue = self.queue
+        if self.guard is not None:
+            # The guard sees the tenant name as the input class, so shed
+            # priorities are per tenant.
+            cause = self.guard.admit(now, tenant_name, len(queue), self.ledger.active)
+            if cause is not None:
+                self.reject(seq, tenant_name, request, cause)
+                return
+        self.entries[seq] = (tenant_name, request, configuration)
+        heapq.heappush(queue, (self.order_key(tenant_name), seq))
+        self.try_dispatch()
+        capacity = self.options.queue_capacity
+        if capacity is not None and len(queue) > capacity:
+            # Shed the worst queued entry that never ran, as the serving
+            # layer sheds its newest arrival; a request that an eviction put
+            # back keeps its place (and its bill).
+            fresh = [entry for entry in queue if entry[1] not in self.carries]
+            if fresh:
+                worst = max(fresh)
+                queue.remove(worst)
+                heapq.heapify(queue)
+                _, dropped_seq = worst
+                dropped_tenant, dropped_request, _ = self.entries.pop(dropped_seq)
+                self.reject(dropped_seq, dropped_tenant, dropped_request, "queue-full")
+
+    def take_down(self, node_name: str, kind: str) -> None:
+        """A node fails or its spot capacity is evicted: abort and re-queue
+        the requests it hosted."""
+        fleet = self.fleet
+        if not fleet.cluster.node(node_name).healthy:
+            return  # struck while already down
+        loop = self.loop
+        affected = self.ledger.fail_node(node_name, loop.now)
+        if kind == "failure":
+            self.node_failures += 1
+            recovery = self.options.node_recovery_seconds
+        else:
+            self.spot_evictions += 1
+            recovery = self.options.spot_recovery_seconds
+        fleet.container_pool.evict_node(node_name)
+        loop.schedule_after(recovery, partial(self.recover, node_name))
+        for seq in affected:
+            abort = self.inflight_aborts.pop(seq, None)
+            if abort is not None:
+                abort(loop.now)
+            tenant_name, _, _ = self.entries[seq]
+            heapq.heappush(self.queue, (self.order_key(tenant_name), seq))
+        self.try_dispatch()
+
+    def recover(self, node_name: str) -> None:
+        self.ledger.restore_node(node_name, self.loop.now)
+        self.try_dispatch()
 
 
 class FleetSimulator:
@@ -405,31 +625,7 @@ class FleetSimulator:
         POSITIVE.check(duration_seconds, "duration_seconds")
         options = self.options
         rng = RngStream(derive_seed(seed, "fleet"))
-        loop = EventLoop()
-        # The policy picks the ledger's node score; under ``priority`` every
-        # tenant below the top priority is capped short of the reserve.
-        ledger = ClusterLedger(
-            self.cluster,
-            key=balance_key if options.placement == "bin-packing" else spread_key,
-        )
-        max_priority = max(tenant.priority for tenant in self.tenants)
-        cap_of = {
-            tenant.name: (
-                1.0 - options.priority_reserve_fraction
-                if options.placement == "priority" and tenant.priority < max_priority
-                else 1.0
-            )
-            for tenant in self.tenants
-        }
-        guard: Optional[ProtectionGuard] = None
-        if self.protection is not None and not self.protection.is_empty:
-            guard = ProtectionGuard(
-                self.protection.with_priorities(
-                    {tenant.name: tenant.priority for tenant in self.tenants}
-                ),
-                None,
-            )
-
+        run = _FleetRun(self)
         streams = {
             tenant.name: tenant.traffic_source().generate(
                 duration_seconds, rng.child("arrivals", tenant.name)
@@ -437,166 +633,9 @@ class FleetSimulator:
             for tenant in self.tenants
         }
         merged = merge_request_streams(streams)
-
-        tenant_of: Dict[int, str] = {}
-        outcomes: Dict[str, List[ServedRequest]] = {t.name: [] for t in self.tenants}
-        rejected: Dict[str, List[RequestArrival]] = {t.name: [] for t in self.tenants}
-        causes: Dict[str, Dict[str, int]] = {t.name: {} for t in self.tenants}
-        offered: Dict[str, int] = {t.name: 0 for t in self.tenants}
-        stretches: List[float] = []
-        inflight_aborts: Dict[int, Callable[[float], None]] = {}
-        carries: Dict[int, Dict[str, float]] = {}
-        node_failures = 0
-        spot_evictions = 0
-
-        priority_of = {tenant.name: tenant.priority for tenant in self.tenants}
-        runtimes = self._runtimes
-        # One memo per tenant and run: each (configuration, input scale) a
-        # tenant dispatches is evaluated once, then replayed as a template.
-        memos = {
-            name: TraceMemo(runtime.backend, runtime.workflow, runtime.pricing,
-                            runtime.cold_latency)
-            for name, runtime in runtimes.items()
-        }
-        self.container_pool = ContainerPool(
-            keep_alive_seconds=options.keep_alive_seconds,
-            max_containers_per_function=options.max_warm_per_function,
-        )
-        for name, controller in self.controllers.items():
-            controller.bind(pool=_NamespacedPool(self.container_pool, name))
-        pool = self.container_pool if options.simulate_cold_starts else None
-
-        # Queue of (order_key, seq) entries; order_key is -priority under the
-        # priority policy (drain important tenants first) and 0 otherwise
-        # (pure FIFO by fleet sequence number).
-        queue: List[Tuple[int, int]] = []
-        entries: Dict[int, Tuple[str, RequestArrival, WorkflowConfiguration]] = {}
-
-        def order_key(tenant_name: str) -> int:
-            if options.placement == "priority":
-                return -priority_of[tenant_name]
-            return 0
-
-        def count_rejection(tenant_name: str, cause: str) -> None:
-            bucket = causes[tenant_name]
-            bucket[cause] = bucket.get(cause, 0) + 1
-
-        def reject(seq: int, tenant_name: str, request: RequestArrival, cause: str) -> None:
-            rejected[tenant_name].append(request)
-            count_rejection(tenant_name, cause)
-            controller = self.controllers.get(tenant_name)
-            if controller is not None:
-                controller.observe_rejection(loop.now, seq)
-
-        def finish_request(outcome: ServedRequest) -> None:
-            ledger.release(outcome.index, loop.now)
-            tenant_name = tenant_of[outcome.index]
-            controller = self.controllers.get(tenant_name)
-            if controller is not None:
-                outcome.config_version = controller.version_of(outcome.index)
-            outcomes[tenant_name].append(outcome)
-            inflight_aborts.pop(outcome.index, None)
-            carries.pop(outcome.index, None)
-            entries.pop(outcome.index, None)
-            if guard is not None:
-                guard.observe_completion(outcome.service_seconds)
-            if controller is not None:
-                controller.observe_completion(loop.now, outcome)
-            try_dispatch()
-
-        def try_dispatch() -> None:
-            # Strict in-order admission (queue order, not arrival order):
-            # stop at the first request that does not fit so later smaller
-            # ones cannot starve it.
-            while queue:
-                _, seq = queue[0]
-                tenant_name, request, configuration = entries[seq]
-                node_of = ledger.try_reserve(
-                    seq, configuration, loop.now, cap_of[tenant_name]
-                )
-                if node_of is None:
-                    if ledger.active == 0 and not ledger.has_down_nodes:
-                        # Fits nowhere even on an idle cluster: drop instead
-                        # of deadlocking the queue.
-                        heapq.heappop(queue)
-                        entries.pop(seq, None)
-                        reject(seq, tenant_name, request, "queue-full")
-                        continue
-                    break
-                heapq.heappop(queue)
-                if guard is not None:
-                    guard.observe_dispatch(loop.now)
-                # Interference: dispatching onto memory-pressured nodes runs
-                # slower — deterministic, from post-placement utilisation of
-                # exactly the nodes hosting this request.
-                pressure = max(
-                    (node.memory_utilization for node in node_of.values()),
-                    default=0.0,
-                )
-                excess = max(0.0, pressure - options.interference_threshold)
-                stretch = 1.0 + options.interference_alpha * excess
-                if stretch > 1.0:
-                    stretches.append(stretch)
-                carry = carries.get(seq)
-                if carry is None:
-                    carry = {
-                        "restarts": 0,
-                        "wasted_seconds": 0.0,
-                        "extra_cost": 0.0,
-                        "cold_count": 0,
-                        "cold_seconds": 0.0,
-                    }
-                    carries[seq] = carry
-                launch = _FleetLaunch(
-                    loop,
-                    runtimes[tenant_name],
-                    pool,
-                    finish_request,
-                    memos[tenant_name].get(configuration, request.input_scale),
-                    seq,
-                    request,
-                    configuration,
-                    stretch,
-                    node_of,
-                    carry,
-                )
-                inflight_aborts[seq] = launch.abort
-                launch.begin()
-
-        def arrive(seq: int, tenant_name: str, request: RequestArrival) -> None:
-            offered[tenant_name] += 1
-            tenant_of[seq] = tenant_name
-            controller = self.controllers.get(tenant_name)
-            if controller is not None:
-                controller.observe_arrival(loop.now, request)
-                configuration = controller.assign(seq, request)
-            else:
-                configuration = runtimes[tenant_name].configuration
-            if guard is not None:
-                # The guard sees the tenant name as the input class, so shed
-                # priorities are per tenant.
-                cause = guard.admit(loop.now, tenant_name, len(queue), ledger.active)
-                if cause is not None:
-                    reject(seq, tenant_name, request, cause)
-                    return
-            entries[seq] = (tenant_name, request, configuration)
-            heapq.heappush(queue, (order_key(tenant_name), seq))
-            try_dispatch()
-            if options.queue_capacity is not None and len(queue) > options.queue_capacity:
-                # Shed the worst queued entry that never ran, as the serving
-                # layer sheds its newest arrival; a request that an eviction
-                # put back keeps its place (and its bill).
-                fresh = [entry for entry in queue if entry[1] not in carries]
-                if fresh:
-                    worst = max(fresh)
-                    queue.remove(worst)
-                    heapq.heapify(queue)
-                    _, dropped_seq = worst
-                    dropped_tenant, dropped_request, _ = entries.pop(dropped_seq)
-                    reject(dropped_seq, dropped_tenant, dropped_request, "queue-full")
-
+        loop = run.loop
         for seq, (tenant_name, request) in enumerate(merged):
-            loop.schedule(request.arrival_time, partial(arrive, seq, tenant_name, request))
+            loop.schedule(request.arrival_time, partial(run.arrive, seq, tenant_name, request))
 
         # -- node downtime: failures and spot evictions on one recovery path ----
         downtime: List[Tuple[float, str, str]] = []
@@ -620,53 +659,26 @@ class FleetSimulator:
             ):
                 downtime.append((when, node_name, "spot-eviction"))
         downtime.sort(key=lambda event: (event[0], event[1], event[2]))
-
-        def take_down(node_name: str, kind: str) -> Callable[[], None]:
-            def fire() -> None:
-                nonlocal node_failures, spot_evictions
-                if not self.cluster.node(node_name).healthy:
-                    return  # struck while already down
-                affected = ledger.fail_node(node_name, loop.now)
-                if kind == "failure":
-                    node_failures += 1
-                    recovery = options.node_recovery_seconds
-                else:
-                    spot_evictions += 1
-                    recovery = options.spot_recovery_seconds
-                self.container_pool.evict_node(node_name)
-                loop.schedule_after(recovery, lambda: recover(node_name))
-                for seq in affected:
-                    abort = inflight_aborts.pop(seq, None)
-                    if abort is not None:
-                        abort(loop.now)
-                    tenant_name, _, _ = entries[seq]
-                    heapq.heappush(queue, (order_key(tenant_name), seq))
-                try_dispatch()
-
-            return fire
-
-        def recover(node_name: str) -> None:
-            ledger.restore_node(node_name, loop.now)
-            try_dispatch()
-
         for when, node_name, kind in downtime:
-            loop.schedule(when, take_down(node_name, kind))
+            loop.schedule(when, partial(run.take_down, node_name, kind))
 
         loop.run()
+        ledger = run.ledger
         ledger.advance(loop.now)
 
         cpu_util, mem_util, mean_concurrency = ledger.utilization()
+        stretches = run.stretches
         tenant_results: Dict[str, TenantResult] = {}
         total_cost = 0.0
         for tenant in self.tenants:
             name = tenant.name
             metrics = summarize_outcomes(
-                outcomes[name],
-                rejected[name],
+                run.outcomes[name],
+                run.rejected[name],
                 duration_seconds,
-                offered[name],
-                runtimes[name].slo,
-                rejection_causes=causes[name],
+                run.offered[name],
+                run.runtimes[name].slo,
+                rejection_causes=run.causes[name],
             )
             total_cost += metrics.total_cost
             controller = self.controllers.get(name)
@@ -674,9 +686,9 @@ class FleetSimulator:
                 tenant=name,
                 priority=tenant.priority,
                 metrics=metrics,
-                outcomes=outcomes[name],
-                rejected=rejected[name],
-                rejected_by_cause=dict(causes[name]),
+                outcomes=run.outcomes[name],
+                rejected=run.rejected[name],
+                rejected_by_cause=dict(run.causes[name]),
                 control=controller.summary() if controller is not None else None,
             )
 
@@ -689,10 +701,10 @@ class FleetSimulator:
             memory_utilization=mem_util,
             peak_concurrency=ledger.peak_active,
             mean_concurrency=mean_concurrency,
-            node_failures=node_failures,
-            spot_evictions=spot_evictions,
+            node_failures=run.node_failures,
+            spot_evictions=run.spot_evictions,
             interference_stretched=len(stretches),
             mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
-            protection_events=guard.drain_events() if guard is not None else [],
+            protection_events=run.guard.drain_events() if run.guard is not None else [],
         )
 

@@ -135,8 +135,10 @@ class ServingResult:
     rejected: List[RequestArrival]
     metrics: ServingMetrics
     autoscaler_decisions: List[Tuple[float, int]] = field(default_factory=list)
-    #: Why a batched engine delegated this run to the scalar one ("" = it
-    #: did not).  Stamped by the batched engine, never by the scalar path.
+    #: Why the batched engine delegated this run to the event loop ("" = it
+    #: did not): the first of ``"faults"``, ``"protection"``, ``"noise"``,
+    #: ``"adaptive"``, ``"autoscale"`` and ``"cluster"`` that applies, or
+    #: ``"unsorted-arrivals"``.  Stamped by the batched engine only.
     fallback_reason: str = ""
     #: Timestamped (time, kind, detail) protection decisions (breaker
     #: transitions, shed level changes); empty for unprotected runs.
@@ -254,28 +256,6 @@ class _RequestCarry:
         self.fault_counts[kind.value] = self.fault_counts.get(kind.value, 0) + 1
 
 
-class _RunContext:
-    """What every launch of one serving run shares."""
-
-    __slots__ = ("loop", "plan", "pool", "pricing", "cold_latency", "on_complete",
-                 "injector", "guard")
-
-    def __init__(self, loop: EventLoop, plan, pool: Optional[ContainerPool], pricing,
-                 cold_latency: Sequence[float],
-                 on_complete: Callable[[ServedRequest], None],
-                 injector: Optional[FaultInjector],
-                 guard: Optional[ProtectionGuard]) -> None:
-        self.loop = loop
-        self.plan = plan
-        #: ``None`` when cold starts are not simulated.
-        self.pool = pool
-        self.pricing = pricing
-        self.cold_latency = cold_latency
-        self.on_complete = on_complete
-        self.injector = injector
-        self.guard = guard
-
-
 class _ServingLaunch(Launch):
     """Replay one request's service trace on the event loop.
 
@@ -283,17 +263,17 @@ class _ServingLaunch(Launch):
     function is then re-enacted as events at its absolute start/finish
     times, acquiring warm containers at the true start and releasing them at
     the true finish — so overlapping requests can never share a container,
-    exactly as on a real platform.  ``on_complete`` fires as a loop event at
-    the request's completion time.
+    exactly as on a real platform.  The run's ``finish_request`` fires as a
+    loop event at the request's completion time.
     """
 
-    __slots__ = ("context", "index", "request", "configuration", "trace", "cold_count",
+    __slots__ = ("run", "index", "request", "configuration", "trace", "cold_count",
                  "cold_seconds", "extra_cost")
 
-    def __init__(self, context: _RunContext, index: int, request: RequestArrival,
+    def __init__(self, run: "_ServingRun", index: int, request: RequestArrival,
                  configuration: WorkflowConfiguration, trace) -> None:
-        super().__init__(context.loop, context.plan, context.loop.now)
-        self.context = context
+        super().__init__(run.loop, run.plan, run.loop.now)
+        self.run = run
         self.index = index
         self.request = request
         self.configuration = configuration
@@ -303,19 +283,19 @@ class _ServingLaunch(Launch):
         self.extra_cost = 0.0
 
     def start(self, k: int, start: float) -> None:
-        context = self.context
+        run = self.run
         name = self.plan.names[k]
         record = self.trace.records[name]
         if record.status is ExecutionStatus.SKIPPED:
             self._finish(k, start)
             return
-        pool = context.pool
+        pool = run.pool
         penalty = 0.0
         container = None
         if pool is not None:
             container, cold = pool.acquire(name, record.config, start)
             if cold:
-                penalty = context.cold_latency[k]
+                penalty = run.cold_latency[k]
                 self.cold_count += 1
                 self.cold_seconds += penalty
         end = start + penalty + record.runtime_seconds
@@ -326,9 +306,9 @@ class _ServingLaunch(Launch):
             self.loop.schedule(end, partial(pool.release, container, end))
         if penalty > 0.0:
             # The cold start is billed like runtime on the same container.
-            self.extra_cost += context.pricing.invocation_cost(
+            self.extra_cost += run.pricing.invocation_cost(
                 record.runtime_seconds + penalty, record.config
-            ) - context.pricing.invocation_cost(record.runtime_seconds, record.config)
+            ) - run.pricing.invocation_cost(record.runtime_seconds, record.config)
         self._finish(k, end)
 
     def _complete(self) -> None:
@@ -345,7 +325,7 @@ class _ServingLaunch(Launch):
             succeeded=trace.succeeded,
             service_trace=trace,
         )
-        self.loop.schedule(self.completion, partial(self.context.on_complete, outcome))
+        self.loop.schedule(self.completion, partial(self.run.finish_request, outcome))
 
 
 class _HedgeToken:
@@ -391,13 +371,13 @@ class _FaultyLaunch(Launch):
     function ``k`` is keyed ``~k``.
     """
 
-    __slots__ = ("context", "index", "request", "configuration", "trace", "carry",
+    __slots__ = ("run", "index", "request", "configuration", "trace", "carry",
                  "incarnation", "budgets", "dead", "running", "done_work", "failed")
 
-    def __init__(self, context: _RunContext, index: int, request: RequestArrival,
+    def __init__(self, run: "_ServingRun", index: int, request: RequestArrival,
                  configuration: WorkflowConfiguration, trace, carry: _RequestCarry) -> None:
-        super().__init__(context.loop, context.plan, context.loop.now)
-        self.context = context
+        super().__init__(run.loop, run.plan, run.loop.now)
+        self.run = run
         self.index = index
         self.request = request
         self.configuration = configuration
@@ -405,14 +385,14 @@ class _FaultyLaunch(Launch):
         self.carry = carry
         self.incarnation = carry.restarts
         self.budgets = (
-            context.guard.stage_budgets(
+            run.guard.stage_budgets(
                 {
                     name: record.runtime_seconds
                     for name, record in trace.records.items()
                     if record.status is not ExecutionStatus.SKIPPED
                 }
             )
-            if context.guard is not None
+            if run.guard is not None
             else None
         )
         self.dead = False
@@ -428,20 +408,20 @@ class _FaultyLaunch(Launch):
     def _waste(self, elapsed: float, config) -> None:
         """Bill ``elapsed`` seconds of lost work on ``config``."""
         carry = self.carry
-        carry.extra_cost += self.context.pricing.invocation_cost(elapsed, config)
+        carry.extra_cost += self.run.pricing.invocation_cost(elapsed, config)
         carry.wasted_seconds += elapsed
         carry.wasted_gb_seconds += config.memory_mb / 1024.0 * elapsed
 
     def _acquire(self, k: int, name: str, config, start: float):
         """Take a container for an attempt; returns it (or ``None``) and its
         cold-start penalty."""
-        pool = self.context.pool
+        pool = self.run.pool
         if pool is None:
             return None, 0.0
         container, cold = pool.acquire(name, config, start)
         if not cold:
             return container, 0.0
-        penalty = self.context.cold_latency[k]
+        penalty = self.run.cold_latency[k]
         self.carry.cold_count += 1
         self.carry.cold_seconds += penalty
         return container, penalty
@@ -449,7 +429,7 @@ class _FaultyLaunch(Launch):
     def start(self, k: int, start: float, attempt: int = 1) -> None:
         if self.dead:
             return
-        context = self.context
+        run = self.run
         name = self.plan.names[k]
         record = self.trace.records[name]
         if record.status is ExecutionStatus.SKIPPED:
@@ -478,7 +458,7 @@ class _FaultyLaunch(Launch):
             end = start + outcome.elapsed_seconds
             loop.schedule(end, partial(self.settle_completed, k, k, end, outcome, record, False))
             return
-        outcome = context.injector.plan_invocation(
+        outcome = run.injector.plan_invocation(
             self.index,
             name,
             attempt,
@@ -487,7 +467,7 @@ class _FaultyLaunch(Launch):
             incarnation=self.incarnation,
             row=carry.row,
         )
-        guard = context.guard
+        guard = run.guard
         if guard is not None:
             outcome = guard.cap_stage(name, outcome, self.budgets)
         end = start + outcome.elapsed_seconds
@@ -515,10 +495,10 @@ class _FaultyLaunch(Launch):
         """Attempt ``key`` (``k``, or ``~k`` for a winning hedge) completes."""
         if self.dead or (token is not None and token.cancelled):
             return
-        context = self.context
+        run = self.run
         entry = self.running.pop(key, None)
         if entry is not None and entry[0] is not None and release:
-            context.pool.release(entry[0], end)
+            run.pool.release(entry[0], end)
         # else: a configuration OOM killed its own container; it is never
         # returned, exactly as in the fault-free path.
         carry = self.carry
@@ -526,14 +506,14 @@ class _FaultyLaunch(Launch):
             carry.count_fault(FaultKind.STRAGGLER)
         # Bill the cold start and any straggler stretch on top of the trace's
         # own (base-runtime) cost.
-        carry.extra_cost += context.pricing.invocation_cost(
+        carry.extra_cost += run.pricing.invocation_cost(
             outcome.elapsed_seconds, record.config
-        ) - context.pricing.invocation_cost(record.runtime_seconds, record.config)
+        ) - run.pricing.invocation_cost(record.runtime_seconds, record.config)
         self.done_work.append((outcome.elapsed_seconds, record.cost, record.config))
         if key != k:
             carry.hedge_wins += 1
-        if context.guard is not None:
-            context.guard.observe_attempt(self.plan.names[k], end, False, outcome.elapsed_seconds)
+        if run.guard is not None:
+            run.guard.observe_attempt(self.plan.names[k], end, False, outcome.elapsed_seconds)
         self._finish(k, end)
 
     def settle_killed(self, k: int, key: int, end: float, attempt: int,
@@ -543,18 +523,18 @@ class _FaultyLaunch(Launch):
         primary ``k``, or the hedge ``~k`` when both died and it died last."""
         if self.dead or (token is not None and token.cancelled):
             return
-        context = self.context
+        run = self.run
         entry = self.running.pop(key, None)
         if entry is not None and entry[0] is not None:
-            context.pool.kill(entry[0])
+            run.pool.kill(entry[0])
         # The killed attempt is billed in full and is pure waste; the trace's
         # base cost is only charged by the attempt that eventually completes.
         self.carry.count_fault(outcome.fault)
         self._waste(outcome.elapsed_seconds, record.config)
         name = self.plan.names[k]
-        if context.guard is not None:
-            context.guard.observe_attempt(name, end, True, None)
-        delay = context.injector.backoff_seconds(
+        if run.guard is not None:
+            run.guard.observe_attempt(name, end, True, None)
+        delay = run.injector.backoff_seconds(
             self.index, name, attempt, self.incarnation, self.carry.row
         )
         if delay is None:
@@ -582,9 +562,9 @@ class _FaultyLaunch(Launch):
             self._waste(elapsed, config)
         if fault is not None:
             self.carry.count_fault(fault)
-            self.context.guard.observe_attempt(self.plan.names[k], at, True, None)
+            self.run.guard.observe_attempt(self.plan.names[k], at, True, None)
         if container is not None:
-            self.context.pool.kill(container)
+            self.run.pool.kill(container)
 
     def launch_hedge(self, k: int, attempt: int, h_start: float,
                      p_outcome: InvocationOutcome, p_end: float, record,
@@ -597,15 +577,15 @@ class _FaultyLaunch(Launch):
         true time, so containers, billing and breaker feeds all happen
         exactly when they would on a real platform.
         """
-        context, carry = self.context, self.carry
-        guard = context.guard
+        run, carry = self.run, self.carry
+        guard = run.guard
         if self.dead or k not in self.running or carry.hedges >= guard.max_hedges_per_request:
             return
         name = self.plan.names[k]
         h_container, penalty = self._acquire(k, name, record.config, h_start)
         carry.attempts += 1
         carry.hedges += 1
-        h_outcome = context.injector.plan_invocation(
+        h_outcome = run.injector.plan_invocation(
             self.index,
             name,
             HEDGE_ATTEMPT_OFFSET + attempt,
@@ -690,7 +670,7 @@ class _FaultyLaunch(Launch):
     def deliver(self, outcome: ServedRequest) -> None:
         """The completion event; an aborted launch delivers nothing."""
         if not self.dead:
-            self.context.on_complete(outcome)
+            self.run.finish_request(outcome)
 
     def abort(self, now: float) -> None:
         """Node failure took this request's placement: lose all work."""
@@ -701,7 +681,7 @@ class _FaultyLaunch(Launch):
             if elapsed > 0:
                 self._waste(elapsed, config)
             if container is not None:
-                self.context.pool.kill(container)
+                self.run.pool.kill(container)
         self.running.clear()
         for elapsed, base_cost, config in self.done_work:
             # Completed work must be redone from scratch by the next
@@ -712,6 +692,220 @@ class _FaultyLaunch(Launch):
             carry.wasted_gb_seconds += config.memory_mb / 1024.0 * elapsed
         carry.count_fault(FaultKind.NODE_FAILURE)
         carry.restarts += 1
+
+
+class _ServingRun:
+    """One serving run: what its launches share, and its event handlers.
+
+    Each handler is a method, scheduled as a ``functools.partial`` of a
+    bound method, and neither the run nor a launch stores a bound method of
+    the run, so once the loop has drained nothing refers back to the run and
+    reference counting frees it when :meth:`ServingSimulator.run` returns.
+    A launch holds the run and calls :meth:`finish_request` at completion.
+    """
+
+    __slots__ = ("simulator", "configuration_for", "rng", "controller", "loop", "plan",
+                 "pool", "pricing", "cold_latency", "ledger", "queue", "outcomes", "rejected",
+                 "rejection_causes", "autoscaler", "pending_arrivals", "guard", "injector",
+                 "inflight_aborts", "carries", "dispatched", "node_failures")
+
+    def __init__(self, simulator: "ServingSimulator",
+                 configuration_for: Callable[[RequestArrival], WorkflowConfiguration],
+                 rng: Optional[RngStream], fault_rng: Optional[RngStream], controller,
+                 pending_arrivals: int) -> None:
+        self.simulator = simulator
+        self.configuration_for = configuration_for
+        self.rng = rng
+        self.controller = controller
+        self.loop = EventLoop()
+        self.plan = simulator.workflow.plan
+        #: ``None`` when cold starts are not simulated.
+        self.pool = (
+            simulator.container_pool if simulator.options.simulate_cold_starts else None
+        )
+        self.pricing = simulator.executor.pricing
+        self.cold_latency = simulator._cold_latency
+        self.ledger = ClusterLedger(simulator.cluster)
+        self.queue: Deque[Tuple[int, RequestArrival, WorkflowConfiguration]] = deque()
+        self.outcomes: List[ServedRequest] = []
+        self.rejected: List[RequestArrival] = []
+        self.rejection_causes: Dict[str, int] = {}
+        self.autoscaler = (
+            _Autoscaler(simulator.container_pool, simulator.options.autoscaler)
+            if simulator.options.autoscale
+            else None
+        )
+        self.pending_arrivals = pending_arrivals
+        plan = simulator.faults
+        policy = simulator.protection
+        self.guard = guard = (
+            ProtectionGuard(
+                policy,
+                self.plan,
+                slo_limit_seconds=(
+                    simulator.slo.latency_limit if simulator.slo is not None else None
+                ),
+                cold_latency=self.cold_latency,
+            )
+            if policy is not None and not policy.is_empty
+            else None
+        )
+        self.injector: Optional[FaultInjector] = None
+        if plan is not None and not plan.is_empty:
+            self.injector = FaultInjector(
+                plan,
+                fault_rng,
+                function_names=self.plan.names,
+                hedging=guard is not None and policy.hedging is not None,
+            )
+        elif guard is not None:
+            # Protected runs need the per-attempt machinery (deadline kills,
+            # hedges, retries) even without injected faults: borrow the
+            # faulty launch path with an empty plan, which perturbs nothing.
+            self.injector = FaultInjector(FaultPlan.none(seed=policy.seed), fault_rng)
+        # Fault bookkeeping: abort callbacks of in-flight launches, counters
+        # carried across node-failure incarnations, and the failure count.
+        self.inflight_aborts: Dict[int, Callable[[float], None]] = {}
+        self.carries: Dict[int, _RequestCarry] = {}
+        self.dispatched: Dict[int, Tuple[RequestArrival, WorkflowConfiguration]] = {}
+        self.node_failures = 0
+        if controller is not None:
+            controller.bind(pool=simulator.container_pool)
+
+    def reject(self, index: int, request: RequestArrival, cause: str) -> None:
+        self.rejected.append(request)
+        causes = self.rejection_causes
+        causes[cause] = causes.get(cause, 0) + 1
+        if self.controller is not None:
+            self.controller.observe_rejection(self.loop.now, index)
+
+    def arrive(self, index: int, request: RequestArrival) -> None:
+        self.pending_arrivals -= 1
+        now = self.loop.now
+        if self.autoscaler is not None:
+            self.autoscaler.observe_arrival(now)
+        controller = self.controller
+        if controller is not None:
+            # The controller assigns the configuration (active version, or
+            # the canary during a rollout) at arrival time; a later
+            # node-failure re-queue keeps it.
+            controller.observe_arrival(now, request)
+            configuration = controller.assign(index, request)
+        else:
+            configuration = self.configuration_for(request)
+        queue = self.queue
+        if self.guard is not None:
+            # Protection vets the arrival before it can queue: an open
+            # breaker, an active shed level, or an admission verdict rejects
+            # it outright with its cause.
+            cause = self.guard.admit(now, request.input_class, len(queue), self.ledger.active)
+            if cause is not None:
+                self.reject(index, request, cause)
+                return
+        queue.append((index, request, configuration))
+        self.try_dispatch()
+        # The capacity bounds *waiting* requests: an arrival that dispatched
+        # immediately never counts against it (so queue_capacity=0 models a
+        # serve-or-reject loss system).
+        capacity = self.simulator.options.queue_capacity
+        if capacity is not None and len(queue) > capacity:
+            dropped_index, dropped, _ = queue.pop()
+            self.reject(dropped_index, dropped, "queue-full")
+
+    def try_dispatch(self) -> None:
+        # Strict FIFO admission: stop at the first request that does not fit
+        # so later (possibly smaller) requests cannot starve it.
+        queue, ledger, loop = self.queue, self.ledger, self.loop
+        guard, injector, rng = self.guard, self.injector, self.rng
+        simulator = self.simulator
+        while queue:
+            index, request, configuration = queue[0]
+            if ledger.try_reserve(index, configuration, loop.now) is None:
+                if ledger.active == 0 and not ledger.has_down_nodes:
+                    # Fits on no node even with the cluster empty: it can
+                    # never be served, so drop it instead of deadlocking the
+                    # queue.  (With a node down, wait for recovery instead —
+                    # the capacity may come back.)
+                    queue.popleft()
+                    self.reject(index, request, "queue-full")
+                    continue
+                break
+            queue.popleft()
+            if guard is not None:
+                guard.observe_dispatch(loop.now)
+            trace = simulator.backend.evaluate(
+                simulator.workflow,
+                configuration,
+                input_scale=request.input_scale,
+                rng=rng.child("request", index) if rng is not None else None,
+            )
+            if injector is None:
+                _ServingLaunch(self, index, request, configuration, trace).begin()
+                continue
+            carry = self.carries.get(index)
+            if carry is None:
+                carry = _RequestCarry(injector.draw_row(index))
+                self.carries[index] = carry
+            self.dispatched[index] = (request, configuration)
+            launch = _FaultyLaunch(self, index, request, configuration, trace, carry)
+            self.inflight_aborts[index] = launch.abort
+            launch.begin()
+
+    def finish_request(self, outcome: ServedRequest) -> None:
+        index = outcome.index
+        now = self.loop.now
+        self.ledger.release(index, now)
+        controller = self.controller
+        if controller is not None:
+            outcome.config_version = controller.version_of(index)
+        self.outcomes.append(outcome)
+        self.inflight_aborts.pop(index, None)
+        self.carries.pop(index, None)
+        self.dispatched.pop(index, None)
+        if self.guard is not None:
+            self.guard.observe_completion(outcome.service_seconds)
+        if self.autoscaler is not None:
+            self.autoscaler.observe_service(now, outcome.service_seconds)
+        if controller is not None:
+            # May fire drift detection, an inline re-tune and a rollout step
+            # — all in simulated-zero time within this event.
+            controller.observe_completion(now, outcome)
+        self.try_dispatch()
+
+    def node_failure(self, node_name: str) -> None:
+        simulator = self.simulator
+        if not simulator.cluster.node(node_name).healthy:
+            return  # struck while already down
+        loop = self.loop
+        affected = self.ledger.fail_node(node_name, loop.now)
+        self.node_failures += 1
+        loop.schedule_after(
+            simulator.faults.node_recovery_seconds, partial(self.recover, node_name)
+        )
+        # Abort every in-flight request that lost its placement and re-queue
+        # it at the front (it was admitted first); reversed() keeps the
+        # original index order at the head.
+        for request_id in reversed(affected):
+            abort = self.inflight_aborts.pop(request_id, None)
+            if abort is None:
+                continue
+            abort(loop.now)
+            victim_request, victim_config = self.dispatched.pop(request_id)
+            self.queue.appendleft((request_id, victim_request, victim_config))
+        self.try_dispatch()
+
+    def recover(self, node_name: str) -> None:
+        self.ledger.restore_node(node_name, self.loop.now)
+        self.try_dispatch()
+
+    def autoscale_tick(self) -> None:
+        self.autoscaler.tick(self.loop.now)
+        # Keep ticking only while there is (or will be) work; the loop must
+        # drain once the last request completes.
+        if self.pending_arrivals > 0 or self.queue or self.ledger.active > 0:
+            self.loop.schedule_after(
+                self.simulator.options.autoscaler.interval_seconds, self.autoscale_tick
+            )
 
 
 class ServingSimulator:
@@ -852,227 +1046,38 @@ class ServingSimulator:
         """
         self._reset_pool()
         request_list = list(requests)
-        loop = EventLoop()
-        ledger = ClusterLedger(self.cluster)
-        queue: Deque[Tuple[int, RequestArrival, WorkflowConfiguration]] = deque()
-        outcomes: List[ServedRequest] = []
-        rejected: List[RequestArrival] = []
-        autoscaler = (
-            _Autoscaler(self.container_pool, self.options.autoscaler)
-            if self.options.autoscale
-            else None
+        run = _ServingRun(
+            self, configuration_for, rng, fault_rng, controller, len(request_list)
         )
-        pending_arrivals = len(request_list)
-        plan = self.faults
-        policy = self.protection
-        guard = (
-            ProtectionGuard(
-                policy,
-                self.workflow.plan,
-                slo_limit_seconds=(
-                    self.slo.latency_limit if self.slo is not None else None
-                ),
-                cold_latency=self._cold_latency,
-            )
-            if policy is not None and not policy.is_empty
-            else None
-        )
-        injector: Optional[FaultInjector] = None
-        if plan is not None and not plan.is_empty:
-            injector = FaultInjector(
-                plan,
-                fault_rng,
-                function_names=self.workflow.plan.names,
-                hedging=guard is not None and policy.hedging is not None,
-            )
-        elif guard is not None:
-            # Protected runs need the per-attempt machinery (deadline kills,
-            # hedges, retries) even without injected faults: borrow the
-            # faulty launch path with an empty plan, which perturbs nothing.
-            injector = FaultInjector(FaultPlan.none(seed=policy.seed), fault_rng)
-        rejection_causes: Dict[str, int] = {}
-
-        def count_rejection(cause: str) -> None:
-            rejection_causes[cause] = rejection_causes.get(cause, 0) + 1
-        # Fault bookkeeping: abort callbacks of in-flight launches, counters
-        # carried across node-failure incarnations, and the failure count.
-        inflight_aborts: Dict[int, Callable[[float], None]] = {}
-        carries: Dict[int, _RequestCarry] = {}
-        dispatched: Dict[int, Tuple[RequestArrival, WorkflowConfiguration]] = {}
-        node_failure_count = 0
-
-        if controller is not None:
-            controller.bind(pool=self.container_pool)
-
-        def finish_request(outcome: ServedRequest) -> None:
-            ledger.release(outcome.index, loop.now)
-            if controller is not None:
-                outcome.config_version = controller.version_of(outcome.index)
-            outcomes.append(outcome)
-            inflight_aborts.pop(outcome.index, None)
-            carries.pop(outcome.index, None)
-            dispatched.pop(outcome.index, None)
-            if guard is not None:
-                guard.observe_completion(outcome.service_seconds)
-            if autoscaler is not None:
-                autoscaler.observe_service(loop.now, outcome.service_seconds)
-            if controller is not None:
-                # May fire drift detection, an inline re-tune and a rollout
-                # step — all in simulated-zero time within this event.
-                controller.observe_completion(loop.now, outcome)
-            try_dispatch()
-
-        def try_dispatch() -> None:
-            # Strict FIFO admission: stop at the first request that does not
-            # fit so later (possibly smaller) requests cannot starve it.
-            while queue:
-                index, request, configuration = queue[0]
-                if ledger.try_reserve(index, configuration, loop.now) is None:
-                    if ledger.active == 0 and not ledger.has_down_nodes:
-                        # Fits on no node even with the cluster empty: it can
-                        # never be served, so drop it instead of deadlocking
-                        # the queue.  (With a node down, wait for recovery
-                        # instead — the capacity may come back.)
-                        queue.popleft()
-                        rejected.append(request)
-                        count_rejection("queue-full")
-                        if controller is not None:
-                            controller.observe_rejection(loop.now, index)
-                        continue
-                    break
-                queue.popleft()
-                if guard is not None:
-                    guard.observe_dispatch(loop.now)
-                trace = self.backend.evaluate(
-                    self.workflow,
-                    configuration,
-                    input_scale=request.input_scale,
-                    rng=rng.child("request", index) if rng is not None else None,
-                )
-                if injector is None:
-                    _ServingLaunch(context, index, request, configuration, trace).begin()
-                    continue
-                carry = carries.get(index)
-                if carry is None:
-                    carry = _RequestCarry(injector.draw_row(index))
-                    carries[index] = carry
-                dispatched[index] = (request, configuration)
-                launch = _FaultyLaunch(context, index, request, configuration, trace, carry)
-                inflight_aborts[index] = launch.abort
-                launch.begin()
-
-        context = _RunContext(
-            loop,
-            self.workflow.plan,
-            self.container_pool if self.options.simulate_cold_starts else None,
-            self.executor.pricing,
-            self._cold_latency,
-            finish_request,
-            injector,
-            guard,
-        )
-
-        def arrive(index: int, request: RequestArrival) -> None:
-            nonlocal pending_arrivals
-            pending_arrivals -= 1
-            if autoscaler is not None:
-                autoscaler.observe_arrival(loop.now)
-            if controller is not None:
-                # The controller assigns the configuration (active version,
-                # or the canary during a rollout) at arrival time; a later
-                # node-failure re-queue keeps it.
-                controller.observe_arrival(loop.now, request)
-                configuration = controller.assign(index, request)
-            else:
-                configuration = configuration_for(request)
-            if guard is not None:
-                # Protection vets the arrival before it can queue: an open
-                # breaker, an active shed level, or an admission verdict
-                # rejects it outright with its cause.
-                cause = guard.admit(loop.now, request.input_class, len(queue), ledger.active)
-                if cause is not None:
-                    rejected.append(request)
-                    count_rejection(cause)
-                    if controller is not None:
-                        controller.observe_rejection(loop.now, index)
-                    return
-            queue.append((index, request, configuration))
-            try_dispatch()
-            # The capacity bounds *waiting* requests: an arrival that
-            # dispatched immediately never counts against it (so
-            # queue_capacity=0 models a serve-or-reject loss system).
-            if (
-                self.options.queue_capacity is not None
-                and len(queue) > self.options.queue_capacity
-            ):
-                dropped_index, dropped, _ = queue.pop()
-                rejected.append(dropped)
-                count_rejection("queue-full")
-                if controller is not None:
-                    controller.observe_rejection(loop.now, dropped_index)
-
+        loop = run.loop
         for index, request in enumerate(request_list):
-            loop.schedule(request.arrival_time, partial(arrive, index, request))
+            loop.schedule(request.arrival_time, partial(run.arrive, index, request))
 
         if duration_seconds is None:
             duration_seconds = max((r.arrival_time for r in request_list), default=0.0)
 
-        if injector is not None and plan is not None and self.cluster is not None:
-
-            def node_failure(node_name: str) -> Callable[[], None]:
-                def fire() -> None:
-                    nonlocal node_failure_count
-                    if not self.cluster.node(node_name).healthy:
-                        return  # struck while already down
-                    affected = ledger.fail_node(node_name, loop.now)
-                    node_failure_count += 1
-                    loop.schedule_after(
-                        plan.node_recovery_seconds, lambda: recover(node_name)
-                    )
-                    # Abort every in-flight request that lost its placement
-                    # and re-queue it at the front (it was admitted first);
-                    # reversed() keeps the original index order at the head.
-                    for request_id in reversed(affected):
-                        abort_fn = inflight_aborts.pop(request_id, None)
-                        if abort_fn is None:
-                            continue
-                        abort_fn(loop.now)
-                        victim_request, victim_config = dispatched.pop(request_id)
-                        queue.appendleft((request_id, victim_request, victim_config))
-                    try_dispatch()
-
-                return fire
-
-            def recover(node_name: str) -> None:
-                ledger.restore_node(node_name, loop.now)
-                try_dispatch()
-
-            for failure_time, node_name in injector.node_failure_schedule(
+        if run.injector is not None and self.faults is not None and self.cluster is not None:
+            for failure_time, node_name in run.injector.node_failure_schedule(
                 duration_seconds, [node.name for node in self.cluster.nodes]
             ):
-                loop.schedule(failure_time, node_failure(node_name))
+                loop.schedule(failure_time, partial(run.node_failure, node_name))
 
-        if autoscaler is not None:
-
-            def autoscale_tick() -> None:
-                autoscaler.tick(loop.now)
-                # Keep ticking only while there is (or will be) work; the
-                # loop must drain once the last request completes.
-                if pending_arrivals > 0 or queue or ledger.active > 0:
-                    loop.schedule_after(self.options.autoscaler.interval_seconds, autoscale_tick)
-
-            loop.schedule_after(self.options.autoscaler.interval_seconds, autoscale_tick)
+        if run.autoscaler is not None:
+            loop.schedule_after(self.options.autoscaler.interval_seconds, run.autoscale_tick)
 
         loop.run()
+        ledger = run.ledger
         ledger.advance(loop.now)
+        outcomes = run.outcomes
         outcomes.sort(key=lambda o: o.index)
         metrics = summarize_outcomes(
-            outcomes, rejected, duration_seconds, len(request_list), self.slo,
+            outcomes, run.rejected, duration_seconds, len(request_list), self.slo,
             ledger=ledger,
-            node_failures=node_failure_count,
-            rejection_causes=rejection_causes,
+            node_failures=run.node_failures,
+            rejection_causes=run.rejection_causes,
         )
         protection_events: List[Tuple[float, str, str]] = []
+        guard = run.guard
         if guard is not None:
             metrics.breaker_opens = guard.breaker_opens
             metrics.deadline_kills = guard.deadline_kills
@@ -1080,9 +1085,10 @@ class ServingSimulator:
             if controller is not None and hasattr(controller, "observe_protection"):
                 for when, kind, detail in protection_events:
                     controller.observe_protection(when, kind, detail)
+        autoscaler = run.autoscaler
         return ServingResult(
             outcomes=outcomes,
-            rejected=rejected,
+            rejected=run.rejected,
             metrics=metrics,
             autoscaler_decisions=autoscaler.decisions if autoscaler is not None else [],
             protection_events=protection_events,

@@ -1,11 +1,10 @@
-"""Batched serving engine: request streams settled as columns.
+"""Batched serving engine: uncapped request streams settled as columns.
 
-The scalar :class:`~repro.execution.serving.ServingSimulator` walks one
-event-loop closure per arrival, function start, container release and
-completion — flexible, but it caps the drift/fault/adaptive scenario suites
-at modest request counts.  The :class:`BatchedServingSimulator` here serves
-the same streams from array operations while staying **bit-identical** to
-the scalar engine under fixed seeds (the differential tier in
+The :class:`~repro.execution.serving.ServingSimulator` walks every request
+through its discrete event loop.  The :class:`BatchedServingSimulator` here
+is that simulator with one more path: it settles a clean run without a
+cluster from array operations, staying **bit-identical** to the event loop
+under fixed seeds (the differential tier in
 ``tests/differential/test_engine_differential.py`` is the arbiter):
 
 * A stream is served as columns from input to summary.  ``run`` takes the
@@ -35,12 +34,11 @@ the scalar engine under fixed seeds (the differential tier in
   exact LIFO deque (most-recent warm match, strict-boundary expiry,
   oldest-first capacity eviction).  Mixed-configuration buckets drive a real
   replica pool so input-aware cohorts keep exact semantics.
-* Runs that contend for a finite cluster replay the scalar event loop
-  *exactly* on the :class:`~repro.execution.events_calendar.EventCalendar`
-  — same event set, same insertion-order tie-breaking — just without the
-  per-event closure allocation and per-request re-evaluation.
-* Faulty, noisy, adaptive-controller and autoscaled runs **fall back** to
-  the scalar engine unchanged, so ``repro scenarios`` semantics are
+* Every other run is **delegated**, whole, to the event loop: faulted,
+  protected, noisy, adaptive-controller and autoscaled runs, whose
+  per-event branching defeats cohorting, and runs on a finite cluster, where
+  each request's dispatch waits on the completions before it.  The result's
+  ``fallback_reason`` says why, so ``repro scenarios`` semantics are
   untouched (the differential tier still compares them byte-for-byte).
 
 Floating-point equality is engineered, not hoped for: sequential Python
@@ -61,23 +59,16 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.execution.backend import EvaluationBackend
-from repro.execution.cluster import Cluster, ClusterLedger
+from repro.execution.cluster import ClusterLedger
 from repro.execution.container import ContainerPool
 from repro.execution.events import ArrivalBatch, RequestArrival
-from repro.execution.events_calendar import EventCalendar
-from repro.execution.executor import WorkflowExecutor
-from repro.execution.faults import FaultPlan
 from repro.execution.outcomes import OutcomeTable, summarize_outcomes
-from repro.execution.protection import ProtectionPolicy
-from repro.execution.serving import ServingOptions, ServingResult, ServingSimulator
+from repro.execution.serving import ServingResult, ServingSimulator
 from repro.execution.templates import TraceMemo, TraceTemplate
 from repro.execution.trace import ExecutionStatus
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
-from repro.workflow.dag import Workflow
 from repro.workflow.resources import WorkflowConfiguration
-from repro.workflow.slo import SLO
 
 __all__ = [
     "SERVING_ENGINE_NAMES",
@@ -88,54 +79,14 @@ __all__ = [
 #: Engine names accepted by :func:`build_serving_engine` (and the CLI).
 SERVING_ENGINE_NAMES: Tuple[str, ...] = ("event", "batched")
 
-# Event kinds on the calendar (arrivals ride the pre-sorted backbone lane).
-_ARRIVAL = 0
-_START = 1
-_RELEASE = 2
-_COMPLETE = 3
 
+class BatchedServingSimulator(ServingSimulator):
+    """The event-loop simulator with a cohort path for clean uncapped runs.
 
-class BatchedServingSimulator:
-    """Array-cohort serving engine, bit-identical to the scalar loop.
-
-    Accepts the same construction arguments as :class:`ServingSimulator`
-    and wraps one internally — both for the fallback paths (faults, noise,
-    adaptive control, autoscaling) and to reuse its cold-start latencies.
+    Takes the same construction arguments as :class:`ServingSimulator`.
+    :meth:`run` settles a clean run without a cluster in arrays and
+    delegates every other run, whole, to the event loop it inherits.
     """
-
-    def __init__(
-        self,
-        workflow: Workflow,
-        executor: WorkflowExecutor,
-        backend: Optional[EvaluationBackend] = None,
-        cluster: Optional[Cluster] = None,
-        container_pool: Optional[ContainerPool] = None,
-        slo: Optional[SLO] = None,
-        options: Optional[ServingOptions] = None,
-        faults: Optional[FaultPlan] = None,
-        protection: Optional[ProtectionPolicy] = None,
-    ) -> None:
-        self._scalar = ServingSimulator(
-            workflow=workflow,
-            executor=executor,
-            backend=backend,
-            cluster=cluster,
-            container_pool=container_pool,
-            slo=slo,
-            options=options,
-            faults=faults,
-            protection=protection,
-        )
-        scalar = self._scalar
-        self.workflow = scalar.workflow
-        self.executor = scalar.executor
-        self.backend = scalar.backend
-        self.cluster = scalar.cluster
-        self.container_pool = scalar.container_pool
-        self.slo = scalar.slo
-        self.options = scalar.options
-        self.faults = scalar.faults
-        self.protection = scalar.protection
 
     # -- entry point -------------------------------------------------------------
     def run(
@@ -147,24 +98,22 @@ class BatchedServingSimulator:
         fault_rng: Optional[RngStream] = None,
         controller=None,
     ) -> ServingResult:
-        """Serve the stream; identical signature and results to the scalar run.
+        """Serve the stream; identical signature and results to the event loop.
 
         ``requests`` is an :class:`~repro.execution.events.ArrivalBatch` or
         an iterable of records, which is read into the same columns once.
         ``configuration_for`` is called once per request, in arrival order,
         on a record built for the call.
 
-        Faulty, noisy, adaptive, autoscaled and *protected* runs route to
-        the scalar engine per request — their per-event branching defeats
-        cohorting, and the contract is that those cohorts still match
-        byte-for-byte.  The delegation happens before any dispatcher side
-        effect (``configuration_for`` is not called for a delegated run),
-        and the returned result records why in ``fallback_reason``.
+        Faulted, protected, noisy, adaptive and autoscaled runs, and runs on
+        a finite cluster, are delegated whole to the event loop, checked in
+        that order.  The delegation happens before the stream is read and
+        before any dispatcher side effect (this method calls no
+        ``configuration_for`` for a delegated run), and the returned result
+        records why in ``fallback_reason``.
         """
-        scalar = self._scalar
-        scalar._reset_pool()
-        plan = scalar.faults
-        policy = scalar.protection
+        plan = self.faults
+        policy = self.protection
         reason = ""
         if plan is not None and not plan.is_empty:
             reason = "faults"
@@ -174,8 +123,10 @@ class BatchedServingSimulator:
             reason = "noise"
         elif controller is not None:
             reason = "adaptive"
-        elif scalar.options.autoscale:
+        elif self.options.autoscale:
             reason = "autoscale"
+        elif self.cluster is not None:
+            reason = "cluster"
         if reason:
             return self._delegate(
                 reason,
@@ -186,11 +137,12 @@ class BatchedServingSimulator:
                 fault_rng=fault_rng,
                 controller=controller,
             )
+        self._reset_pool()
         if not isinstance(requests, ArrivalBatch):
             requests = ArrivalBatch.from_requests(list(requests))
         times = requests.times
-        # Unsorted streams would break the backbone lane; they are exotic, so
-        # serve them on the reference engine instead of approximating.
+        # The cohort sweeps assume arrival order; unsorted streams are
+        # exotic, so serve them on the event loop instead of approximating.
         if not (times[1:] >= times[:-1]).all():
             return self._delegate(
                 "unsorted-arrivals",
@@ -207,13 +159,9 @@ class BatchedServingSimulator:
                 times.tolist(), requests.scales.tolist(), requests.class_ids.tolist()
             )
         ]
-        memo = TraceMemo(
-            scalar.backend, scalar.workflow, scalar.executor.pricing, scalar._cold_latency
-        )
+        memo = TraceMemo(self.backend, self.workflow, self.executor.pricing, self._cold_latency)
         template_of = memo.group(configs, requests.scales)
         del configs  # each template holds its configuration
-        if scalar.cluster is not None:
-            return self._run_calendar(requests, memo.templates, template_of, duration_seconds)
         return self._run_cohort(requests, memo.templates, template_of, duration_seconds)
 
     def _delegate(
@@ -223,7 +171,7 @@ class BatchedServingSimulator:
         configuration_for: Callable[[RequestArrival], WorkflowConfiguration],
         **kwargs,
     ) -> ServingResult:
-        """Serve on the scalar reference engine, recording why.
+        """Serve on the event loop, recording why.
 
         The notice is logged once per delegated run so a ``--engine
         batched`` invocation never *silently* loses its speedup; the reason
@@ -235,7 +183,7 @@ class BatchedServingSimulator:
         )
         if isinstance(requests, ArrivalBatch):
             requests = requests.to_requests()
-        result = self._scalar.run(requests, configuration_for, **kwargs)
+        result = super().run(requests, configuration_for, **kwargs)
         result.fallback_reason = reason
         return result
 
@@ -255,15 +203,14 @@ class BatchedServingSimulator:
         ties across a function are measure-zero under continuous arrival
         processes; the differential tier guards the discrete ones).
         """
-        scalar = self._scalar
         arrivals = requests.times
         n = arrivals.size
-        pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
+        pool = self.container_pool if self.options.simulate_cold_starts else None
         requests_of = [
             np.nonzero(template_of == t)[0] for t in range(len(templates))
         ]
         arrivals_of = [arrivals[idx] for idx in requests_of]
-        plan = scalar.workflow.plan
+        plan = self.workflow.plan
         finishes: List[List[Optional[np.ndarray]]] = [
             [None] * len(plan.names) for _ in templates
         ]
@@ -302,7 +249,7 @@ class BatchedServingSimulator:
             pool_cold += cold
             pool_evicted += evicted
             pool_warm += warm
-            penalty = scalar._cold_latency[k]
+            penalty = self._cold_latency[k]
             for (t, starts, _), flags in zip(participants, flags_of):
                 if flags.any():
                     indices = requests_of[t][flags]
@@ -343,7 +290,7 @@ class BatchedServingSimulator:
         )
         ledger = self._replay_ledger(arrivals, completion)
         metrics = summarize_outcomes(
-            outcomes, [], duration_seconds, n, scalar.slo, ledger=ledger
+            outcomes, [], duration_seconds, n, self.slo, ledger=ledger
         )
         return ServingResult(outcomes=outcomes, rejected=[], metrics=metrics)
 
@@ -387,7 +334,7 @@ class BatchedServingSimulator:
         runtime_of = [templates[t].runtimes[k] for t, _, _ in participants]
         config_of = [templates[t].configs[k] for t, _, _ in participants]
         oom_of = [oom for _, _, oom in participants]
-        penalty = self._scalar._cold_latency[k]
+        penalty = self._cold_latency[k]
         total = merged.size
         keep_alive = pool.keep_alive_seconds
         capacity = pool.max_containers_per_function
@@ -473,148 +420,6 @@ class BatchedServingSimulator:
         ledger._last_time = float(times_sorted[-1])
         ledger.peak_active = int(active_after.max())
         return ledger
-
-    # -- contended calendar path -------------------------------------------------
-    def _run_calendar(
-        self,
-        requests: ArrivalBatch,
-        templates: List[TraceTemplate],
-        template_of: np.ndarray,
-        duration_seconds: float,
-    ) -> ServingResult:
-        """Finite cluster: exact event replay on the two-lane calendar.
-
-        The event set, handler order and every push mirror the scalar
-        ``run`` and its launches one-for-one (arrivals on the backbone own
-        seqs ``0..n-1``; dynamic pushes continue in the scalar's schedule
-        order), so tie-breaking is identical — only the per-event callback
-        objects and per-request backend evaluation are gone.
-        """
-        scalar = self._scalar
-        times = requests.times.tolist()
-        n = len(times)
-        pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
-        queue_capacity = scalar.options.queue_capacity
-        template_list = template_of.tolist()
-        ledger = ClusterLedger(scalar.cluster)
-        queue: deque = deque()
-        completed: List[int] = []
-        rejected: List[int] = []
-        calendar = EventCalendar(times, _ARRIVAL)
-        release_slots: List[Tuple[object, float]] = []
-        plan = scalar.workflow.plan
-        names, preds_of, succs_of = plan.names, plan.preds, plan.succs
-        penalties = scalar._cold_latency
-        in_degree = [len(preds) for preds in preds_of]
-        # Per-request launch state, indexed by request.
-        dispatch_at = [0.0] * n
-        completion_at = [0.0] * n
-        colds = [0] * n
-        cold_secs = [0.0] * n
-        extras = [0.0] * n
-        finish_of: List[Optional[List[float]]] = [None] * n
-        waiting_of: List[Optional[List[int]]] = [None] * n
-        remaining = [0] * n
-
-        def launch(i: int, dispatch_time: float) -> None:
-            dispatch_at[i] = dispatch_time
-            completion_at[i] = dispatch_time
-            finish_of[i] = [0.0] * len(names)
-            waiting_of[i] = in_degree.copy()
-            remaining[i] = len(names)
-            for k in plan.roots:
-                calendar.push(dispatch_time, _START, i, k)
-
-        def try_dispatch() -> None:
-            while queue:
-                i = queue[0]
-                configuration = templates[template_list[i]].configuration
-                if ledger.try_reserve(i, configuration, calendar.now) is None:
-                    if ledger.active == 0 and not ledger.has_down_nodes:
-                        queue.popleft()
-                        rejected.append(i)
-                        continue
-                    break
-                queue.popleft()
-                launch(i, calendar.now)
-
-        while calendar:
-            now, _, kind, a, b = calendar.pop()
-            if kind == _START:
-                tpl = templates[template_list[a]]
-                status = tpl.statuses[b]
-                if status is ExecutionStatus.SKIPPED:
-                    end = now
-                else:
-                    penalty = 0.0
-                    container = None
-                    if pool is not None:
-                        container, is_cold = pool.acquire(
-                            names[b], tpl.configs[b], now
-                        )
-                        if is_cold:
-                            penalty = penalties[b]
-                            colds[a] += 1
-                            cold_secs[a] += penalty
-                    end = now + penalty + tpl.runtimes[b]
-                    if container is not None and status is not ExecutionStatus.OOM:
-                        # OOM kills destroy the container: never released.
-                        calendar.push(end, _RELEASE, len(release_slots))
-                        release_slots.append((container, end))
-                    if penalty > 0.0:
-                        extras[a] += tpl.deltas[b]
-                finish = finish_of[a]
-                finish[b] = end
-                if end > completion_at[a]:
-                    completion_at[a] = end
-                remaining[a] -= 1
-                if remaining[a] == 0:
-                    calendar.push(completion_at[a], _COMPLETE, a)
-                else:
-                    waiting = waiting_of[a]
-                    for s in succs_of[b]:
-                        waiting[s] -= 1
-                        if waiting[s] == 0:
-                            plist = preds_of[s]
-                            start = finish[plist[0]]
-                            for p in plist[1:]:
-                                value = finish[p]
-                                if value > start:
-                                    start = value
-                            calendar.push(start, _START, a, s)
-            elif kind == _RELEASE:
-                container, finish_time = release_slots[a]
-                pool.release(container, finish_time)
-            elif kind == _COMPLETE:
-                ledger.release(a, now)
-                completed.append(a)
-                try_dispatch()
-            else:  # arrival
-                queue.append(a)
-                try_dispatch()
-                if queue_capacity is not None and len(queue) > queue_capacity:
-                    rejected.append(queue.pop())
-
-        ledger.advance(calendar.now)
-        index = np.sort(np.asarray(completed, dtype=np.intp))
-        template_done = template_of[index]
-        outcomes = OutcomeTable(
-            index,
-            requests.take(index) if index.size < n else requests,
-            np.asarray(dispatch_at, dtype=np.float64)[index],
-            np.asarray(completion_at, dtype=np.float64)[index],
-            _base_costs(templates)[template_done]
-            + np.asarray(extras, dtype=np.float64)[index],
-            np.asarray(colds, dtype=np.int64)[index],
-            np.asarray(cold_secs, dtype=np.float64)[index],
-            template_done,
-            templates,
-        )
-        rejected_requests = requests.to_requests(np.asarray(rejected, dtype=np.intp))
-        metrics = summarize_outcomes(
-            outcomes, rejected_requests, duration_seconds, n, scalar.slo, ledger=ledger
-        )
-        return ServingResult(outcomes=outcomes, rejected=rejected_requests, metrics=metrics)
 
 
 def _base_costs(templates: List[TraceTemplate]) -> np.ndarray:

@@ -135,9 +135,10 @@ class ServingSettings:
         Serving engine walking the request stream: ``"event"`` (the scalar
         reference event loop) or ``"batched"`` (the array-cohort engine in
         :mod:`repro.execution.serving_vectorized`).  Bit-identical under
-        fixed seeds — the engine differential tier asserts it; faulty,
-        noisy, adaptive and autoscaled runs route through the scalar
-        fallback either way.
+        fixed seeds — the engine differential tier asserts it.  The batched
+        engine settles only clean runs without a cluster (``nodes=0``) in
+        cohorts; it delegates faulted, protected, noisy, adaptive,
+        autoscaled and cluster runs whole to the event loop.
     configuration:
         Explicit initial configuration; when given, ``method`` is skipped
         entirely (no search phase).

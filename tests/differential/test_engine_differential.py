@@ -110,8 +110,9 @@ class TestQuickDifferential:
         )
         assert_equivalent(*run_pair("chatbot", settings))
 
-    def test_contended_calendar_path(self):
-        # nodes>0 drives the event-calendar replay (queueing + rejection).
+    def test_contended_run_routes_through_fallback(self):
+        # nodes>0 queues on a finite cluster: the batched engine delegates the
+        # whole run to the event loop and records why.
         settings = ServingSettings(
             method="base",
             arrival="poisson",
@@ -120,7 +121,12 @@ class TestQuickDifferential:
             nodes=2,
             seed=90210,
         )
-        assert_equivalent(*run_pair("chatbot", settings))
+        reference, batched = run_pair("chatbot", settings)
+        assert_equivalent(reference, batched)
+        assert reference.result.fallback_reason == ""
+        assert batched.result.fallback_reason == "cluster"
+        assert "engine fallback" in render_serving_report(batched)
+        assert "engine fallback" not in render_serving_report(reference)
 
     def test_queue_capacity_rejections(self):
         settings = ServingSettings(
@@ -210,6 +216,33 @@ class TestQuickDifferential:
         assert_equivalent(reference, batched)
         assert batched.result.fallback_reason == "protection"
 
+    @pytest.mark.parametrize(
+        "reason, overrides",
+        [
+            pytest.param("faults", {"faults": "crashes"}, id="faults"),
+            pytest.param("protection", {"protection": "shedding"}, id="protection"),
+            pytest.param("noise", {"noise_cv": 0.1}, id="noise"),
+            pytest.param("adaptive", {"adaptive": True}, id="adaptive"),
+            pytest.param("autoscale", {"autoscale": True}, id="autoscale"),
+        ],
+    )
+    def test_cluster_ranks_last_in_fallback_reason(self, reason, overrides):
+        # Each of these runs is also on a finite cluster, and each records
+        # its own reason rather than "cluster".
+        settings = ServingSettings(
+            method="base",
+            arrival="poisson",
+            rate_rps=0.3,
+            duration_seconds=60.0,
+            nodes=2,
+            seed=90210,
+            **overrides,
+        )
+        reference, batched = run_pair("chatbot", settings)
+        assert_equivalent(reference, batched)
+        assert reference.result.fallback_reason == ""
+        assert batched.result.fallback_reason == reason
+
 
 class TestColumnarStreamDifferential:
     """The batched engine serves an ``ArrivalBatch`` as columns.  Fed the
@@ -249,9 +282,11 @@ class TestColumnarStreamDifferential:
             for outcome in result.outcomes
         ]
 
-    def serve_three_ways(self, workload, batch, requests, dispatcher, duration, **options):
+    def serve_three_ways(self, workload, batch, requests, dispatcher, duration, reason="",
+                         **options):
         """Serve ``batch``, its records and ``requests``; assert the three
-        results agree and return them."""
+        results agree, that the batched runs record ``reason`` as their
+        fallback (``""``: none), and return them."""
         assert batch.to_requests() == requests
         runs = [
             ("batched", batch),
@@ -263,7 +298,7 @@ class TestColumnarStreamDifferential:
             result = self.engine(workload, name, **options).run(
                 stream, dispatcher, duration_seconds=duration
             )
-            assert result.fallback_reason == ""
+            assert result.fallback_reason == (reason if name == "batched" else "")
             results.append(result)
         first = results[0]
         for other in results[1:]:
@@ -292,6 +327,14 @@ class TestColumnarStreamDifferential:
         assert results[0].metrics.cold_start_invocations > 0
 
     def test_video_analysis_input_aware(self):
+        self.serve_video_analysis_input_aware(nodes=0)
+
+    def test_video_analysis_input_aware_on_a_cluster(self):
+        # The batched engine delegates: equal dispatch counts show that it
+        # does so before calling the dispatcher.
+        self.serve_video_analysis_input_aware(nodes=8)
+
+    def serve_video_analysis_input_aware(self, nodes):
         workload = get_workload("video-analysis")
         engine = InputAwareEngine(
             searcher=make_searcher("AARC", workload, ExperimentSettings(seed=717)),
@@ -315,9 +358,11 @@ class TestColumnarStreamDifferential:
             ("event", requests),
         ):
             engine.reset_dispatch_counts()
-            results.append(
-                self.engine(workload, name).run(stream, dispatcher, duration_seconds=200.0)
+            result = self.engine(workload, name, nodes).run(
+                stream, dispatcher, duration_seconds=200.0
             )
+            assert result.fallback_reason == ("cluster" if nodes and name == "batched" else "")
+            results.append(result)
             counts.append(engine.dispatch_counts())
         assert counts[0] == counts[1] == counts[2]
         assert sum(counts[0].values()) == len(requests)
@@ -346,17 +391,41 @@ class TestColumnarStreamDifferential:
         batch, requests = self.streams(traffic, 150.0, 424242)
         self.serve_three_ways(workload, batch, requests, lambda _r: configuration, 150.0)
 
-    def test_calendar_path_with_rejections(self):
+    def test_cluster_with_rejections_delegates(self):
         workload = get_workload("chatbot")
         configuration = workload.base_configuration()
         traffic = workload.traffic_model(arrival="poisson", rate_rps=1.5)
         batch, requests = self.streams(traffic, 40.0, 90210)
         results = self.serve_three_ways(
-            workload, batch, requests, lambda _r: configuration, 40.0,
+            workload, batch, requests, lambda _r: configuration, 40.0, "cluster",
             nodes=2, queue_capacity=3,
         )
         assert results[0].rejected
         assert results[0].metrics.completed + len(results[0].rejected) == len(requests)
+
+    def test_cluster_run_dispatches_the_callers_records(self):
+        # The batched engine delegates before it reads the stream into
+        # columns, so on a cluster its dispatcher sees the caller's own
+        # records, in the order the event loop sees them.
+        workload = get_workload("chatbot")
+        configuration = workload.base_configuration()
+        traffic = workload.traffic_model(arrival="poisson", rate_rps=1.5)
+        _, requests = self.streams(traffic, 40.0, 90210)
+        seen = []
+        for name in ("batched", "event"):
+            calls = []
+
+            def dispatcher(request, calls=calls):
+                calls.append(request)
+                return configuration
+
+            result = self.engine(workload, name, nodes=2).run(
+                requests, dispatcher, duration_seconds=40.0
+            )
+            assert result.fallback_reason == ("cluster" if name == "batched" else "")
+            seen.append([id(request) for request in calls])
+        assert seen[0] == seen[1]
+        assert sorted(seen[0]) == sorted(id(request) for request in requests)
 
     def test_empty_stream(self):
         workload = get_workload("chatbot")
@@ -375,8 +444,8 @@ class TestColumnarStreamDifferential:
 
 class TestZooDifferential:
     """Zoo workflows on both engines, uncapped (cohort path) and on 8 nodes
-    (calendar path).  No other case here serves a zoo DAG, and the layered
-    family's several roots exist in no paper workload."""
+    (delegated to the event loop).  No other case here serves a zoo DAG, and
+    the layered family's several roots exist in no paper workload."""
 
     @pytest.mark.parametrize("nodes", [0, 8])
     @pytest.mark.parametrize(
@@ -392,7 +461,7 @@ class TestZooDifferential:
         )
         reference, batched = run_pair(workload, settings)
         assert_equivalent(reference, batched)
-        assert batched.result.fallback_reason == ""
+        assert batched.result.fallback_reason == ("cluster" if nodes else "")
 
 
 class TestPoolSettlementDifferential:

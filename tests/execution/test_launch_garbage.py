@@ -1,10 +1,13 @@
-"""Event-loop requests are freed by reference counting, not by the collector.
+"""Event-loop runs and requests are freed by reference counting, not by the
+collector.
 
-Each launch (one request incarnation) keeps its state in one object whose
-events are ``functools.partial``s of its bound methods, so nothing a request
-allocates refers back to it.  A reference cycle per request would make the
-cyclic garbage collector's work grow with the run; here a run's garbage must
-not depend on how many requests it served.
+Each launch (one request incarnation) and each serving or fleet run keeps its
+state in one object whose events are ``functools.partial``s of its bound
+methods, so nothing a request or a run allocates refers back to it once its
+events have fired.  A reference cycle per request would make the cyclic
+garbage collector's work grow with the run, and one per run would keep the
+run's loop, ledger and injector alive until the next collection; here a run
+leaves no cyclic garbage at all, nor does a simulator that is dropped.
 """
 
 import gc
@@ -18,7 +21,8 @@ from repro.execution.faults import get_fault_profile
 from repro.execution.fleet import FleetOptions, FleetSimulator, Tenant
 from repro.execution.instances import build_cluster
 from repro.execution.protection import ProtectionGuard, get_protection_profile
-from repro.execution.serving import ServingSimulator
+from repro.execution.serving import AutoscalerOptions, ServingOptions, ServingSimulator
+from repro.execution.serving_vectorized import BatchedServingSimulator
 from repro.workloads.registry import get_workload
 
 
@@ -36,13 +40,19 @@ def freed_by_collection(run, requests):
         gc.enable()
 
 
-def serving_run(faults=None, protection=None, nodes=0):
+def serving_run(faults=None, protection=None, nodes=0, autoscale=False,
+                engine=ServingSimulator):
     workload = get_workload("chatbot")
-    simulator = ServingSimulator(
+    simulator = engine(
         workload.workflow,
         workload.build_executor(),
         cluster=Cluster.homogeneous(nodes) if nodes else None,
         slo=workload.slo,
+        # A 5-s tick, so that even the 20-request (10-s) run ticks.
+        options=ServingOptions(
+            autoscale=True,
+            autoscaler=AutoscalerOptions(interval_seconds=5.0, window_seconds=20.0),
+        ) if autoscale else None,
         faults=get_fault_profile(faults, seed=3) if faults else None,
         protection=get_protection_profile(protection, seed=3) if protection else None,
     )
@@ -102,6 +112,11 @@ def held_guards(monkeypatch):
         pytest.param(lambda: serving_run("chaos", "full", nodes=0), id="faulted-protected"),
         pytest.param(lambda: serving_run("chaos", "full", nodes=8), id="faulted-node-failures"),
         pytest.param(lambda: serving_run(), id="clean"),
+        pytest.param(lambda: serving_run(nodes=8, autoscale=True), id="autoscaled"),
+        pytest.param(
+            lambda: serving_run(nodes=8, engine=BatchedServingSimulator), id="batched-delegated"
+        ),
+        pytest.param(lambda: serving_run(engine=BatchedServingSimulator), id="batched-cohort"),
         pytest.param(fleet_run, id="fleet"),
     ],
 )
@@ -109,6 +124,16 @@ def test_no_request_leaves_cyclic_garbage(build):
     run = build()
     # A first run fills the caches and performs one-time set-up.  The
     # simulator stays referenced here, so its warm pool and caches are not
-    # garbage; what one run leaves is its own closures and bookkeeping.
+    # garbage; a run itself must leave none, whatever its size.
     run(20)
-    assert freed_by_collection(run, 100) == freed_by_collection(run, 400)
+    assert freed_by_collection(run, 100) == 0
+    assert freed_by_collection(run, 400) == 0
+    # Dropped, the simulator and everything its runs cached are freed by
+    # reference counting too.
+    gc.collect()
+    gc.disable()
+    try:
+        del run
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
