@@ -26,7 +26,6 @@ from repro.core.objective import EvaluationResult, SearchResult, WorkflowObjecti
 from repro.utils.logging import get_logger
 from repro.utils.ranges import Range, check_fields
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
-from repro.workflow.slo import SLO
 
 __all__ = ["SchedulerOptions", "GraphCentricScheduler"]
 

@@ -1,8 +1,9 @@
 """Discrete-event loop and the request streams every serving engine consumes.
 
-The serving layer (:mod:`repro.execution.serving`) drives request streams
-through the :class:`EventLoop`, replaying each dispatched request as a
-:class:`Launch`; each :class:`RequestArrival` carries the arrival time,
+The serving layer (:mod:`repro.execution.serving`) and the fleet drive
+request streams through the :class:`EventLoop`, replaying each dispatched
+request as a :class:`Launch` whose totals across restarts live in a
+:class:`RequestCarry`; each :class:`RequestArrival` carries the arrival time,
 input scale and input class the input-aware engine (paper §IV-D, Fig. 8)
 dispatches on.  An :class:`ArrivalBatch` is the same stream as columns,
 which the batched engine serves without a record per request.
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.workflow.dag import WorkflowPlan
 
-__all__ = ["ArrivalBatch", "EventLoop", "Launch", "RequestArrival"]
+__all__ = ["ArrivalBatch", "EventLoop", "Launch", "RequestArrival", "RequestCarry"]
 
 _INF = float("inf")
 
@@ -121,6 +122,52 @@ class Launch:
             if waiting[successor] == 0:
                 start = ready[successor]
                 self.loop.schedule(start, partial(self.start, successor, start))
+
+
+class RequestCarry:
+    """Counters one request accumulates across its launches.
+
+    A node failure (or, in a fleet, a spot eviction) aborts an in-flight
+    request and re-queues it; the next launch must keep billing, retry and
+    wasted-work totals from the aborted one, so they live here rather than
+    in a launch.  A run keeps one per request from its first dispatch to
+    its completion.  ``row`` holds the request's precomputed fault draws
+    (:meth:`~repro.execution.faults.FaultInjector.draw_row`), which the
+    injector reads for the first launch only.
+    """
+
+    __slots__ = (
+        "row",
+        "attempts",
+        "retries",
+        "restarts",
+        "wasted_seconds",
+        "wasted_gb_seconds",
+        "extra_cost",
+        "cold_count",
+        "cold_seconds",
+        "fault_counts",
+        "hedges",
+        "hedge_wins",
+    )
+
+    def __init__(self, row: Optional[np.ndarray] = None) -> None:
+        self.row = row
+        self.attempts = 0
+        self.retries = 0
+        self.restarts = 0
+        self.wasted_seconds = 0.0
+        self.wasted_gb_seconds = 0.0
+        self.extra_cost = 0.0
+        self.cold_count = 0
+        self.cold_seconds = 0.0
+        self.fault_counts: Dict[str, int] = {}
+        self.hedges = 0
+        self.hedge_wins = 0
+
+    def count_fault(self, kind) -> None:
+        """Count one fault of ``kind`` (a :class:`~repro.execution.faults.FaultKind`)."""
+        self.fault_counts[kind.value] = self.fault_counts.get(kind.value, 0) + 1
 
 
 class RequestArrival:
@@ -231,12 +278,6 @@ class ArrivalBatch:
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
-
-    def take(self, rows: np.ndarray) -> "ArrivalBatch":
-        """The requests ``rows`` selects, as a batch."""
-        return ArrivalBatch(
-            self.times[rows], self.scales[rows], self.class_ids[rows], self.class_names
-        )
 
     def to_requests(
         self, rows: Union[slice, np.ndarray] = slice(None)

@@ -23,10 +23,11 @@ those perturbations as data — a :class:`FaultPlan` — plus a
   (:class:`NoRetry`, :class:`FixedRetry`, :class:`ExponentialBackoffRetry`
   with deterministic jitter), all bounded by ``max_attempts``.
 
-An *empty* plan (:meth:`FaultPlan.is_empty`) injects nothing; the serving
-layer routes such runs through its unperturbed code path, so a run with an
-empty plan is byte-identical to a run with no injector at all — the
-invariant the golden-trace regression harness relies on.
+An *empty* plan (:meth:`FaultPlan.is_empty`) injects nothing: every attempt
+completes in its runtime plus any cold start, and the injector makes no
+draw.  The serving layer runs every request through its injector, with the
+empty plan when a run has no faults, so a run with an empty plan is
+byte-identical to a run given no plan at all.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -304,13 +305,13 @@ class FaultPlan:
 # -- invocation outcomes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvocationOutcome:
+class InvocationOutcome(NamedTuple):
     """What the injector decided for one invocation attempt.
 
     ``elapsed_seconds`` is how long the attempt holds its container from
     acquisition (cold start included) to completion or kill; a killed
-    attempt's elapsed time is pure wasted work.
+    attempt's elapsed time is pure wasted work.  A named tuple, since every
+    attempt of every serving run builds one.
     """
 
     fault: Optional[FaultKind]
@@ -533,12 +534,10 @@ class FaultInjector:
         timeout = self._timeouts[function_name]
         if timeout is not None and timeout < end:
             # The timeout budget kills first, whatever else was scheduled.
-            return InvocationOutcome(
-                fault=FaultKind.TIMEOUT, elapsed_seconds=timeout, completed=False
-            )
+            return InvocationOutcome(FaultKind.TIMEOUT, timeout, False)
         if kill_at is not None:
-            return InvocationOutcome(fault=fault, elapsed_seconds=kill_at, completed=False)
-        return InvocationOutcome(fault=fault, elapsed_seconds=completion, completed=True)
+            return InvocationOutcome(fault, kill_at, False)
+        return InvocationOutcome(fault, completion, True)
 
     def backoff_seconds(
         self,

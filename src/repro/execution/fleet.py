@@ -34,12 +34,12 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
 from repro.execution.cluster import Cluster, ClusterLedger, Node, balance_key, spread_key
 from repro.execution.container import ContainerPool
-from repro.execution.events import EventLoop, Launch, RequestArrival
+from repro.execution.events import EventLoop, Launch, RequestArrival, RequestCarry
 from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
 from repro.execution.outcomes import ServedRequest, ServingMetrics, summarize_outcomes
@@ -221,7 +221,8 @@ class _NamespacedPool:
 class _FleetLaunch(Launch):
     """Replay one tenant request's trace template with node pricing and interference.
 
-    Mirrors the serving layer's clean replay, with three fleet twists:
+    Replays a template function by function, as the serving layer's launch
+    replays a clean trace, with three fleet twists:
     every runtime is stretched by the dispatch-time interference factor,
     every invocation is billed at its hosting node's price multiplier, and
     the whole replay can be aborted (node failure / spot eviction) — running
@@ -237,7 +238,7 @@ class _FleetLaunch(Launch):
     def __init__(self, run: "_FleetRun", runtime: _TenantRuntime, template: TraceTemplate,
                  index: int, request: RequestArrival,
                  configuration: WorkflowConfiguration, stretch: float,
-                 node_of: Dict[str, Node], carry: Dict[str, float]) -> None:
+                 node_of: Dict[str, Node], carry: RequestCarry) -> None:
         super().__init__(run.loop, runtime.workflow.plan, run.loop.now)
         self.run = run
         self.runtime = runtime
@@ -263,12 +264,12 @@ class _FleetLaunch(Launch):
                 self.pool.kill(container)
         self.running.clear()
         carry = self.carry
-        carry["restarts"] += 1
-        carry["wasted_seconds"] += max(0.0, now - self.dispatch_time)
+        carry.restarts += 1
+        carry.wasted_seconds += max(0.0, now - self.dispatch_time)
         # Work already billed in the aborted incarnation was real spend.
-        carry["extra_cost"] += self.billed
-        carry["cold_count"] += self.cold_count
-        carry["cold_seconds"] += self.cold_seconds
+        carry.extra_cost += self.billed
+        carry.cold_count += self.cold_count
+        carry.cold_seconds += self.cold_seconds
 
     def _complete(self) -> None:
         carry = self.carry
@@ -279,13 +280,13 @@ class _FleetLaunch(Launch):
                 configuration=self.configuration,
                 dispatch_time=self.dispatch_time,
                 completion_time=self.completion,
-                cost=self.billed + carry["extra_cost"],
-                cold_start_count=self.cold_count + int(carry["cold_count"]),
-                cold_start_seconds=self.cold_seconds + carry["cold_seconds"],
+                cost=self.billed + carry.extra_cost,
+                cold_start_count=self.cold_count + carry.cold_count,
+                cold_start_seconds=self.cold_seconds + carry.cold_seconds,
                 succeeded=self.template.succeeded,
                 service_trace=self.template.trace,
-                restarts=int(carry["restarts"]),
-                wasted_seconds=carry["wasted_seconds"],
+                restarts=carry.restarts,
+                wasted_seconds=carry.wasted_seconds,
             )
         )
 
@@ -337,7 +338,7 @@ class _FleetRun:
 
     __slots__ = ("fleet", "options", "loop", "ledger", "cap_of", "priority_of", "guard",
                  "runtimes", "memos", "pool", "tenant_of", "outcomes", "rejected", "causes",
-                 "offered", "stretches", "inflight_aborts", "carries", "queue", "entries",
+                 "offered", "stretches", "inflight", "carries", "queue", "entries",
                  "node_failures", "spot_evictions")
 
     def __init__(self, fleet: "FleetSimulator") -> None:
@@ -385,8 +386,8 @@ class _FleetRun:
         self.causes: Dict[str, Dict[str, int]] = {t.name: {} for t in fleet.tenants}
         self.offered: Dict[str, int] = {t.name: 0 for t in fleet.tenants}
         self.stretches: List[float] = []
-        self.inflight_aborts: Dict[int, Callable[[float], None]] = {}
-        self.carries: Dict[int, Dict[str, float]] = {}
+        self.inflight: Dict[int, _FleetLaunch] = {}
+        self.carries: Dict[int, RequestCarry] = {}
         # Queue of (order_key, seq) entries; order_key is -priority under the
         # priority policy (drain important tenants first) and 0 otherwise
         # (pure FIFO by fleet sequence number).
@@ -417,8 +418,7 @@ class _FleetRun:
         if controller is not None:
             outcome.config_version = controller.version_of(seq)
         self.outcomes[tenant_name].append(outcome)
-        self.inflight_aborts.pop(seq, None)
-        self.carries.pop(seq, None)
+        del self.inflight[seq], self.carries[seq]
         self.entries.pop(seq, None)
         if self.guard is not None:
             self.guard.observe_completion(outcome.service_seconds)
@@ -461,15 +461,8 @@ class _FleetRun:
                 self.stretches.append(stretch)
             carry = carries.get(seq)
             if carry is None:
-                carry = {
-                    "restarts": 0,
-                    "wasted_seconds": 0.0,
-                    "extra_cost": 0.0,
-                    "cold_count": 0,
-                    "cold_seconds": 0.0,
-                }
-                carries[seq] = carry
-            launch = _FleetLaunch(
+                carry = carries[seq] = RequestCarry()
+            launch = self.inflight[seq] = _FleetLaunch(
                 self,
                 self.runtimes[tenant_name],
                 self.memos[tenant_name].get(configuration, request.input_scale),
@@ -480,7 +473,6 @@ class _FleetRun:
                 node_of,
                 carry,
             )
-            self.inflight_aborts[seq] = launch.abort
             launch.begin()
 
     def arrive(self, seq: int, tenant_name: str, request: RequestArrival) -> None:
@@ -535,9 +527,9 @@ class _FleetRun:
         fleet.container_pool.evict_node(node_name)
         loop.schedule_after(recovery, partial(self.recover, node_name))
         for seq in affected:
-            abort = self.inflight_aborts.pop(seq, None)
-            if abort is not None:
-                abort(loop.now)
+            launch = self.inflight.pop(seq, None)
+            if launch is not None:
+                launch.abort(loop.now)
             tenant_name, _, _ = self.entries[seq]
             heapq.heappush(self.queue, (self.order_key(tenant_name), seq))
         self.try_dispatch()

@@ -44,11 +44,12 @@ __all__ = [
 class ServedRequest:
     """Outcome of one request that made it through the serving layer.
 
-    The resilience fields (``attempts`` onwards) are only populated by
-    fault-injecting runs; fault-free runs leave them at their zero defaults.
+    Every serving run fills the resilience fields (``attempts`` onwards):
     ``base_invocations`` counts the invocations a fault-free execution of
     the same trace performs, so ``attempts / base_invocations`` is the
-    request's retry amplification.
+    request's retry amplification, and a request that suffered no fault
+    reports ``attempts == base_invocations`` and zeros elsewhere.  A
+    fleet's requests fill only ``restarts`` and ``wasted_seconds``.
 
     The event loop and the fleet build one per completed request, so the
     class is a hand-written ``__slots__`` record rather than a dataclass
@@ -215,7 +216,8 @@ class OutcomeColumns:
     """The per-request columns the summary and the invariant checks read.
 
     Arrays in index order.  A resilience column that is ``None`` holds only
-    the field's zero default, as in every fault-free run.
+    the field's zero default, as the batched engine's clean runs do for
+    every one but ``attempts`` and ``base_invocations``.
     """
 
     arrival: np.ndarray
@@ -251,16 +253,15 @@ class OutcomeTable(SequenceABC):
 
     The batched engine's outcomes: the served requests as an
     :class:`~repro.execution.events.ArrivalBatch`, one array per outcome
-    field, in index order, and the trace templates, each of which carries
-    its configuration, success and trace.  Reading an item (an index, a
-    slice or an iteration) builds fresh records from the columns, so
-    nothing is cached and an outcome's ``request`` is equal to, but not the
-    same object as, the arrival it was served for.  The arrays are read,
-    never written.
+    field, in index order (a row's position is its request index), and the
+    trace templates, each of which carries its configuration, success,
+    trace and invocation count.  Reading an item (an index, a slice or an
+    iteration) builds fresh records from the columns, so nothing is cached
+    and an outcome's ``request`` is equal to, but not the same object as,
+    the arrival it was served for.  The arrays are read, never written.
     """
 
     __slots__ = (
-        "index",
         "requests",
         "dispatch",
         "completion",
@@ -273,7 +274,6 @@ class OutcomeTable(SequenceABC):
 
     def __init__(
         self,
-        index: np.ndarray,
         requests: ArrivalBatch,
         dispatch: np.ndarray,
         completion: np.ndarray,
@@ -283,7 +283,6 @@ class OutcomeTable(SequenceABC):
         template: np.ndarray,
         templates: Sequence[TraceTemplate],
     ) -> None:
-        self.index = index
         self.requests = requests
         self.dispatch = dispatch
         self.completion = completion
@@ -297,7 +296,7 @@ class OutcomeTable(SequenceABC):
         return (OutcomeTable, tuple(getattr(self, name) for name in self.__slots__))
 
     def __len__(self) -> int:
-        return int(self.index.size)
+        return len(self.requests)
 
     def __repr__(self) -> str:
         return f"OutcomeTable({len(self)} outcomes)"
@@ -323,7 +322,7 @@ class OutcomeTable(SequenceABC):
         """Fresh records of the rows a slice selects, in its order."""
         templates = self.templates
         columns = zip(
-            self.index[rows].tolist(),
+            range(len(self))[rows],
             self.requests.to_requests(rows),
             self.dispatch[rows].tolist(),
             self.completion[rows].tolist(),
@@ -345,11 +344,16 @@ class OutcomeTable(SequenceABC):
                 cold_seconds,
                 template.succeeded,
                 template.trace,
+                attempts=template.base_invocations,
+                base_invocations=template.base_invocations,
             )
 
     def columns(self) -> OutcomeColumns:
         """The summary's columns, read from the table without a record."""
-        succeeded = np.asarray([t.succeeded for t in self.templates], dtype=bool)
+        templates = self.templates
+        succeeded = np.asarray([t.succeeded for t in templates], dtype=bool)
+        invocations = np.asarray([t.base_invocations for t in templates], dtype=np.int64)
+        attempts = invocations[self.template]
         return OutcomeColumns(
             self.requests.times,
             self.dispatch,
@@ -357,6 +361,8 @@ class OutcomeTable(SequenceABC):
             self.cost,
             self.cold_count,
             succeeded[self.template],
+            attempts=attempts,
+            base_invocations=attempts,
         )
 
 

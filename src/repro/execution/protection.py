@@ -28,8 +28,9 @@ Everything is declarative data (:class:`ProtectionPolicy`) plus a runtime
 pure function of observed event times and the policy's seed — no wall
 clock, no shared RNG — so protected runs are bit-reproducible.  An *empty*
 policy (:meth:`ProtectionPolicy.is_empty`) guards nothing: the serving
-layer routes such runs through its unperturbed code path, byte-identical
-to a run with no policy at all, mirroring the empty-fault-plan invariant.
+layer builds no guard for it, so such a run is byte-identical to a run
+with no policy at all, as a run with an empty fault plan is to one with
+none.
 """
 
 from __future__ import annotations
@@ -212,10 +213,9 @@ class ProtectionPolicy:
     """Declarative description of one serving run's protection mechanisms.
 
     Each mechanism is independently optional; :meth:`is_empty` is true when
-    none is configured, and the serving layer keeps such runs on the
-    untouched (byte-identical) code path.  ``seed`` roots the deterministic
-    streams a protected-but-fault-free run needs (the injector it borrows
-    uses an empty plan at this seed).
+    none is configured, and the serving layer builds no guard for such a
+    policy.  ``seed`` roots the injector of a protected but fault-free run,
+    whose plan is the empty plan at this seed.
     """
 
     admission: Optional[AdmissionControlConfig] = None

@@ -36,12 +36,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
 from repro.execution.cluster import Cluster, ClusterLedger
 from repro.execution.container import ContainerPool
-from repro.execution.events import EventLoop, Launch, RequestArrival
+from repro.execution.events import EventLoop, Launch, RequestArrival, RequestCarry
 from repro.execution.executor import WorkflowExecutor
 from repro.execution.faults import (
     HEDGE_ATTEMPT_OFFSET,
@@ -211,123 +209,6 @@ class _Autoscaler:
             self.decisions.append((now, target))
 
 
-class _RequestCarry:
-    """Counters one request accumulates across node-failure incarnations.
-
-    A node failure aborts the in-flight request and re-queues it; the fresh
-    launch must keep billing, retry and wasted-work totals from the aborted
-    incarnation, so they live here rather than in per-launch state.
-    ``__slots__``-backed like :class:`ServedRequest` — one per in-flight
-    request on the faulty hot path.  ``row`` holds the request's precomputed
-    fault draws (:meth:`~repro.execution.faults.FaultInjector.draw_row`),
-    which the injector reads for its first incarnation only.
-    """
-
-    __slots__ = (
-        "row",
-        "attempts",
-        "retries",
-        "restarts",
-        "wasted_seconds",
-        "wasted_gb_seconds",
-        "extra_cost",
-        "cold_count",
-        "cold_seconds",
-        "fault_counts",
-        "hedges",
-        "hedge_wins",
-    )
-
-    def __init__(self, row: Optional[np.ndarray]) -> None:
-        self.row = row
-        self.attempts = 0
-        self.retries = 0
-        self.restarts = 0
-        self.wasted_seconds = 0.0
-        self.wasted_gb_seconds = 0.0
-        self.extra_cost = 0.0
-        self.cold_count = 0
-        self.cold_seconds = 0.0
-        self.fault_counts: Dict[str, int] = {}
-        self.hedges = 0
-        self.hedge_wins = 0
-
-    def count_fault(self, kind: FaultKind) -> None:
-        self.fault_counts[kind.value] = self.fault_counts.get(kind.value, 0) + 1
-
-
-class _ServingLaunch(Launch):
-    """Replay one request's service trace on the event loop.
-
-    The trace comes from the backend at trigger 0 (memoizable); each
-    function is then re-enacted as events at its absolute start/finish
-    times, acquiring warm containers at the true start and releasing them at
-    the true finish — so overlapping requests can never share a container,
-    exactly as on a real platform.  The run's ``finish_request`` fires as a
-    loop event at the request's completion time.
-    """
-
-    __slots__ = ("run", "index", "request", "configuration", "trace", "cold_count",
-                 "cold_seconds", "extra_cost")
-
-    def __init__(self, run: "_ServingRun", index: int, request: RequestArrival,
-                 configuration: WorkflowConfiguration, trace) -> None:
-        super().__init__(run.loop, run.plan, run.loop.now)
-        self.run = run
-        self.index = index
-        self.request = request
-        self.configuration = configuration
-        self.trace = trace
-        self.cold_count = 0
-        self.cold_seconds = 0.0
-        self.extra_cost = 0.0
-
-    def start(self, k: int, start: float) -> None:
-        run = self.run
-        name = self.plan.names[k]
-        record = self.trace.records[name]
-        if record.status is ExecutionStatus.SKIPPED:
-            self._finish(k, start)
-            return
-        pool = run.pool
-        penalty = 0.0
-        container = None
-        if pool is not None:
-            container, cold = pool.acquire(name, record.config, start)
-            if cold:
-                penalty = run.cold_latency[k]
-                self.cold_count += 1
-                self.cold_seconds += penalty
-        end = start + penalty + record.runtime_seconds
-        # An OOM kill destroys its container, which is never released; any
-        # other is released as an event at the true finish time, so a
-        # concurrent request cannot warm-hit a busy container.
-        if container is not None and record.status is not ExecutionStatus.OOM:
-            self.loop.schedule(end, partial(pool.release, container, end))
-        if penalty > 0.0:
-            # The cold start is billed like runtime on the same container.
-            self.extra_cost += run.pricing.invocation_cost(
-                record.runtime_seconds + penalty, record.config
-            ) - run.pricing.invocation_cost(record.runtime_seconds, record.config)
-        self._finish(k, end)
-
-    def _complete(self) -> None:
-        trace = self.trace
-        outcome = ServedRequest(
-            index=self.index,
-            request=self.request,
-            configuration=self.configuration,
-            dispatch_time=self.dispatch_time,
-            completion_time=self.completion,
-            cost=trace.total_cost + self.extra_cost,
-            cold_start_count=self.cold_count,
-            cold_start_seconds=self.cold_seconds,
-            succeeded=trace.succeeded,
-            service_trace=trace,
-        )
-        self.loop.schedule(self.completion, partial(self.run.finish_request, outcome))
-
-
 class _HedgeToken:
     """Shared by a hedged primary's settle event and its hedge: a winning
     hedge sets ``cancelled`` to suppress the primary's settle."""
@@ -339,22 +220,29 @@ class _HedgeToken:
 
 
 class _FaultyLaunch(Launch):
-    """Replay one request's service trace with fault injection.
+    """Replay one request's service trace, attempt by attempt, with faults.
 
-    Mirrors :class:`_ServingLaunch`, with three additions: every invocation
-    attempt asks the injector for its fate (clean completion, straggler
-    slowdown, or a crash/OOM/timeout kill), killed attempts are retried under
-    the plan's :class:`~repro.execution.faults.RetryPolicy` (a retry that
-    exhausts its budget fails the function terminally and skips its
-    dependents), and the whole launch can be *aborted* by a node failure —
-    partial work is billed and counted as waste, and the caller re-queues
-    the request with its accumulated ``carry``.  An aborted launch is
-    ``dead``: its pending events still fire and return at once.
+    The serving layer's one request lifecycle.  The trace comes from the
+    backend at trigger 0 (memoizable); each function is then re-enacted as
+    events at its absolute start and end times, acquiring a warm container
+    at the true start and releasing it at the true end, so overlapping
+    requests never share a container, exactly as on a real platform.
+
+    Every invocation attempt asks the run's injector for its fate (clean
+    completion, straggler slowdown, or a crash/OOM/timeout kill), killed
+    attempts are retried under the plan's
+    :class:`~repro.execution.faults.RetryPolicy` (a retry that exhausts its
+    budget fails the function terminally and skips its dependents), and the
+    whole launch can be *aborted* by a node failure — partial work is
+    billed and counted as waste, and the run re-queues the request with its
+    accumulated ``carry``.  An aborted launch is ``dead``: its pending
+    events still fire and return at once.  A clean run's injector holds the
+    empty plan, under which every attempt completes in its trace's runtime
+    plus any cold start.
 
     A :class:`~repro.execution.protection.ProtectionGuard` adds two
-    per-attempt mechanisms on top (everything below is a strict no-op when
-    the guard is ``None``, so faulty-but-unprotected runs are byte-identical
-    to runs without the protection layer):
+    per-attempt mechanisms on top (both are skipped when the run has no
+    guard):
 
     * **deadline budgets** — each attempt is capped at its stage's share of
       the end-to-end budget; exceeding it is a timeout kill, retried like any
@@ -372,10 +260,10 @@ class _FaultyLaunch(Launch):
     """
 
     __slots__ = ("run", "index", "request", "configuration", "trace", "carry",
-                 "incarnation", "budgets", "dead", "running", "done_work", "failed")
+                 "incarnation", "budgets", "dead", "running", "done_work", "failed", "skipped")
 
     def __init__(self, run: "_ServingRun", index: int, request: RequestArrival,
-                 configuration: WorkflowConfiguration, trace, carry: _RequestCarry) -> None:
+                 configuration: WorkflowConfiguration, trace, carry: RequestCarry) -> None:
         super().__init__(run.loop, run.plan, run.loop.now)
         self.run = run
         self.index = index
@@ -402,8 +290,10 @@ class _FaultyLaunch(Launch):
         # only, so the same attempt can never be charged twice.
         self.running: Dict[int, Tuple[Optional[object], float, object]] = {}
         self.done_work: List[Tuple[float, float, object]] = []
-        # Positions of terminally failed functions.
+        # Positions of terminally failed functions, and the count of
+        # functions the trace itself skips.
         self.failed: set = set()
+        self.skipped = 0
 
     def _waste(self, elapsed: float, config) -> None:
         """Bill ``elapsed`` seconds of lost work on ``config``."""
@@ -433,6 +323,7 @@ class _FaultyLaunch(Launch):
         name = self.plan.names[k]
         record = self.trace.records[name]
         if record.status is ExecutionStatus.SKIPPED:
+            self.skipped += 1
             self._finish(k, start)
             return
         failed = self.failed
@@ -450,8 +341,8 @@ class _FaultyLaunch(Launch):
         loop = self.loop
         if record.status is ExecutionStatus.OOM:
             # Configuration-caused OOM: deterministic, so retrying is
-            # pointless — mirror the fault-free path (container dies, never
-            # released; the trace already bills and skips).
+            # pointless.  The container dies and is never released; the
+            # trace already bills the function and skips its dependents.
             outcome = InvocationOutcome(
                 fault=None, elapsed_seconds=penalty + record.runtime_seconds, completed=True
             )
@@ -459,13 +350,8 @@ class _FaultyLaunch(Launch):
             loop.schedule(end, partial(self.settle_completed, k, k, end, outcome, record, False))
             return
         outcome = run.injector.plan_invocation(
-            self.index,
-            name,
-            attempt,
-            record.runtime_seconds,
-            cold_start_seconds=penalty,
-            incarnation=self.incarnation,
-            row=carry.row,
+            self.index, name, attempt, record.runtime_seconds, penalty, self.incarnation,
+            carry.row,
         )
         guard = run.guard
         if guard is not None:
@@ -500,20 +386,24 @@ class _FaultyLaunch(Launch):
         if entry is not None and entry[0] is not None and release:
             run.pool.release(entry[0], end)
         # else: a configuration OOM killed its own container; it is never
-        # returned, exactly as in the fault-free path.
+        # returned.
         carry = self.carry
         if outcome.fault is FaultKind.STRAGGLER:
             carry.count_fault(FaultKind.STRAGGLER)
-        # Bill the cold start and any straggler stretch on top of the trace's
-        # own (base-runtime) cost.
-        carry.extra_cost += run.pricing.invocation_cost(
-            outcome.elapsed_seconds, record.config
-        ) - run.pricing.invocation_cost(record.runtime_seconds, record.config)
-        self.done_work.append((outcome.elapsed_seconds, record.cost, record.config))
+        elapsed = outcome.elapsed_seconds
+        if elapsed != record.runtime_seconds:
+            # Bill the cold start and any straggler stretch on top of the
+            # trace's own (base-runtime) cost; an attempt that took exactly
+            # its runtime would add 0.0.
+            pricing = run.pricing
+            carry.extra_cost += pricing.invocation_cost(
+                elapsed, record.config
+            ) - pricing.invocation_cost(record.runtime_seconds, record.config)
+        self.done_work.append((elapsed, record.cost, record.config))
         if key != k:
             carry.hedge_wins += 1
         if run.guard is not None:
-            run.guard.observe_attempt(self.plan.names[k], end, False, outcome.elapsed_seconds)
+            run.guard.observe_attempt(self.plan.names[k], end, False, elapsed)
         self._finish(k, end)
 
     def settle_killed(self, k: int, key: int, end: float, attempt: int,
@@ -586,13 +476,8 @@ class _FaultyLaunch(Launch):
         carry.attempts += 1
         carry.hedges += 1
         h_outcome = run.injector.plan_invocation(
-            self.index,
-            name,
-            HEDGE_ATTEMPT_OFFSET + attempt,
-            record.runtime_seconds,
-            cold_start_seconds=penalty,
-            incarnation=self.incarnation,
-            row=carry.row,
+            self.index, name, HEDGE_ATTEMPT_OFFSET + attempt, record.runtime_seconds, penalty,
+            self.incarnation, carry.row,
         )
         h_outcome = guard.cap_stage(name, h_outcome, self.budgets)
         h_end = h_start + h_outcome.elapsed_seconds
@@ -656,12 +541,11 @@ class _FaultyLaunch(Launch):
             attempts=carry.attempts,
             retries=carry.retries,
             restarts=carry.restarts,
-            base_invocations=sum(
-                1 for r in trace.records.values() if r.status is not ExecutionStatus.SKIPPED
-            ),
+            base_invocations=len(self.plan.names) - self.skipped,
             wasted_seconds=carry.wasted_seconds,
             wasted_gb_seconds=carry.wasted_gb_seconds,
-            fault_counts=dict(carry.fault_counts),
+            # The carry ends with the request, so its counts are handed over.
+            fault_counts=carry.fault_counts,
             hedges=carry.hedges,
             hedge_wins=carry.hedge_wins,
         )
@@ -707,7 +591,7 @@ class _ServingRun:
     __slots__ = ("simulator", "configuration_for", "rng", "controller", "loop", "plan",
                  "pool", "pricing", "cold_latency", "ledger", "queue", "outcomes", "rejected",
                  "rejection_causes", "autoscaler", "pending_arrivals", "guard", "injector",
-                 "inflight_aborts", "carries", "dispatched", "node_failures")
+                 "inflight", "carries", "node_failures")
 
     def __init__(self, simulator: "ServingSimulator",
                  configuration_for: Callable[[RequestArrival], WorkflowConfiguration],
@@ -736,7 +620,6 @@ class _ServingRun:
             else None
         )
         self.pending_arrivals = pending_arrivals
-        plan = simulator.faults
         policy = simulator.protection
         self.guard = guard = (
             ProtectionGuard(
@@ -750,24 +633,22 @@ class _ServingRun:
             if policy is not None and not policy.is_empty
             else None
         )
-        self.injector: Optional[FaultInjector] = None
-        if plan is not None and not plan.is_empty:
-            self.injector = FaultInjector(
-                plan,
-                fault_rng,
-                function_names=self.plan.names,
-                hedging=guard is not None and policy.hedging is not None,
-            )
-        elif guard is not None:
-            # Protected runs need the per-attempt machinery (deadline kills,
-            # hedges, retries) even without injected faults: borrow the
-            # faulty launch path with an empty plan, which perturbs nothing.
-            self.injector = FaultInjector(FaultPlan.none(seed=policy.seed), fault_rng)
-        # Fault bookkeeping: abort callbacks of in-flight launches, counters
+        faults = simulator.faults
+        if faults is None or faults.is_empty:
+            # Nothing to inject: under the empty plan every attempt takes its
+            # trace's runtime plus any cold start, unless a protected run's
+            # deadline kills it first (and then it is not retried).
+            faults = FaultPlan.none(seed=policy.seed) if guard is not None else FaultPlan.none()
+        self.injector = FaultInjector(
+            faults,
+            fault_rng,
+            function_names=self.plan.names,
+            hedging=guard is not None and policy.hedging is not None,
+        )
+        # The launches in flight (a node failure aborts them), counters
         # carried across node-failure incarnations, and the failure count.
-        self.inflight_aborts: Dict[int, Callable[[float], None]] = {}
-        self.carries: Dict[int, _RequestCarry] = {}
-        self.dispatched: Dict[int, Tuple[RequestArrival, WorkflowConfiguration]] = {}
+        self.inflight: Dict[int, _FaultyLaunch] = {}
+        self.carries: Dict[int, RequestCarry] = {}
         self.node_failures = 0
         if controller is not None:
             controller.bind(pool=simulator.container_pool)
@@ -839,16 +720,12 @@ class _ServingRun:
                 input_scale=request.input_scale,
                 rng=rng.child("request", index) if rng is not None else None,
             )
-            if injector is None:
-                _ServingLaunch(self, index, request, configuration, trace).begin()
-                continue
             carry = self.carries.get(index)
             if carry is None:
-                carry = _RequestCarry(injector.draw_row(index))
-                self.carries[index] = carry
-            self.dispatched[index] = (request, configuration)
-            launch = _FaultyLaunch(self, index, request, configuration, trace, carry)
-            self.inflight_aborts[index] = launch.abort
+                carry = self.carries[index] = RequestCarry(injector.draw_row(index))
+            launch = self.inflight[index] = _FaultyLaunch(
+                self, index, request, configuration, trace, carry
+            )
             launch.begin()
 
     def finish_request(self, outcome: ServedRequest) -> None:
@@ -859,9 +736,7 @@ class _ServingRun:
         if controller is not None:
             outcome.config_version = controller.version_of(index)
         self.outcomes.append(outcome)
-        self.inflight_aborts.pop(index, None)
-        self.carries.pop(index, None)
-        self.dispatched.pop(index, None)
+        del self.inflight[index], self.carries[index]
         if self.guard is not None:
             self.guard.observe_completion(outcome.service_seconds)
         if self.autoscaler is not None:
@@ -880,18 +755,17 @@ class _ServingRun:
         affected = self.ledger.fail_node(node_name, loop.now)
         self.node_failures += 1
         loop.schedule_after(
-            simulator.faults.node_recovery_seconds, partial(self.recover, node_name)
+            self.injector.plan.node_recovery_seconds, partial(self.recover, node_name)
         )
         # Abort every in-flight request that lost its placement and re-queue
         # it at the front (it was admitted first); reversed() keeps the
         # original index order at the head.
         for request_id in reversed(affected):
-            abort = self.inflight_aborts.pop(request_id, None)
-            if abort is None:
+            launch = self.inflight.pop(request_id, None)
+            if launch is None:
                 continue
-            abort(loop.now)
-            victim_request, victim_config = self.dispatched.pop(request_id)
-            self.queue.appendleft((request_id, victim_request, victim_config))
+            launch.abort(loop.now)
+            self.queue.appendleft((request_id, launch.request, launch.configuration))
         self.try_dispatch()
 
     def recover(self, node_name: str) -> None:
@@ -940,15 +814,14 @@ class ServingSimulator:
     faults:
         Optional :class:`~repro.execution.faults.FaultPlan` perturbing the
         run (crashes, OOM/timeout kills, stragglers, node failures,
-        retries).  ``None`` — or an *empty* plan — leaves the unperturbed
-        code path untouched, so such runs are byte-identical to pre-fault
-        behaviour.
+        retries).  ``None`` and an *empty* plan both mean the empty plan:
+        every request takes the same attempt-by-attempt path, and none is
+        perturbed.
     protection:
         Optional :class:`~repro.execution.protection.ProtectionPolicy`
         defending the run (admission control, circuit breakers, load
-        shedding, hedging, deadline budgets).  ``None`` — or an *empty*
-        policy — leaves the unprotected code path untouched, mirroring the
-        empty-fault-plan invariant.
+        shedding, hedging, deadline budgets).  ``None`` and an *empty*
+        policy both run unguarded, with identical results.
     """
 
     def __init__(
@@ -1056,7 +929,7 @@ class ServingSimulator:
         if duration_seconds is None:
             duration_seconds = max((r.arrival_time for r in request_list), default=0.0)
 
-        if run.injector is not None and self.faults is not None and self.cluster is not None:
+        if self.cluster is not None:
             for failure_time, node_name in run.injector.node_failure_schedule(
                 duration_seconds, [node.name for node in self.cluster.nodes]
             ):

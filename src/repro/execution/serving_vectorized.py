@@ -43,10 +43,11 @@ under fixed seeds (the differential tier in
 
 Floating-point equality is engineered, not hoped for: sequential Python
 accumulation is replicated with ``np.cumsum`` (bit-identical to a running
-sum), scalar expression shapes like ``start + penalty + runtime`` keep
-their association, and the requests with three or more cold starts are
-re-accumulated in the scalar engine's event order, one event rank at a
-time.
+sum), scalar expression shapes keep their association (a cold attempt
+ends at ``start + (penalty + runtime)``, its start plus the elapsed time
+the event loop's injector reports), and the requests with three or more
+cold starts are re-accumulated in the event loop's orders, one event rank
+at a time: penalties as attempts start, billing deltas as they settle.
 """
 
 from __future__ import annotations
@@ -217,9 +218,10 @@ class BatchedServingSimulator(ServingSimulator):
         cold_count = np.zeros(n, dtype=np.int64)
         cold_seconds = np.zeros(n, dtype=np.float64)
         extra_cost = np.zeros(n, dtype=np.float64)
-        # (request indices, start times, penalty, delta, topo position) per
-        # cold batch — kept for the exact-order re-accumulation below.
-        cold_batches: List[Tuple[np.ndarray, np.ndarray, float, float, int]] = []
+        # (request indices, start times, end times, penalty, delta, topo
+        # position) per cold batch — kept for the exact-order re-accumulation
+        # below.
+        cold_batches: List[_ColdBatch] = []
         pool_cold = pool_warm = pool_evicted = 0
 
         for k, preds in enumerate(plan.preds):
@@ -260,7 +262,9 @@ class BatchedServingSimulator(ServingSimulator):
                     cold_count[indices] += 1
                     cold_seconds[indices] += penalty
                     extra_cost[indices] += delta
-                    cold_batches.append((indices, starts[flags], penalty, delta, k))
+                    cold_batches.append(
+                        (indices, starts[flags], finishes[t][k][flags], penalty, delta, k)
+                    )
 
         _fix_multi_cold(cold_count, cold_seconds, extra_cost, cold_batches)
 
@@ -278,7 +282,6 @@ class BatchedServingSimulator(ServingSimulator):
             stats.evictions += pool_evicted
 
         outcomes = OutcomeTable(
-            np.arange(n),
             requests,
             arrivals,
             completion,
@@ -365,7 +368,7 @@ class BatchedServingSimulator(ServingSimulator):
                 container, is_cold = replica.acquire(name, config_of[p], now)
                 if is_cold:
                     cold_flags[j] = True
-                    end = (now + penalty) + runtime_of[p]
+                    end = now + (penalty + runtime_of[p])
                 else:
                     end = now + runtime_of[p]
                 end_list[j] = end
@@ -427,52 +430,72 @@ def _base_costs(templates: List[TraceTemplate]) -> np.ndarray:
     return np.asarray([tpl.base_cost for tpl in templates], dtype=np.float64)
 
 
+#: One function's cold starts in one cohort: (request indices, start times,
+#: end times, penalty, billing delta, topological position).
+_ColdBatch = Tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]
+
+
 def _fix_multi_cold(
     cold_count: np.ndarray,
     cold_seconds: np.ndarray,
     extra_cost: np.ndarray,
-    cold_batches: List[Tuple[np.ndarray, np.ndarray, float, float, int]],
+    cold_batches: List[_ColdBatch],
 ) -> None:
     """Re-accumulate 3+-cold-start requests in scalar event order.
 
     Two-term float sums are order-free (commutativity), but three or more
-    additions depend on association.  The scalar engine's start events fire
-    in (start time, topo position) order, which never ties within a request
-    (one start per function).  So each cold batch is masked to those
-    requests, their events are sorted by (request, start, topo position),
-    and penalties and billing deltas are added from ``0.0`` one event rank
-    at a time: a request has at most one event per rank, so every
-    fancy-index add is duplicate-free and each sum keeps the event order.
+    additions depend on association.  The event loop adds a cold start's
+    penalty when its attempt starts and its billing delta when the attempt
+    settles, at its end.  Start events fire in (start time, topo position)
+    order, which never ties within a request (one start per function); a
+    settle event is scheduled by its start event, so settles fire in (end,
+    start, topo position) order.  So each cold batch is masked to those
+    requests, and the penalties and the deltas are each added from ``0.0``
+    in their own event order.
     """
     multi = cold_count >= 3
     if not multi.any():
         return
-    requests, starts, penalties, deltas, positions = [], [], [], [], []
-    for indices, batch_starts, penalty, delta, position in cold_batches:
+    requests, starts, ends, penalties, deltas, positions = [], [], [], [], [], []
+    for indices, batch_starts, batch_ends, penalty, delta, position in cold_batches:
         keep = multi[indices]
         if keep.any():
             chosen = indices[keep]
             requests.append(chosen)
             starts.append(batch_starts[keep])
+            ends.append(batch_ends[keep])
             penalties.append(np.full(chosen.size, penalty))
             deltas.append(np.full(chosen.size, delta))
             positions.append(np.full(chosen.size, position))
     request = np.concatenate(requests)
-    order = np.lexsort((np.concatenate(positions), np.concatenate(starts), request))
+    start = np.concatenate(starts)
+    position = np.concatenate(positions)
+    _add_in_order(cold_seconds, request, np.concatenate(penalties), (position, start))
+    _add_in_order(
+        extra_cost, request, np.concatenate(deltas), (position, start, np.concatenate(ends))
+    )
+
+
+def _add_in_order(
+    totals: np.ndarray, request: np.ndarray, values: np.ndarray, keys: Tuple[np.ndarray, ...]
+) -> None:
+    """Set each listed request's total to its values added from ``0.0``.
+
+    The values are added in the order of ``keys`` (``np.lexsort`` keys, the
+    last one primary), one rank at a time: a request has at most one value
+    per rank, so every fancy-index add is duplicate-free.
+    """
+    order = np.lexsort(keys + (request,))
     request = request[order]
-    penalty = np.concatenate(penalties)[order]
-    delta = np.concatenate(deltas)[order]
-    # Each event's rank within its request: its position past the request's
-    # first event in the sorted order.
+    values = values[order]
+    # Each value's rank within its request: its position past the request's
+    # first value in the sorted order.
     first = np.flatnonzero(np.r_[True, request[1:] != request[:-1]])
     rank = np.arange(request.size) - np.repeat(first, np.diff(np.r_[first, request.size]))
-    chosen = request[first]
-    cold_seconds[chosen] = 0.0
-    extra_cost[chosen] = 0.0
+    totals[request[first]] = 0.0
     for r in range(int(rank.max()) + 1):
         at = rank == r
-        cold_seconds[request[at]] += penalty[at]
-        extra_cost[request[at]] += delta[at]
+        totals[request[at]] += values[at]
 
 
 # -- single-configuration warm-pool settlement ----------------------------------
@@ -538,7 +561,7 @@ def _settle_loop(
         else:
             cold_flags[j] = True
             cold += 1
-            end = (now + penalty) + runtimes[p]
+            end = now + (penalty + runtimes[p])
         end_sorted[j] = end
         if not oom[p]:
             heappush(pending, end)
@@ -589,7 +612,7 @@ def _settle_counts(
     """Settle the bucket block by block from release counts, or ``None``.
 
     Per participant, warm releases ``start + runtime`` and cold releases
-    ``(start + penalty) + runtime`` both ascend with the start, so the
+    ``start + (penalty + runtime)`` both ascend with the start, so the
     releases flushed by an acquisition at ``t`` number ``iw - cold[:iw] +
     cold[:ic]`` over the releasing acquisitions sorted by either release
     time, with ``iw`` and ``ic`` the ``side="right"`` ranks of ``t`` (a
@@ -607,7 +630,7 @@ def _settle_counts(
     """
     run = np.asarray(runtimes, dtype=np.float64)[owner]
     warm_end = start + run
-    cold_end = (start + penalty) + run
+    cold_end = start + (penalty + run)
     releasing = np.nonzero(~np.asarray(oom, dtype=bool)[owner])[0]
     by_warm = releasing[np.argsort(warm_end[releasing], kind="stable")]
     by_cold = releasing[np.argsort(cold_end[releasing], kind="stable")]

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.execution.backend import EvaluationBackend
-from repro.execution.trace import ExecutionTrace
+from repro.execution.trace import ExecutionStatus, ExecutionTrace
 from repro.pricing.model import PricingModel
 from repro.workflow.dag import Workflow
 from repro.workflow.resources import WorkflowConfiguration
@@ -35,7 +35,9 @@ class TraceTemplate:
     status, runtime, config and cold-start billing delta — resolved once.
     Each list is aligned with the workflow plan's ``names``, so a
     function's position is its index in the topological order.
-    ``configuration`` is the workflow configuration the trace ran under.
+    ``configuration`` is the workflow configuration the trace ran under,
+    and ``base_invocations`` counts its functions that are not skipped:
+    the attempts a fault-free request makes.
     """
 
     __slots__ = (
@@ -47,6 +49,7 @@ class TraceTemplate:
         "deltas",
         "base_cost",
         "succeeded",
+        "base_invocations",
     )
 
     def __init__(
@@ -72,6 +75,9 @@ class TraceTemplate:
         ]
         self.base_cost = trace.total_cost
         self.succeeded = trace.succeeded
+        self.base_invocations = sum(
+            status is not ExecutionStatus.SKIPPED for status in self.statuses
+        )
 
 
 class TraceMemo:

@@ -41,7 +41,6 @@ from repro.execution.serving import (
     ServingMetrics,
     ServingOptions,
     ServingResult,
-    ServingSimulator,
 )
 from repro.execution.serving_vectorized import build_serving_engine
 from repro.experiments.harness import ExperimentSettings, build_objective, make_searcher

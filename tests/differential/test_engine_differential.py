@@ -24,7 +24,8 @@ from repro.core.input_aware import InputAwareEngine
 from repro.execution import serving_vectorized
 from repro.execution.backend import build_backend
 from repro.execution.cluster import Cluster
-from repro.execution.events import ArrivalBatch
+from repro.execution.events import ArrivalBatch, RequestArrival
+from repro.execution.outcomes import outcome_columns
 from repro.execution.serving import ServingOptions, ServingSimulator
 from repro.execution.serving_vectorized import (
     SERVING_ENGINE_NAMES,
@@ -42,6 +43,7 @@ from repro.utils.rng import RngStream
 from repro.workloads.arrivals import DriftingTrafficModel, TrafficPhase, TrafficProfile
 from repro.workloads.inputs import input_class_rules
 from repro.workloads.registry import get_workload
+from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 
 
 def run_pair(workload: str, settings: ServingSettings):
@@ -70,6 +72,7 @@ def request_trace(report):
             outcome.config_version,
             outcome.attempts,
             outcome.retries,
+            outcome.base_invocations,
         )
         for outcome in report.result.outcomes
     ]
@@ -440,6 +443,78 @@ class TestColumnarStreamDifferential:
             workload, batch, [], lambda _r: configuration, 10.0
         )
         assert len(results[0].outcomes) == 0
+
+
+class TestLifecycleDifferential:
+    """Both engines replay the event loop's one request lifecycle: every
+    function a trace runs is one attempt, and a cold start is billed when
+    its attempt settles, at its end."""
+
+    @pytest.mark.parametrize("oom", [False, True], ids=["succeeding", "oom"])
+    def test_clean_runs_make_one_attempt_per_invocation(self, oom):
+        """Per request, ``attempts == base_invocations`` == the functions
+        its trace runs (an OOM-killed one included, those it skips not), and
+        the run's retry amplification is exactly 1."""
+        workload = get_workload("chatbot")
+        configuration = workload.base_configuration()
+        if oom:
+            configuration = WorkflowConfiguration(
+                {
+                    name: ResourceConfig(vcpu=config.vcpu, memory_mb=128.0)
+                    if name == "train_classifier_a"
+                    else config
+                    for name, config in configuration.items()
+                }
+            )
+        # Seven functions; an OOM in one classifier skips the last two.
+        invocations = 5 if oom else 7
+        traffic = workload.traffic_model(arrival="poisson", rate_rps=5.0)
+        batch, requests = TestColumnarStreamDifferential.streams(traffic, 60.0, 2025)
+        for name, stream in (("event", requests), ("batched", batch)):
+            result = TestColumnarStreamDifferential.engine(workload, name).run(
+                stream, lambda _r: configuration, duration_seconds=60.0
+            )
+            assert result.fallback_reason == ""
+            outcomes = list(result.outcomes)
+            assert len(outcomes) == len(requests) > 250
+            assert all(o.succeeded is not oom for o in outcomes)
+            assert {(o.attempts, o.base_invocations) for o in outcomes} == {
+                (invocations, invocations)
+            }
+            columns = outcome_columns(result.outcomes)
+            assert columns.attempts.tolist() == [invocations] * len(outcomes)
+            assert columns.base_invocations.tolist() == [invocations] * len(outcomes)
+            assert result.metrics.retry_amplification == 1.0
+
+    @pytest.mark.parametrize("seed", [29, 37])
+    def test_cold_billing_adds_in_settle_order(self, seed):
+        """With these per-function memory sizes the layered zoo's cold-start
+        billing deltas do not associate, and its all-cold first request's
+        functions end in another order than they start: the engines agree
+        only if both add the deltas in settle order."""
+        workload = get_workload("zoo-layered")
+        names = workload.workflow.plan.names
+        base = workload.base_configuration()
+        factors = np.random.default_rng(seed).uniform(1.0, 3.0, len(names))
+        configuration = WorkflowConfiguration(
+            {
+                name: ResourceConfig(
+                    vcpu=base[name].vcpu, memory_mb=float(round(base[name].memory_mb * factor))
+                )
+                for name, factor in zip(names, factors)
+            }
+        )
+        requests = [RequestArrival(0.25 + 40.0 * i) for i in range(3)]
+        rows = [
+            TestColumnarStreamDifferential.rows(
+                TestColumnarStreamDifferential.engine(workload, name).run(
+                    requests, lambda _r: configuration
+                )
+            )
+            for name in ("event", "batched")
+        ]
+        assert rows[0] == rows[1]
+        assert rows[0][0][7] == len(names)  # the first request's cold starts
 
 
 class TestZooDifferential:

@@ -117,7 +117,10 @@ class TestSummary:
 
     def records(self):
         return [
-            ServedRequest(i, RequestArrival(0.0), None, 0.0, value, value)
+            ServedRequest(
+                i, RequestArrival(0.0), None, 0.0, value, value,
+                attempts=1, base_invocations=1,
+            )
             for i, value in enumerate(self.ADVERSARIAL)
         ]
 
@@ -125,12 +128,14 @@ class TestSummary:
         count = len(self.ADVERSARIAL)
         values = np.asarray(self.ADVERSARIAL)
         zeros = np.zeros(count)
-        template = SimpleNamespace(configuration=None, succeeded=True, trace=None)
+        template = SimpleNamespace(
+            configuration=None, succeeded=True, trace=None, base_invocations=1
+        )
         requests = ArrivalBatch(
             zeros, np.ones(count), np.zeros(count, dtype=np.intp), ["default"]
         )
         return OutcomeTable(
-            np.arange(count), requests, zeros, values, values,
+            requests, zeros, values, values,
             np.zeros(count, dtype=np.int64), zeros, np.zeros(count, dtype=np.intp), [template],
         )
 
@@ -146,7 +151,8 @@ class TestSummary:
 
     def test_records_and_table_give_the_same_columns(self):
         records, table = outcome_columns(self.records()), outcome_columns(self.table())
-        for name in ("arrival", "dispatch", "completion", "cost", "cold_count", "succeeded"):
+        for name in ("arrival", "dispatch", "completion", "cost", "cold_count", "succeeded",
+                     "attempts", "base_invocations"):
             assert getattr(records, name).tolist() == getattr(table, name).tolist()
 
     @pytest.mark.parametrize("engine", ["event", "batched"])

@@ -5,7 +5,8 @@ Four invariants the subsystem promises:
 * the fault schedule is a pure function of the plan's seed (same seed ⇒
   identical schedule, regardless of query order);
 * an empty plan leaves the serving layer byte-identical to running with no
-  injector at all;
+  plan at all (the serving layer gives such a run the empty plan's
+  injector, so both take the same attempt-by-attempt path);
 * retries never exceed the policy's ``max_attempts`` budget;
 * conservation — every admitted request ends exactly once (completed,
   failed-terminal, or rejected), even under crashes and node failures.

@@ -209,8 +209,8 @@ def test_single_class_batch_needs_no_class_rng():
 
 
 def test_selected_rows_are_the_same_records():
-    """``to_requests(rows)`` and ``take(rows)`` read the rows a slice or an
-    index array selects, in its order."""
+    """``to_requests(rows)`` reads the rows a slice or an index array
+    selects, in its order."""
     profile = TrafficProfile(
         arrival="poisson",
         rate_rps=2.0,
@@ -222,7 +222,6 @@ def test_selected_rows_are_the_same_records():
     assert len(records) > 10
     rows = np.asarray([5, 0, 3, 3], dtype=np.intp)
     assert batch.to_requests(rows) == [records[i] for i in rows]
-    assert batch.take(rows).to_requests() == [records[i] for i in rows]
     assert batch.to_requests(slice(2, 6)) == records[2:6]
     assert batch.to_requests(np.empty(0, dtype=np.intp)) == []
 
